@@ -13,12 +13,14 @@ cases yield the idle plan (zero capacity, zero value).
 Two solvers are provided.  ``optimal_plan_closed_form`` evaluates the
 interior-optimum formula, valid when every participating SP has
 positive expected load at every slot and the resulting shares stay
-nonnegative.  ``optimal_plan_numeric`` performs per-slot water-filling
-(bisection on the slot multiplier, then an exact active-set polish)
-inside an outer bisection that balances the summed multipliers against
-the unit capacity cost.  The numeric path is the source of truth;
-``optimal_plan`` dispatches to the closed form first and falls back
-whenever the formula reports itself inapplicable.
+nonnegative.  ``optimal_plan_numeric`` water-fills every slot exactly:
+with each slot's ``log(xi * beta_i * lbar_i^t)`` sorted in descending
+order, the slot's level for capacity ``C`` follows from a cumulative
+sum and the size of its active set (Palomar & Fonollosa, IEEE TSP
+2005).  Newton's method then finds the capacity at which the summed
+slot multipliers equal the unit capacity cost.  The numeric path is the
+source of truth; ``optimal_plan`` dispatches to the closed form first
+and falls back whenever the formula reports itself inapplicable.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ import numpy as np
 from .economics import EconomicParams
 from .players import PlayerSet
 
-INNER_ITERATIONS = 80
-OUTER_ITERATIONS = 200
-OUTER_RESIDUAL_TOL = 1e-10
-OUTER_INTERVAL_TOL = 1e-12
+# Newton on the capacity takes a handful of steps; reaching this cap
+# means the inputs are broken.
+_NEWTON_STEPS = 100
 
 
 class AllocationError(RuntimeError):
@@ -68,6 +69,8 @@ def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParam
         raise ValueError("expected_loads rows must match the number of SP benefits")
     if coalition.n_players != params.n_sp + 1:
         raise ValueError("coalition player count must be n_sp + 1")
+    if not np.isfinite(loads).all():
+        raise ValueError("expected loads must be finite")
     if (loads < 0.0).any():
         raise ValueError("expected loads must be nonnegative")
     return loads
@@ -121,28 +124,22 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
     return AllocationPlan(coalition, capacity, shares, revenue - price * capacity, "closed-form")
 
 
-def _water_levels(log_w: np.ndarray, xi: float, capacity: float) -> np.ndarray:
-    """Per-slot multipliers: solve sum_i max(0, (log_w_i - log_lam)/xi) = C.
+def _water_levels(ordered: np.ndarray, csum: np.ndarray, xi: float, capacity: float):
+    """Per-slot levels ``log(lambda_t)`` and active counts for capacity ``C``.
 
-    ``log_w`` is ``log(xi * beta_i * load_i^t)`` with ``-inf`` marking
-    zero-load entries; all slots passed here have at least one finite
-    entry.  Bisection runs in log space, then the multiplier is recomputed
-    exactly from the identified active set so the shares sum to the
-    capacity to machine precision.
+    ``ordered`` holds each slot's ``log(xi * beta_i * load_i^t)`` sorted
+    in descending order, ``-inf`` marking zero loads, and ``csum`` its
+    cumulative sum down the rows.  With the ``k`` largest entries active
+    the level is ``(csum_k - xi*C) / k``; the active set is the largest
+    ``k`` whose ``k``-th entry still lies above that level (at least one).
+    Shares ``(log_w_i - level) / xi`` over the active set then sum to
+    ``C`` exactly.
     """
-    hi = log_w.max(axis=0)
-    lo = hi - xi * capacity
-    for _ in range(INNER_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        filled = np.clip(log_w - mid, 0.0, None).sum(axis=0) / xi
-        over = filled > capacity
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    level = 0.5 * (lo + hi)
-    active = log_w > level
-    n_active = active.sum(axis=0)
-    log_sum = np.where(active, log_w, 0.0).sum(axis=0)
-    return (log_sum - xi * capacity) / n_active
+    ranks = np.arange(1, ordered.shape[0] + 1)[:, None]
+    trial = (csum - xi * capacity) / ranks
+    count = np.where(ordered > trial, ranks, 1).max(axis=0)
+    level = np.take_along_axis(trial, count[None, :] - 1, axis=0)[0]
+    return level, count
 
 
 def optimal_plan_numeric(coalition, expected_loads, params):
@@ -169,33 +166,31 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     if np.exp(slot_best[live]).sum() <= price:
         return _idle_plan(coalition, loads, "numeric")
 
-    def residual(capacity: float) -> float:
-        levels = _water_levels(log_w_live, xi, capacity)
-        return np.exp(levels).sum() - price
-
-    c_lo, c_hi = 0.0, 1.0
-    for _ in range(OUTER_ITERATIONS):
-        if residual(c_hi) < 0.0:
+    # Stationarity in C: g(C) = log(sum_t lambda_t(C)) - log(price) = 0.
+    # Each level is convex and decreasing in C (slope -xi/k_t, with k_t
+    # growing in C), so g is convex and decreasing, g(0) > 0, and Newton
+    # started at C = 0 climbs to the root without overshooting.
+    ordered = -np.sort(-log_w_live, axis=0)
+    csum = np.cumsum(ordered, axis=0)
+    log_price = math.log(price)
+    capacity = 0.0
+    for _ in range(_NEWTON_STEPS):
+        level, count = _water_levels(ordered, csum, xi, capacity)
+        top = level.max()
+        lam = np.exp(level - top)
+        total = lam.sum()
+        residual = top + math.log(total) - log_price
+        if residual <= 0.0:
             break
-        c_lo, c_hi = c_hi, 2.0 * c_hi
+        step = residual * total / (xi * (lam / count).sum())
+        capacity += step
+        if step <= 1e-15 * max(1.0, capacity):
+            break
     else:
-        raise AllocationError("capacity bracket search did not terminate")
-    for _ in range(OUTER_ITERATIONS):
-        if c_hi - c_lo <= OUTER_INTERVAL_TOL * max(1.0, c_hi):
-            break
-        mid = 0.5 * (c_lo + c_hi)
-        r = residual(mid)
-        if abs(r) <= OUTER_RESIDUAL_TOL:
-            c_lo = c_hi = mid
-            break
-        if r > 0.0:
-            c_lo = mid
-        else:
-            c_hi = mid
-    capacity = 0.5 * (c_lo + c_hi)
+        raise AllocationError("Newton capacity search did not converge")
 
-    levels = _water_levels(log_w_live, xi, capacity)
-    shares_live = np.clip((log_w_live - levels) / xi, 0.0, None)
+    level, _ = _water_levels(ordered, csum, xi, capacity)
+    shares_live = np.clip((log_w_live - level) / xi, 0.0, None)
     shares_sub = np.zeros_like(bl)
     shares_sub[:, live] = shares_live
     shares = np.zeros_like(loads)

@@ -108,6 +108,8 @@ def _profile(obj, path: str) -> RateProfile:
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in comp)
         ):
             raise ConfigError(f"{path}.components[{k}]: expected an [amplitude, phase] number pair")
+        if not all(math.isfinite(v) for v in comp):
+            raise ConfigError(f"{path}.components[{k}]: amplitude and phase must be finite")
         pairs.append((float(comp[0]), float(comp[1])))
     try:
         return RateProfile(base_rate=base, components=tuple(pairs), period=period)
@@ -225,6 +227,10 @@ def _atomic_write(path: str, text: str):
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the output the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -123,7 +123,8 @@ def simulate(
             payments = np.broadcast_to(fixed_payments, (count, n)).copy()
         rewards = payoffs + payments
         slot_cash = np.einsum("it,bit->bt", weights[grand], loads)
-        surplus = np.cumsum(slot_cash, axis=1) - costs[grand]
+        surplus = np.cumsum(slot_cash, axis=1, out=slot_cash)
+        surplus -= costs[grand]
         recovered = surplus >= 0.0
         first = recovered.argmax(axis=1)
         out = []

@@ -27,6 +27,7 @@ how work is distributed across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -57,11 +58,13 @@ class RateProfile:
     period: int = 24
 
     def __post_init__(self):
-        if self.base_rate < 0.0:
-            raise ValueError("base_rate must be nonnegative")
+        if not 0.0 <= self.base_rate < math.inf:
+            raise ValueError("base_rate must be finite and nonnegative")
         if self.period < 1:
             raise ValueError("period must be a positive number of slots")
         object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in self.components))
+        if not all(math.isfinite(v) for pair in self.components for v in pair):
+            raise ValueError("profile components must be finite")
         slots = np.arange(self.period)
         rates = self.rate(slots)
         bad = np.nonzero(rates < 0.0)[0]
@@ -185,9 +188,15 @@ def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
 
 
-def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int):
-    """Exact fGn via circulant embedding; None if the embedding fails."""
-    m = 1 << max(1, (n - 1).bit_length())
+# One spectrum at MAX_FBM_SLOTS holds 2**22 floats (32 MiB); a few
+# entries cover every distinct Hurst exponent of a typical scenario.
+@functools.lru_cache(maxsize=4)
+def _circulant_eigenvalues(hurst: float, m: int):
+    """Read-only spectrum of the fGn circulant embedding of size ``2m``.
+
+    ``None`` when the embedding is not nonnegative definite.  Memoised
+    per ``(hurst, m)``: every draw reuses the same deterministic array.
+    """
     lags = np.arange(m + 1)
     gamma = _fgn_autocov(hurst, lags)
     first_row = np.concatenate([gamma, gamma[-2:0:-1]])
@@ -195,6 +204,16 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int
     if eig.min() < -1e-10 * eig.max():
         return None
     eig = np.clip(eig, 0.0, None)
+    eig.flags.writeable = False
+    return eig
+
+
+def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int):
+    """Exact fGn via circulant embedding; None if the embedding fails."""
+    m = 1 << max(1, (n - 1).bit_length())
+    eig = _circulant_eigenvalues(float(hurst), m)
+    if eig is None:
+        return None
     two_m = 2 * m
     z = rng.standard_normal((paths, two_m))
     w = np.zeros((paths, two_m), dtype=complex)

@@ -1,5 +1,6 @@
 """Capacity/share planning: closed form vs numeric water-filling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -160,6 +161,139 @@ class TestNumeric:
             assert objective(trial, cap) <= base + 1e-7 * abs(base)
 
 
+def brute_force_levels(log_w, xi, capacity):
+    """Per-slot log-multiplier found by trying every active set in turn."""
+    levels = []
+    for col in log_w.T:
+        finite = [i for i in range(col.size) if np.isfinite(col[i])]
+        found = None
+        for size in range(1, len(finite) + 1):
+            for subset in itertools.combinations(finite, size):
+                level = (math.fsum(col[list(subset)]) - xi * capacity) / size
+                tol = 1e-12 * max(1.0, abs(level))
+                if all(col[i] >= level - tol for i in subset) and all(
+                    col[i] <= level + tol for i in finite if i not in subset
+                ):
+                    found = level
+                    break
+            if found is not None:
+                break
+        levels.append(found)
+    return np.array(levels)
+
+
+def brute_force_plan(loads, params):
+    """Grand-coalition capacity and shares: subset enumeration per slot,
+    plain bisection on the stationarity residual for the capacity."""
+    xi = params.saturation
+    price = params.unit_capacity_cost
+    bl = np.asarray(params.benefits)[:, None] * loads
+    with np.errstate(divide="ignore"):
+        log_w = np.log(xi * bl)
+    live = bl.max(axis=0) > 0.0
+    log_w = log_w[:, live]
+    if not live.any() or np.exp(log_w.max(axis=0)).sum() <= price:
+        return 0.0, np.zeros_like(loads)
+
+    def residual(capacity):
+        return np.exp(brute_force_levels(log_w, xi, capacity)).sum() - price
+
+    lo, hi = 0.0, 1.0
+    while residual(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
+    capacity = 0.5 * (lo + hi)
+    shares = np.zeros_like(loads)
+    levels = brute_force_levels(log_w, xi, capacity)
+    shares[:, live] = np.clip((log_w - levels) / xi, 0.0, None)
+    return capacity, shares
+
+
+def random_instance(rng):
+    n_sp = int(rng.integers(1, 5))
+    horizon = int(rng.integers(1, 7))
+    loads = rng.uniform(1e4, 3e6, (n_sp, horizon))
+    loads[rng.random((n_sp, horizon)) < 0.3] = 0.0
+    if n_sp > 1 and rng.random() < 0.5:
+        loads[1] = loads[0]  # tied entries in every slot
+    beta = rng.uniform(5e-4, 2e-3, n_sp)
+    if rng.random() < 0.5:
+        beta[:] = beta[0]
+    params = params_for(n_sp, price=float(rng.uniform(0.3, 6.0)), beta=tuple(beta),
+                        xi=float(rng.uniform(0.01, 0.08)))
+    return loads, params
+
+
+class TestExactWaterFilling:
+    def test_matches_active_set_enumeration(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            loads, params = random_instance(rng)
+            plan = optimal_plan_numeric(grand(loads.shape[0]), loads, params)
+            capacity, shares = brute_force_plan(loads, params)
+            scale = max(1.0, capacity)
+            assert plan.capacity == pytest.approx(capacity, rel=1e-9, abs=1e-9)
+            assert np.allclose(plan.shares, shares, rtol=0.0, atol=1e-8 * scale)
+
+    def test_idle_threshold(self):
+        loads = np.array([[1e6, 0.0, 2e6], [5e5, 3e6, 0.0]])
+        base = params_for(2)
+        xi = base.saturation
+        first_core = (xi * np.asarray(base.benefits)[:, None] * loads).max(axis=0).sum()
+        at = params_for(2, price=first_core)
+        plan = optimal_plan_numeric(grand(2), loads, at)
+        assert plan.capacity == 0.0 and plan.objective == 0.0
+        below = params_for(2, price=first_core * (1.0 - 1e-6))
+        plan = optimal_plan_numeric(grand(2), loads, below)
+        capacity, shares = brute_force_plan(loads, below)
+        assert 0.0 < plan.capacity < 1e-3
+        assert plan.capacity == pytest.approx(capacity, rel=1e-6)
+        assert np.allclose(plan.shares, shares, rtol=0.0, atol=1e-9)
+
+    def test_single_sp_takes_the_whole_capacity(self):
+        loads = np.array([[2e6, 0.0, 5e5, 1e6]])
+        plan = optimal_plan_numeric(grand(1), loads, params_for(1, price=2.0))
+        capacity, _ = brute_force_plan(loads, params_for(1, price=2.0))
+        assert plan.capacity == pytest.approx(capacity, rel=1e-12)
+        assert np.array_equal(plan.shares[0], np.where(loads[0] > 0.0, plan.capacity, 0.0))
+
+    def test_shares_exhaust_capacity_in_every_live_slot(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            loads, params = random_instance(rng)
+            plan = optimal_plan_numeric(grand(loads.shape[0]), loads, params)
+            live = loads.max(axis=0) > 0.0
+            filled = plan.shares.sum(axis=0)
+            tol = 1e-12 * max(1.0, plan.capacity)
+            if plan.capacity > 0.0:
+                assert np.all(np.abs(filled[live] - plan.capacity) <= tol)
+            assert not filled[~live].any()
+
+    def test_six_sps_over_five_years(self):
+        # 6 SPs x 43,800 hourly slots: the size of a five-year value table.
+        rng = np.random.default_rng(6)
+        loads = rng.uniform(1.8e8, 2.2e8, (6, 43_800))
+        params = params_for(6, price=10.94, upkeep=16.25, hours=43_800.0, beta=6e-6)
+        numeric = optimal_plan_numeric(grand(6), loads, params)
+        closed = optimal_plan_closed_form(grand(6), loads, params)
+        assert numeric.method == "numeric" and closed is not None
+        assert numeric.capacity == pytest.approx(closed.capacity, rel=1e-9)
+        assert np.allclose(numeric.shares, closed.shares, rtol=0.0, atol=1e-9 * closed.capacity)
+        assert numeric.objective == pytest.approx(closed.objective, rel=1e-9)
+
+        loads[1:, 0] = 0.0  # slot 0 served by one SP only: no closed form
+        assert optimal_plan_closed_form(grand(6), loads, params) is None
+        plan = optimal_plan(grand(6), loads, params)
+        assert plan.method == "numeric"
+        assert np.all(np.abs(plan.shares.sum(axis=0) - plan.capacity) <= 1e-12 * plan.capacity)
+        xi = params.saturation
+        beta = np.asarray(params.benefits)[:, None]
+        lam = np.where(plan.shares > 0.0, beta * loads * xi * np.exp(-xi * plan.shares), 0.0).max(axis=0)
+        assert lam.sum() == pytest.approx(params.unit_capacity_cost, rel=1e-12)
+
+
 class TestDispatch:
     def test_prefers_closed_form_when_applicable(self):
         loads = np.full((2, 4), 1e6)
@@ -204,3 +338,11 @@ class TestDispatch:
             optimal_plan(grand(1), -np.ones((1, 4)), params_for(1))
         with pytest.raises(ValueError):
             optimal_plan(PlayerSet.grand(4), np.ones((2, 4)), params)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_loads(self, bad):
+        loads = np.ones((2, 4))
+        loads[1, 2] = bad
+        for solver in (optimal_plan, optimal_plan_closed_form, optimal_plan_numeric):
+            with pytest.raises(ValueError, match="finite"):
+                solver(grand(2), loads, params_for(2))

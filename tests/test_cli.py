@@ -2,6 +2,9 @@
 
 import csv
 import json
+import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -123,6 +126,15 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "players[0].profile" in err
 
+    @pytest.mark.parametrize("component", [[math.nan, 13.0], [120.0, math.inf]])
+    def test_non_finite_profile_component_rejected(self, write_config, tmp_path, capsys, component):
+        cfg = fbm_config()
+        cfg["players"][0]["profile"]["components"] = [[50.0, 1.0], component]
+        out = tmp_path / "plan.csv"
+        assert main(["plan", write_config(cfg), "--out", str(out)]) == 1
+        assert "players[0].profile.components[1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_and_bad_json(self, tmp_path, capsys):
         assert main(["plan", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
         bad = tmp_path / "bad.json"
@@ -164,6 +176,16 @@ class TestPlan:
         sidecar = json.loads((tmp_path / "plan.json").read_text())
         assert sidecar["schema_version"] == 1
         assert len(sidecar["coalitions"]) == 1
+
+    def test_outputs_follow_the_umask(self, write_config, tmp_path):
+        out = tmp_path / "plan.csv"
+        previous = os.umask(0o022)
+        try:
+            assert main(["plan", write_config(base_config()), "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, tmp_path / "plan.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_all_coalitions_enumerated(self, write_config, tmp_path):
         out = tmp_path / "plan.csv"

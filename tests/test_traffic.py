@@ -16,8 +16,10 @@ from coinvest import (
     sample_bounded_loads,
     sample_fbm_loads,
 )
+from coinvest import traffic
 from coinvest.traffic import (
     MAX_FBM_SLOTS,
+    _circulant_eigenvalues,
     _fbm_paths,
     _fgn_autocov,
     _fgn_davies_harte,
@@ -63,6 +65,15 @@ class TestRateProfile:
     def test_rejects_negative_base(self):
         with pytest.raises(ValueError):
             RateProfile(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RateProfile(bad)
+        with pytest.raises(ValueError, match="finite"):
+            RateProfile(10.0, ((bad, 0.0),))
+        with pytest.raises(ValueError, match="finite"):
+            RateProfile(10.0, ((1.0, bad),))
 
 
 class TestExpectedLoad:
@@ -214,6 +225,29 @@ class TestFbmGeneration:
             prod = dh[:, 0] * dh[:, lag]
             se = prod.std() / math.sqrt(dh.shape[0])
             assert abs(prod.mean() - gamma[lag]) < 4 * se
+
+    def test_draws_identical_with_cold_or_warm_spectrum_cache(self):
+        models = [
+            FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h, 60.0) for h in (0.7, 0.3)
+        ]
+        _circulant_eigenvalues.cache_clear()
+        cold = sample_fbm_loads(models, 1000, (9, 2)).values
+        assert _circulant_eigenvalues.cache_info().currsize == 2
+        warm = sample_fbm_loads(models, 1000, (9, 2)).values
+        assert _circulant_eigenvalues.cache_info().hits >= 2
+        assert np.array_equal(cold, warm)
+
+    def test_cached_spectrum_is_read_only(self):
+        eig = _circulant_eigenvalues(0.7, 64)
+        assert eig is _circulant_eigenvalues(0.7, 64)
+        with pytest.raises(ValueError):
+            eig[0] = 0.0
+
+    def test_failed_embedding_falls_back_to_hosking(self, monkeypatch):
+        monkeypatch.setattr(traffic, "_circulant_eigenvalues", lambda hurst, m: None)
+        path = _fbm_paths(0.8, 9, np.random.default_rng(4), 1)[0]
+        incr = _fgn_hosking(0.8, 8, np.random.default_rng(4), 1)[0]
+        assert np.array_equal(path[1:], np.cumsum(incr))
 
     def test_rejects_bad_hurst(self):
         with pytest.raises(ValueError):
