@@ -23,8 +23,6 @@ import sys
 import tempfile
 from dataclasses import replace
 
-import numpy as np
-
 from .allocation import AllocationError, optimal_plan
 from .economics import EconomicParams, HOURS_PER_YEAR
 from .economics import cost as capacity_cost
@@ -462,26 +460,22 @@ def cmd_payback(args) -> int:
         sub = Scenario(scenario.sp_names, scenario.models, params)
         table = build_value_table(sub.expected_loads(), params)
         outcomes = simulate(sub, table, args.realizations, args.seed, workers=_workers())
-        slots = []
         for o in outcomes:
             if o.payback_slot is None:
                 rows.append([_fmt(y), o.index, "", "", 1])
             else:
                 years = o.payback_slot * params.slot_hours / HOURS_PER_YEAR
                 rows.append([_fmt(y), o.index, o.payback_slot, _fmt(years), 0])
-                slots.append(o.payback_slot)
-        grand_plan = table.plan(table.grand_bits)
+        summary = summarize(outcomes)
         period_meta.append(
             {
                 "investment_years": y,
-                "capacity_vcores": grand_plan.capacity,
+                "capacity_vcores": table.plan(table.grand_bits).capacity,
                 "grand_value": table.grand_value,
                 "payback_slot_quantiles": (
-                    _quantile_dict(np.quantile(np.array(slots, dtype=float), (0, 0.25, 0.5, 0.75, 1)))
-                    if slots
-                    else None
+                    None if summary.payback_quantiles is None else _quantile_dict(summary.payback_quantiles)
                 ),
-                "censored": args.realizations - len(slots),
+                "censored": summary.payback_censored,
             }
         )
     _write_csv(

@@ -23,6 +23,7 @@ Stability chain, all on expected values:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,9 +34,6 @@ from .allocation import AllocationPlan, optimal_plan
 from .economics import EconomicParams, cost
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions
 from .traffic import BoundedLoadModel, LoadMatrix, expected_load
-
-_shapley_cache: dict = {}
-_popcount_cache: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,31 +87,30 @@ def realized_value(plan: AllocationPlan, loads, params: EconomicParams) -> float
     return float(revenue - cost(params, plan.capacity))
 
 
+@functools.cache
 def _popcounts(n_players: int) -> np.ndarray:
-    if n_players not in _popcount_cache:
-        pc = np.array([m.bit_count() for m in range(1 << n_players)])
-        pc.flags.writeable = False
-        _popcount_cache[n_players] = pc
-    return _popcount_cache[n_players]
+    pc = np.array([m.bit_count() for m in range(1 << n_players)])
+    pc.flags.writeable = False
+    return pc
 
 
+@functools.cache
 def shapley_matrix(n_players: int) -> np.ndarray:
-    """Matrix M with payoff = values @ M; encodes the subset-sum weights."""
-    if n_players not in _shapley_cache:
-        fact = [math.factorial(i) for i in range(n_players + 1)]
-        w = np.array(
-            [fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)]
-        )
-        size = 1 << n_players
-        m = np.zeros((size, n_players))
-        pc = _popcounts(n_players)
-        for i in range(n_players):
-            has = (np.arange(size) >> i & 1).astype(bool)
-            m[has, i] += w[pc[has] - 1]
-            m[~has, i] -= w[pc[~has]]
-        m.flags.writeable = False
-        _shapley_cache[n_players] = m
-    return _shapley_cache[n_players]
+    """Matrix M with payoff = values @ M; encodes the subset-sum weights.
+
+    Memoised per ``n_players``; the returned array is read-only.
+    """
+    fact = [math.factorial(i) for i in range(n_players + 1)]
+    w = np.array([fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)])
+    size = 1 << n_players
+    m = np.zeros((size, n_players))
+    pc = _popcounts(n_players)
+    for i in range(n_players):
+        has = (np.arange(size) >> i & 1).astype(bool)
+        m[has, i] += w[pc[has] - 1]
+        m[~has, i] -= w[pc[~has]]
+    m.flags.writeable = False
+    return m
 
 
 def shapley(values, n_players: int | None = None) -> np.ndarray:

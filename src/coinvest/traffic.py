@@ -182,38 +182,53 @@ def _substream(seed, *extra) -> np.random.Generator:
 
 
 def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
-    """Autocovariance of unit-variance fractional Gaussian noise."""
+    """Autocovariance of unit-variance fractional Gaussian noise.
+
+    ``((k+1)**2H - 2*k**2H + (k-1)**2H) / 2`` cancels to a few digits at
+    long lags.  With ``x = 1/k`` it equals ``k**2H * (e**s * cosh(d) - 1)``
+    for ``s = H*log(1 - x**2)`` and ``d = 2H*atanh(x)``, evaluated below
+    without cancellation as ``expm1(s)*cosh(d) + 2*sinh(d/2)**2``.
+    """
     k = np.abs(lags).astype(float)
-    h2 = 2.0 * hurst
-    return 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
+    gamma = (k == 0.0).astype(float)
+    if hurst == 0.5:  # white noise; the form below would leave 1e-17 of round-off
+        return gamma
+    gamma[k == 1.0] = math.expm1((2.0 * hurst - 1.0) * math.log(2.0))
+    far = k >= 2.0
+    x = 1.0 / k[far]
+    s = hurst * np.log1p(-x * x)
+    d = 2.0 * hurst * np.arctanh(x)
+    gamma[far] = k[far] ** (2.0 * hurst) * (np.expm1(s) * np.cosh(d) + 2.0 * np.sinh(0.5 * d) ** 2)
+    return gamma
 
 
 # One spectrum at MAX_FBM_SLOTS holds 2**22 floats (32 MiB); a few
 # entries cover every distinct Hurst exponent of a typical scenario.
 @functools.lru_cache(maxsize=4)
-def _circulant_eigenvalues(hurst: float, m: int):
+def _circulant_eigenvalues(hurst: float, m: int) -> np.ndarray:
     """Read-only spectrum of the fGn circulant embedding of size ``2m``.
 
-    ``None`` when the embedding is not nonnegative definite.  Memoised
-    per ``(hurst, m)``: every draw reuses the same deterministic array.
+    The embedding of fGn is nonnegative definite for every H (Dietrich &
+    Newsam, 1997), so round-off dips below zero are clipped; a dip below
+    ``-1e-10 * max`` raises ``RuntimeError``.  Memoised per
+    ``(hurst, m)``: every draw reuses the same deterministic array.
     """
-    lags = np.arange(m + 1)
-    gamma = _fgn_autocov(hurst, lags)
-    first_row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eig = np.fft.fft(first_row).real
+    gamma = _fgn_autocov(hurst, np.arange(m + 1))
+    eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     if eig.min() < -1e-10 * eig.max():
-        return None
+        raise RuntimeError(
+            f"fGn circulant embedding not nonnegative at hurst={hurst}, m={m} "
+            f"(min/max eigenvalue {eig.min() / eig.max():.3g})"
+        )
     eig = np.clip(eig, 0.0, None)
     eig.flags.writeable = False
     return eig
 
 
-def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int):
-    """Exact fGn via circulant embedding; None if the embedding fails."""
+def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:
+    """Exact fGn via circulant embedding (Davies-Harte), O(n log n)."""
     m = 1 << max(1, (n - 1).bit_length())
     eig = _circulant_eigenvalues(float(hurst), m)
-    if eig is None:
-        return None
     two_m = 2 * m
     z = rng.standard_normal((paths, two_m))
     w = np.zeros((paths, two_m), dtype=complex)
@@ -225,24 +240,6 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int
     return np.fft.fft(w, axis=1).real[:, :n]
 
 
-def _fgn_hosking(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:
-    """O(n^2) Durbin-Levinson fallback, exact for any covariance."""
-    gamma = _fgn_autocov(hurst, np.arange(n))
-    z = rng.standard_normal((paths, n))
-    x = np.empty((paths, n))
-    x[:, 0] = z[:, 0]
-    phi = np.zeros(n)
-    v = 1.0
-    for i in range(1, n):
-        kappa = (gamma[i] - phi[: i - 1] @ gamma[i - 1:0:-1]) / v
-        phi[: i - 1] -= kappa * phi[: i - 1][::-1]
-        phi[i - 1] = kappa
-        v *= 1.0 - kappa * kappa
-        mean = x[:, :i][:, ::-1] @ phi[:i]
-        x[:, i] = mean + math.sqrt(v) * z[:, i]
-    return x
-
-
 def _fbm_paths(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:
     """``paths`` standard fBm paths over slots 0..n-1 (f_0 = 0 exactly)."""
     if n < 1:
@@ -250,12 +247,8 @@ def _fbm_paths(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np
     if n > MAX_FBM_SLOTS:
         raise ValueError(f"fBm path of {n} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
     out = np.zeros((paths, n))
-    if n == 1:
-        return out
-    incr = _fgn_davies_harte(hurst, n - 1, rng, paths)
-    if incr is None:
-        incr = _fgn_hosking(hurst, n - 1, rng, paths)
-    np.cumsum(incr, axis=1, out=out[:, 1:])
+    if n > 1:
+        np.cumsum(_fgn_davies_harte(hurst, n - 1, rng, paths), axis=1, out=out[:, 1:])
     return out
 
 

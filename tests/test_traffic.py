@@ -1,6 +1,7 @@
 """Demand models: rate profiles, bounded sampling, and fBm generation."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from coinvest.traffic import (
     _fbm_paths,
     _fgn_autocov,
     _fgn_davies_harte,
-    _fgn_hosking,
     sample_loads,
 )
 
@@ -205,22 +205,39 @@ class TestFbmGeneration:
         se = prod.std() / math.sqrt(paths.shape[0])
         assert abs(prod.mean() - target) < 4 * se
 
-    def test_hosking_fallback_matches_autocovariance(self):
-        rng = np.random.default_rng(17)
-        h = 0.8
-        x = _fgn_hosking(h, 12, rng, 30_000)
-        gamma = _fgn_autocov(h, np.arange(12))
-        for lag in (0, 1, 5):
-            prod = x[:, 0] * x[:, lag]
-            se = prod.std() / math.sqrt(x.shape[0])
-            assert abs(prod.mean() - gamma[lag]) < 4 * se
+    @pytest.mark.parametrize("hurst", (0.01, 0.3, 0.49, 0.51, 0.7, 0.99))
+    def test_autocovariance_matches_50_digit_reference(self, hurst):
+        lags = (1, 2, 10, 10**3, 10**4, 10**6)
+        with np.errstate(all="raise"):
+            gamma = _fgn_autocov(hurst, np.array(lags))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            two_h = 2 * Decimal(hurst)
+            for k, got in zip(lags, gamma):
+                k = Decimal(k)
+                ref = ((k + 1) ** two_h - 2 * k ** two_h + (k - 1) ** two_h) / 2
+                assert abs(Decimal(float(got)) - ref) <= Decimal("1e-12") * abs(ref), (hurst, k)
+
+    def test_autocovariance_of_brownian_increments_is_white(self):
+        gamma = _fgn_autocov(0.5, np.arange(10**6 + 1))
+        assert gamma[0] == 1.0
+        assert np.all(gamma[1:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "hurst, m",
+        [(h, m) for h in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999) for m in (1 << 4, 1 << 10, 1 << 16)]
+        + [(0.95, 1 << 20), (0.99, 1 << 20)],
+    )
+    def test_circulant_spectrum_is_nonnegative(self, hurst, m):
+        gamma = _fgn_autocov(hurst, np.arange(m + 1))
+        eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        assert eig.min() >= -1e-10 * eig.max()
 
     def test_spectral_and_recursive_generators_agree_in_law(self):
         h = 0.75
         n = 10
         gamma = _fgn_autocov(h, np.arange(n))
         dh = _fgn_davies_harte(h, n, np.random.default_rng(31), 30_000)
-        assert dh is not None
         for lag in (1, 4):
             prod = dh[:, 0] * dh[:, lag]
             se = prod.std() / math.sqrt(dh.shape[0])
@@ -243,11 +260,13 @@ class TestFbmGeneration:
         with pytest.raises(ValueError):
             eig[0] = 0.0
 
-    def test_failed_embedding_falls_back_to_hosking(self, monkeypatch):
-        monkeypatch.setattr(traffic, "_circulant_eigenvalues", lambda hurst, m: None)
-        path = _fbm_paths(0.8, 9, np.random.default_rng(4), 1)[0]
-        incr = _fgn_hosking(0.8, 8, np.random.default_rng(4), 1)[0]
-        assert np.array_equal(path[1:], np.cumsum(incr))
+    def test_non_psd_embedding_raises(self, monkeypatch):
+        # a lag-1 correlation above 1 is no covariance at all
+        monkeypatch.setattr(traffic, "_fgn_autocov", lambda hurst, lags: np.where(lags == 1, 2.0, lags == 0))
+        _circulant_eigenvalues.cache_clear()
+        with pytest.raises(RuntimeError, match=r"hurst=0\.8, m=8"):
+            _fbm_paths(0.8, 9, np.random.default_rng(4), 1)
+        assert _circulant_eigenvalues.cache_info().currsize == 0
 
     def test_rejects_bad_hurst(self):
         with pytest.raises(ValueError):
