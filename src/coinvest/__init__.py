@@ -23,8 +23,7 @@ from .traffic import (
     expected_load,
     expected_load_matrix,
     generate_fbm,
-    sample_bounded_loads,
-    sample_fbm_loads,
+    sample_loads,
 )
 from .allocation import AllocationPlan, optimal_plan, optimal_plan_closed_form, optimal_plan_numeric
 from .game import (
@@ -39,12 +38,8 @@ from .game import (
     stability_value_hat,
     stability_value_lp,
     deviation_threshold,
-    delta_hat,
-    utility_range,
     utility_ranges,
     stability_lower_bound,
-    StabilityReport,
-    build_stability_report,
 )
 from .scenario import Scenario
 from .montecarlo import (
@@ -54,7 +49,6 @@ from .montecarlo import (
     summarize,
     profitability_probabilities,
     empirical_stability_frequency,
-    payback_distribution,
 )
 
 __all__ = [
@@ -68,8 +62,7 @@ __all__ = [
     "expected_load",
     "expected_load_matrix",
     "generate_fbm",
-    "sample_bounded_loads",
-    "sample_fbm_loads",
+    "sample_loads",
     "AllocationPlan",
     "optimal_plan",
     "optimal_plan_closed_form",
@@ -85,12 +78,8 @@ __all__ = [
     "stability_value_hat",
     "stability_value_lp",
     "deviation_threshold",
-    "delta_hat",
-    "utility_range",
     "utility_ranges",
     "stability_lower_bound",
-    "StabilityReport",
-    "build_stability_report",
     "Scenario",
     "RealizationOutcome",
     "SimulationSummary",
@@ -98,7 +87,6 @@ __all__ = [
     "summarize",
     "profitability_probabilities",
     "empirical_stability_frequency",
-    "payback_distribution",
 ]
 
 __version__ = "0.1.0"

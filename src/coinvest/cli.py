@@ -37,7 +37,7 @@ from .game import (
 from .montecarlo import PAYMENT_MODES, simulate, summarize
 from .players import PlayerSet
 from .scenario import Scenario
-from .traffic import BoundedLoadModel, FbmLoadModel, RateProfile
+from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
 
 SCHEMA_VERSION = 1
 
@@ -325,7 +325,18 @@ def _parse_float_list(raw: str, flag: str):
         raise ConfigError(f"{flag}: {exc}")
     if not values:
         raise ConfigError(f"{flag}: expected a comma-separated list of numbers")
+    for v in values:
+        if not math.isfinite(v):
+            raise ConfigError(f"{flag}: {v} is not a finite number")
     return values
+
+
+def _check_fbm_horizon(scenario: Scenario, source: str):
+    """Refuse an fBm horizon the sampler cannot draw, before any planning."""
+    if scenario.kind == "fbm" and scenario.horizon > MAX_FBM_SLOTS:
+        raise ConfigError(
+            f"{source}: fBm horizon of {scenario.horizon} slots exceeds the ceiling of {MAX_FBM_SLOTS}"
+        )
 
 
 def cmd_stability(args) -> int:
@@ -385,6 +396,7 @@ def cmd_simulate(args) -> int:
     scenario, _ = load_config(args.config)
     if args.realizations < 1:
         raise ConfigError("--realizations: must be at least 1")
+    _check_fbm_horizon(scenario, "economics.investment_years")
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
     delta = deviation_threshold(table, stability_value_hat(table, payoff))
@@ -444,27 +456,30 @@ def cmd_simulate(args) -> int:
 def cmd_payback(args) -> int:
     scenario, _ = load_config(args.config)
     periods = _parse_float_list(args.periods, "--periods")
+    if args.realizations < 1:
+        raise ConfigError("--realizations: must be at least 1")
+    subs = []
     for y in periods:
         if y <= 0.0:
             raise ConfigError(f"--periods: investment length {y} must be positive")
-    if args.realizations < 1:
-        raise ConfigError("--realizations: must be at least 1")
-
-    rows = []
-    period_meta = []
-    for y in periods:
         try:
             params = replace(scenario.params, investment_hours=y * HOURS_PER_YEAR)
         except ValueError as exc:
             raise ConfigError(f"--periods: {y} years: {exc}") from exc
         sub = Scenario(scenario.sp_names, scenario.models, params)
-        table = build_value_table(sub.expected_loads(), params)
+        _check_fbm_horizon(sub, f"--periods: {y} years")
+        subs.append((y, sub))
+
+    rows = []
+    period_meta = []
+    for y, sub in subs:
+        table = build_value_table(sub.expected_loads(), sub.params)
         outcomes = simulate(sub, table, args.realizations, args.seed, workers=_workers())
         for o in outcomes:
             if o.payback_slot is None:
                 rows.append([_fmt(y), o.index, "", "", 1])
             else:
-                years = o.payback_slot * params.slot_hours / HOURS_PER_YEAR
+                years = o.payback_slot * sub.params.slot_hours / HOURS_PER_YEAR
                 rows.append([_fmt(y), o.index, o.payback_slot, _fmt(years), 0])
         summary = summarize(outcomes)
         period_meta.append(
@@ -529,6 +544,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
         if args.dump_config:
             _, normalized = load_config(args.config)
             _write_json(args.dump_config, normalized)

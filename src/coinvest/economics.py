@@ -13,6 +13,7 @@ share, with diminishing returns governed by ``saturation``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,16 @@ class EconomicParams:
     saturation: float
 
     def __post_init__(self):
+        object.__setattr__(self, "benefits", tuple(float(b) for b in self.benefits))
+        for name in ("capacity_price", "maintenance_price", "investment_hours", "slot_hours", "saturation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(b) for b in self.benefits):
+            raise ValueError("benefits must be finite")
         if self.capacity_price < 0.0 or self.maintenance_price < 0.0:
             raise ValueError("prices must be nonnegative")
         if self.investment_hours <= 0.0 or self.slot_hours <= 0.0:
             raise ValueError("investment_hours and slot_hours must be positive")
-        object.__setattr__(self, "benefits", tuple(float(b) for b in self.benefits))
         if not self.benefits:
             raise ValueError("need at least one SP benefit")
         if any(b <= 0.0 for b in self.benefits):

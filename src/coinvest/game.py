@@ -33,7 +33,7 @@ import numpy as np
 from .allocation import AllocationPlan, optimal_plan
 from .economics import EconomicParams, cost
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions
-from .traffic import BoundedLoadModel, LoadMatrix, expected_load
+from .traffic import BoundedLoadModel, LoadMatrix, expected_load_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,11 +289,6 @@ def deviation_threshold(table: ValueTable, sigma: float) -> float:
     return max(0.0, bound)
 
 
-def delta_hat(table: ValueTable, payoff: np.ndarray) -> float:
-    """Deviation threshold anchored at the expected Shapley payoff."""
-    return deviation_threshold(table, stability_value_hat(table, payoff))
-
-
 def utility_ranges(plan: AllocationPlan, models: Sequence, params: EconomicParams) -> np.ndarray:
     """Per-player, per-slot width of the utility's support under the
     bounded demand model, at the given plan.  Row 0 (the InP) is zero:
@@ -306,24 +301,11 @@ def utility_ranges(plan: AllocationPlan, models: Sequence, params: EconomicParam
                 "require the bounded demand model"
             )
     horizon = plan.shares.shape[1]
-    slots = np.arange(horizon)
-    means = np.vstack([expected_load(m, slots) for m in models])
+    means = expected_load_matrix(models, horizon)
     spreads = np.array([m.spread for m in models])[:, None]
     beta = np.asarray(params.benefits)[:, None]
     sp_rows = beta * -np.expm1(-params.saturation * plan.shares) * 2.0 * spreads * means
     return np.vstack([np.zeros((1, horizon)), sp_rows])
-
-
-def utility_range(player: int, slot: int, plan: AllocationPlan, model, params: EconomicParams) -> float:
-    """Support width of one player's utility in one slot."""
-    if player == 0:
-        return 0.0
-    if not isinstance(model, BoundedLoadModel):
-        raise TypeError("analytic stability bounds require the bounded demand model")
-    row = player - 1
-    mean = expected_load(model, slot)
-    swing = -math.expm1(-params.saturation * plan.shares[row, slot])
-    return float(params.benefits[row] * swing * 2.0 * model.spread * mean)
 
 
 def stability_lower_bound(delta: float, ranges: np.ndarray):
@@ -345,33 +327,3 @@ def stability_lower_bound(delta: float, ranges: np.ndarray):
             exponent = np.where(risky, -2.0 * delta * delta / np.where(risky, ssq, 1.0), -np.inf)
         probs = np.where(risky, np.maximum(1.0 - 2.0 * np.exp(exponent), 0.0), 1.0)
     return probs, float(probs.prod())
-
-
-@dataclass(frozen=True, eq=False)
-class StabilityReport:
-    """Expected payoffs plus the analytic stability chain."""
-
-    payoff: np.ndarray
-    sigma_hat: float
-    delta: float
-    player_bounds: np.ndarray
-    joint_bound: float
-    utility_span: np.ndarray
-    degenerate: bool
-
-
-def build_stability_report(table: ValueTable, models: Sequence, params: EconomicParams) -> StabilityReport:
-    payoff = shapley(table)
-    sigma = stability_value_hat(table, payoff)
-    delta = deviation_threshold(table, sigma)
-    spans = utility_ranges(table.plan(table.grand_bits), models, params)
-    probs, joint = stability_lower_bound(delta, spans)
-    return StabilityReport(
-        payoff=payoff,
-        sigma_hat=sigma,
-        delta=delta,
-        player_bounds=probs,
-        joint_bound=joint,
-        utility_span=spans,
-        degenerate=table.grand_value <= 0.0,
-    )

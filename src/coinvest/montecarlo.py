@@ -166,10 +166,6 @@ def empirical_stability_frequency(outcomes: Sequence[RealizationOutcome], delta:
     return float((np.abs(dev) < delta).all(axis=1).mean())
 
 
-def payback_distribution(outcomes: Sequence[RealizationOutcome]):
-    return [o.payback_slot for o in outcomes]
-
-
 def _quantiles(matrix: np.ndarray) -> np.ndarray:
     return np.quantile(matrix, QUANTILE_GRID, axis=0).T
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -97,6 +97,15 @@ class BoundedLoadModel:
         if self.slot_seconds <= 0.0:
             raise ValueError("slot_seconds must be positive")
 
+    def expected_rate(self, t):
+        """Expected request rate at slot(s) ``t``."""
+        return self.profile.rate(t)
+
+    def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+        """One load row over ``slots`` slots, uniform in the spread band."""
+        mean = expected_load(self, np.arange(slots))
+        return rng.uniform((1.0 - self.spread) * mean, (1.0 + self.spread) * mean)
+
 
 @dataclass(frozen=True)
 class FbmLoadModel:
@@ -114,6 +123,20 @@ class FbmLoadModel:
             raise ValueError("hurst must lie in (0, 1)")
         if self.slot_seconds <= 0.0:
             raise ValueError("slot_seconds must be positive")
+
+    def expected_rate(self, t):
+        """Expected request rate at slot(s) ``t``: trend times ``t**H / sqrt(2*pi)``."""
+        t_arr = np.asarray(t, dtype=float)
+        env = self.trend.rate(t_arr) * np.power(t_arr, self.hurst) / SQRT_2PI
+        return env if env.shape else float(env)
+
+    def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+        """One load row over ``slots`` slots from one fBm path."""
+        t = np.arange(slots)
+        path = _fbm_paths(self.hurst, slots, rng, 1)[0]
+        envelope = np.power(t.astype(float), self.hurst) / SQRT_2PI
+        rate = self.trend.rate(t) * ((1.0 - self.alpha) * envelope + self.alpha * np.maximum(path, 0.0))
+        return rate * self.slot_seconds
 
 
 LoadModel = Union[BoundedLoadModel, FbmLoadModel]
@@ -145,20 +168,9 @@ class LoadMatrix:
         return self.values.shape[1]
 
 
-def expected_rate(model: LoadModel, t):
-    """Expected request rate of ``model`` at slot(s) ``t``."""
-    if isinstance(model, BoundedLoadModel):
-        return model.profile.rate(t)
-    if isinstance(model, FbmLoadModel):
-        t_arr = np.asarray(t, dtype=float)
-        env = model.trend.rate(t_arr) * np.power(t_arr, model.hurst) / SQRT_2PI
-        return env if env.shape else float(env)
-    raise TypeError(f"unsupported load model {type(model).__name__}")
-
-
 def expected_load(model: LoadModel, t):
     """Expected load (requests) of ``model`` at slot(s) ``t``."""
-    return expected_rate(model, t) * model.slot_seconds
+    return model.expected_rate(t) * model.slot_seconds
 
 
 def expected_load_matrix(models: Sequence[LoadModel], horizon: int) -> np.ndarray:
@@ -264,44 +276,12 @@ def generate_fbm(hurst: float, n: int, seed) -> np.ndarray:
     return _fbm_paths(hurst, n, rng, 1)[0]
 
 
-def sample_bounded_loads(models: Sequence[BoundedLoadModel], horizon: int, seed) -> LoadMatrix:
-    """One joint load realization under the bounded model.
+def sample_loads(models: Sequence[LoadModel], horizon: int, seed) -> LoadMatrix:
+    """One joint load realization, one row per model.
 
-    Player ``i`` consumes the substream keyed ``(*seed, i)``, so the
+    Model ``i`` consumes the substream keyed ``(*seed, i)``, so the
     matrix is identical regardless of evaluation order.
     """
-    for i, m in enumerate(models):
-        if not isinstance(m, BoundedLoadModel):
-            raise TypeError(f"model {i} is {type(m).__name__}, expected BoundedLoadModel")
-    slots = np.arange(horizon)
-    rows = []
-    for i, m in enumerate(models):
-        mean = expected_load(m, slots)
-        rng = _substream(seed, i)
-        rows.append(rng.uniform((1.0 - m.spread) * mean, (1.0 + m.spread) * mean))
-    return LoadMatrix(np.vstack(rows))
-
-
-def sample_fbm_loads(models: Sequence[FbmLoadModel], horizon: int, seed) -> LoadMatrix:
-    """One joint load realization under the fBm model."""
-    for i, m in enumerate(models):
-        if not isinstance(m, FbmLoadModel):
-            raise TypeError(f"model {i} is {type(m).__name__}, expected FbmLoadModel")
-    slots = np.arange(horizon)
-    rows = []
-    for i, m in enumerate(models):
-        rng = _substream(seed, i)
-        path = _fbm_paths(m.hurst, horizon, rng, 1)[0]
-        envelope = np.power(slots.astype(float), m.hurst) / SQRT_2PI
-        rate = m.trend.rate(slots) * ((1.0 - m.alpha) * envelope + m.alpha * np.maximum(path, 0.0))
-        rows.append(rate * m.slot_seconds)
-    return LoadMatrix(np.vstack(rows))
-
-
-def sample_loads(models: Sequence[LoadModel], horizon: int, seed) -> LoadMatrix:
-    """Dispatch to the sampler matching the (homogeneous) model kind."""
     if not models:
         raise ValueError("need at least one load model")
-    if isinstance(models[0], BoundedLoadModel):
-        return sample_bounded_loads(models, horizon, seed)
-    return sample_fbm_loads(models, horizon, seed)
+    return LoadMatrix(np.vstack([m.sample(horizon, _substream(seed, i)) for i, m in enumerate(models)]))

@@ -25,7 +25,6 @@ from coinvest import (
     check_core,
     check_supermodularity,
     cost,
-    delta_hat,
     deviation_threshold,
     empirical_stability_frequency,
     expected_load_matrix,
@@ -33,7 +32,7 @@ from coinvest import (
     optimal_plan_closed_form,
     optimal_plan_numeric,
     profitability_probabilities,
-    sample_fbm_loads,
+    sample_loads,
     shapley,
     simulate,
     stability_lower_bound,
@@ -250,7 +249,7 @@ def test_ac04_threshold_from_exact_stability_value_dominates(random_games):
     games, _ = random_games
     for table in games:
         payoff = shapley(table)
-        quick = delta_hat(table, payoff)
+        quick = deviation_threshold(table, stability_value_hat(table, payoff))
         exact = deviation_threshold(table, stability_value_lp(table))
         assert quick <= exact + 1e-9
     _passed("AC04", start, None, "closed-form threshold never exceeds the LP threshold")
@@ -308,7 +307,7 @@ def test_ac07_fbm_load_mean_matches_envelope():
     # public-API cross-check with a one-hour slot duration
     model = FbmLoadModel(RateProfile(100.0, (), 24), 1.0, 0.5, 3600.0)
     draws = np.stack(
-        [sample_fbm_loads([model], 101, (7073, k)).values[0] for k in range(3000)]
+        [sample_loads([model], 101, (7073, k)).values[0] for k in range(3000)]
     )
     for t in slots:
         sample = draws[:, t]

@@ -7,11 +7,13 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from coinvest import Scenario, build_value_table, shapley
+from coinvest import cli
 from coinvest.cli import load_config, main
 
 
@@ -443,6 +445,71 @@ class TestPayback:
         out = str(tmp_path / "pb.csv")
         assert main(["payback", path, "--out", out, "--periods", "-1"]) == 1
         assert main(["payback", path, "--out", out, "--periods", ""]) == 1
+        assert main(["payback", path, "--out", out, "--periods", "1,nan"]) == 1
+        assert main(["payback", path, "--out", out, "--periods", "1,-inf"]) == 1
+
+    def test_infinite_period_names_the_flag(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(fbm_config()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinvest.cli", "payback", str(cfg), "--out", str(tmp_path / "pb.csv"),
+             "--periods", "inf"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: --periods: ")
+        assert "Traceback" not in proc.stderr
+
+
+class TestFbmCeiling:
+    """Horizons past MAX_FBM_SLOTS fail by name before any planning."""
+
+    @pytest.fixture
+    def no_planning(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("value table built for an undrawable horizon")
+
+        monkeypatch.setattr(cli, "build_value_table", refuse)
+
+    def test_simulate_names_investment_years(self, write_config, tmp_path, capsys, no_planning):
+        cfg = fbm_config()
+        cfg["economics"]["investment_years"] = 300.0
+        path = write_config(cfg)
+        start = time.perf_counter()
+        code = main(["simulate", path, "--out", str(tmp_path / "s.csv"), "--realizations", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "economics.investment_years" in err and "ceiling" in err
+
+    def test_payback_names_periods(self, write_config, tmp_path, capsys, no_planning):
+        path = write_config(fbm_config())
+        out = str(tmp_path / "pb.csv")
+        start = time.perf_counter()
+        code = main(["payback", path, "--out", out, "--periods", "1,300", "--realizations", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --periods: 300.0 years: ") and "ceiling" in err
+
+    def test_plan_still_accepts_long_fbm_horizons(self, write_config, tmp_path, capsys, monkeypatch):
+        # plan draws nothing, so it goes on to the planner; stop it there
+        def planner(*args):
+            raise RuntimeError("planner reached")
+
+        monkeypatch.setattr(cli, "optimal_plan", planner)
+        cfg = fbm_config()
+        cfg["economics"]["investment_years"] = 300.0
+        assert main(["plan", write_config(cfg), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "planner reached" in capsys.readouterr().err
+
+
+class TestSeed:
+    def test_negative_seed_names_the_flag(self, write_config, tmp_path, capsys):
+        path = write_config(base_config())
+        assert main(["simulate", path, "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --seed: ")
 
 
 class TestEntryPoint:

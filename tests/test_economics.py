@@ -125,3 +125,24 @@ class TestEconomicParams:
     def test_rejects_nonpositive_saturation(self):
         with pytest.raises(ValueError):
             make_params(saturation=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_price", math.nan),
+            ("capacity_price", math.inf),
+            ("maintenance_price", math.nan),
+            ("maintenance_price", math.inf),
+            ("investment_hours", math.nan),
+            ("investment_hours", math.inf),
+            ("slot_hours", math.nan),
+            ("slot_hours", math.inf),
+            ("saturation", math.nan),
+            ("saturation", math.inf),
+            ("benefits", (math.nan,)),
+            ("benefits", (6e-6, math.inf)),
+        ],
+    )
+    def test_rejects_non_finite_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            make_params(**{field: value})

@@ -10,21 +10,17 @@ from coinvest import (
     EconomicParams,
     PlayerSet,
     ValueTable,
-    build_stability_report,
     build_value_table,
     check_core,
     check_supermodularity,
     cost,
-    delta_hat,
     deviation_threshold,
-    expected_load_matrix,
     marginal_contribution,
     realized_value,
     shapley,
     stability_lower_bound,
     stability_value_hat,
     stability_value_lp,
-    utility_range,
     utility_ranges,
 )
 from coinvest.game import core_violations, coalition_payoff_sums, shapley_matrix
@@ -332,7 +328,8 @@ def least_core_by_vertex_enumeration(values, n):
 class TestDeviationThreshold:
     def test_two_player_veto(self):
         table = veto_game(2, 100.0)
-        assert delta_hat(table, shapley(table)) == pytest.approx(50.0, rel=1e-12)
+        sigma = stability_value_hat(table, shapley(table))
+        assert deviation_threshold(table, sigma) == pytest.approx(50.0, rel=1e-12)
 
     def test_degenerate_game_gives_zero(self):
         assert deviation_threshold(table_from(np.zeros(8)), 0.0) == 0.0
@@ -359,9 +356,8 @@ class TestDeviationThreshold:
         rng = np.random.default_rng(31)
         for _ in range(10):
             table = random_monotone_game(rng, 4)
-            payoff = shapley(table)
-            assert delta_hat(table, payoff) <= table.grand_value / 4 + 1e-12
-            assert delta_hat(table, payoff) >= 0.0
+            delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
+            assert 0.0 <= delta <= table.grand_value / 4 + 1e-12
 
 
 class TestUtilityRanges:
@@ -375,20 +371,23 @@ class TestUtilityRanges:
         params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 0.03)
         model = BoundedLoadModel(RateProfile(100.0), 0.0, 1.0)
         plan = self.make_plan([[10.0]])
-        assert utility_range(1, 0, plan, model, params) == 0.0
+        assert np.array_equal(utility_ranges(plan, [model], params), np.zeros((2, 1)))
 
     def test_provider_has_no_range(self):
+        # SP width = beta * (1 - e^{-xi h}) * 2 * spread * mean
         params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 0.03)
         model = BoundedLoadModel(RateProfile(100.0), 0.9, 1.0)
         plan = self.make_plan([[10.0]])
-        assert utility_range(0, 0, plan, model, params) == 0.0
+        spans = utility_ranges(plan, [model], params)
+        assert spans[0, 0] == 0.0
+        assert spans[1, 0] == pytest.approx(-math.expm1(-0.3) * 2.0 * 0.9 * 100.0, rel=1e-12)
 
     def test_saturated_share_spans_band_width(self):
         # swing factor 1 - e^{-xi h} saturates to 1; width = 2*0.5*100
         params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 1000.0)
         model = BoundedLoadModel(RateProfile(100.0), 0.5, 1.0)
         plan = self.make_plan([[10.0]])
-        assert utility_range(1, 0, plan, model, params) == pytest.approx(100.0, rel=1e-12)
+        assert utility_ranges(plan, [model], params)[1, 0] == pytest.approx(100.0, rel=1e-12)
 
     def test_matrix_variant_stacks_players(self):
         params = EconomicParams(1.0, 0.0, 2.0, 1.0, (1.0, 2.0), 0.5)
@@ -398,10 +397,17 @@ class TestUtilityRanges:
         ]
         plan = self.make_plan([[10.0, 5.0], [1.0, 2.0]])
         spans = utility_ranges(plan, models, params)
+        # row i: beta_i * (1 - e^{-0.5 h}) * 2 * spread_i * mean_i
+        expect = np.array(
+            [
+                [0.0, 0.0],
+                [100.0 * -math.expm1(-5.0), 100.0 * -math.expm1(-2.5)],
+                [40.0 * -math.expm1(-0.5), 40.0 * -math.expm1(-1.0)],
+            ]
+        )
         assert spans.shape == (3, 2)
         assert not spans[0].any()
-        assert spans[1, 1] == pytest.approx(utility_range(1, 1, plan, models[0], params))
-        assert spans[2, 0] == pytest.approx(utility_range(2, 0, plan, models[1], params))
+        assert np.allclose(spans, expect, rtol=1e-12, atol=0.0)
 
     def test_unbounded_model_rejected(self):
         params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 0.03)
@@ -409,8 +415,6 @@ class TestUtilityRanges:
         plan = self.make_plan([[10.0]])
         with pytest.raises(TypeError):
             utility_ranges(plan, [fbm], params)
-        with pytest.raises(TypeError):
-            utility_range(1, 0, plan, fbm, params)
 
 
 class TestStabilityLowerBound:
@@ -440,32 +444,3 @@ class TestStabilityLowerBound:
         with pytest.raises(ValueError):
             stability_lower_bound(-0.1, np.zeros((2, 2)))
 
-
-class TestStabilityReport:
-    def test_report_wires_the_chain(self):
-        params = EconomicParams(1.0, 0.0, 6.0, 1.0, (1e-3, 8e-4), 0.03)
-        profiles = [RateProfile(2000.0, ((300.0, 2.0),), 6), RateProfile(1500.0)]
-        models = [BoundedLoadModel(p, 0.3, 3600.0) for p in profiles]
-        loads = expected_load_matrix(models, 6)
-        table = build_value_table(loads, params)
-        report = build_stability_report(table, models, params)
-        assert not report.degenerate
-        assert report.sigma_hat == pytest.approx(
-            stability_value_hat(table, shapley(table)), rel=1e-12
-        )
-        assert report.delta == pytest.approx(
-            deviation_threshold(table, report.sigma_hat), rel=1e-12
-        )
-        probs, joint = stability_lower_bound(report.delta, report.utility_span)
-        assert report.joint_bound == pytest.approx(joint, rel=1e-12)
-        assert 0.0 <= report.joint_bound <= report.player_bounds.min() <= 1.0
-        assert report.payoff.sum() == pytest.approx(table.grand_value, rel=1e-9)
-
-    def test_overpriced_game_reports_degenerate(self):
-        params = EconomicParams(1e9, 0.0, 2.0, 1.0, (1e-6,), 0.03)
-        models = [BoundedLoadModel(RateProfile(10.0), 0.2, 3600.0)]
-        loads = expected_load_matrix(models, 2)
-        table = build_value_table(loads, params)
-        report = build_stability_report(table, models, params)
-        assert report.degenerate
-        assert report.delta == 0.0

@@ -13,14 +13,14 @@ from coinvest import (
     Scenario,
     build_value_table,
     cost,
+    deviation_threshold,
     empirical_stability_frequency,
-    payback_distribution,
     profitability_probabilities,
     shapley,
     simulate,
+    stability_value_hat,
     summarize,
 )
-from coinvest.game import delta_hat
 
 
 def bounded_scenario(spread, horizon=24, base=(50_000.0, 35_000.0)):
@@ -181,13 +181,13 @@ class TestSummaries:
         scenario = bounded_scenario(0.0)
         table = build_value_table(scenario.expected_loads(), scenario.params)
         outcomes = simulate(scenario, table, 3, seed=1)
-        delta = delta_hat(table, shapley(table))
+        delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
         assert delta > 0.0
         assert empirical_stability_frequency(outcomes, delta) == 1.0
 
     def test_summary_shapes_and_bounds(self, noisy_run):
         scenario, table, outcomes = noisy_run
-        delta = delta_hat(table, shapley(table))
+        delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
         summary = summarize(outcomes, delta)
         n = table.n_players
         assert summary.n_realizations == len(outcomes)
@@ -208,7 +208,7 @@ class TestSummaries:
         plan = table.plan(table.grand_bits)
         assert plan.capacity > 0.0
         outcomes = simulate(scenario, table, 300, seed=13)
-        slots = payback_distribution(outcomes)
+        slots = [o.payback_slot for o in outcomes]
         censored = [s for s in slots if s is None]
         recovered = [s for s in slots if s is not None]
         assert censored and recovered

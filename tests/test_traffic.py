@@ -14,8 +14,7 @@ from coinvest import (
     expected_load,
     expected_load_matrix,
     generate_fbm,
-    sample_bounded_loads,
-    sample_fbm_loads,
+    sample_loads,
 )
 from coinvest import traffic
 from coinvest.traffic import (
@@ -24,7 +23,6 @@ from coinvest.traffic import (
     _fbm_paths,
     _fgn_autocov,
     _fgn_davies_harte,
-    sample_loads,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -116,14 +114,14 @@ class TestBoundedSampling:
 
     def test_zero_spread_is_exactly_the_mean(self):
         models = self.make_models(0.0)
-        loads = sample_bounded_loads(models, 24, 7)
+        loads = sample_loads(models, 24, 7)
         assert np.array_equal(loads.values, expected_load_matrix(models, 24))
 
     def test_full_spread_stays_in_doubled_band(self):
         models = self.make_models(1.0)
         mean = expected_load_matrix(models, 24)
         for seed in range(20):
-            loads = sample_bounded_loads(models, 24, seed)
+            loads = sample_loads(models, 24, seed)
             assert (loads.values >= 0.0).all()
             assert (loads.values <= 2.0 * mean + 1e-9).all()
 
@@ -131,37 +129,32 @@ class TestBoundedSampling:
         models = self.make_models(0.35)
         mean = expected_load_matrix(models, 24)
         for seed in range(20):
-            loads = sample_bounded_loads(models, 24, seed).values
+            loads = sample_loads(models, 24, seed).values
             assert (loads >= 0.65 * mean - 1e-9).all()
             assert (loads <= 1.35 * mean + 1e-9).all()
 
     def test_deterministic_per_seed(self):
         models = self.make_models(0.5)
-        a = sample_bounded_loads(models, 24, 42).values
-        b = sample_bounded_loads(models, 24, 42).values
-        c = sample_bounded_loads(models, 24, 43).values
+        a = sample_loads(models, 24, 42).values
+        b = sample_loads(models, 24, 42).values
+        c = sample_loads(models, 24, 43).values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rows_do_not_depend_on_other_players(self):
         models = self.make_models(0.5)
-        both = sample_bounded_loads(models, 24, 11).values
-        first_alone = sample_bounded_loads(models[:1], 24, 11).values
+        both = sample_loads(models, 24, 11).values
+        first_alone = sample_loads(models[:1], 24, 11).values
         assert np.array_equal(both[:1], first_alone)
 
     def test_sample_mean_converges(self):
         # one long-horizon draw gives many independent slot samples
         model = BoundedLoadModel(RateProfile(100.0), 0.5, 1.0)
         n = 100_000
-        draws = sample_bounded_loads([model], n, 9).values[0]
+        draws = sample_loads([model], n, 9).values[0]
         assert draws.min() >= 50.0 and draws.max() <= 150.0
         se = (100.0 / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(draws.mean() - 100.0) < 3 * se
-
-    def test_rejects_wrong_model_kind(self):
-        fbm = FbmLoadModel(RateProfile(1.0), 0.5, 0.5, 1.0)
-        with pytest.raises(TypeError):
-            sample_bounded_loads([fbm], 4, 0)
 
 
 class TestFbmGeneration:
@@ -248,9 +241,9 @@ class TestFbmGeneration:
             FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h, 60.0) for h in (0.7, 0.3)
         ]
         _circulant_eigenvalues.cache_clear()
-        cold = sample_fbm_loads(models, 1000, (9, 2)).values
+        cold = sample_loads(models, 1000, (9, 2)).values
         assert _circulant_eigenvalues.cache_info().currsize == 2
-        warm = sample_fbm_loads(models, 1000, (9, 2)).values
+        warm = sample_loads(models, 1000, (9, 2)).values
         assert _circulant_eigenvalues.cache_info().hits >= 2
         assert np.array_equal(cold, warm)
 
@@ -286,14 +279,14 @@ class TestFbmSampling:
     def test_alpha_zero_equals_expected_load(self):
         model = self.make_model(0.0)
         slots = np.arange(24)
-        loads = sample_fbm_loads([model], 24, 99).values[0]
+        loads = sample_loads([model], 24, 99).values[0]
         assert np.allclose(loads, expected_load(model, slots), rtol=1e-12, atol=0.0)
 
     def test_alpha_one_is_pure_path(self):
         from coinvest.traffic import _substream
 
         model = self.make_model(1.0)
-        loads = sample_fbm_loads([model], 24, 5).values[0]
+        loads = sample_loads([model], 24, 5).values[0]
         assert loads[0] == 0.0  # path starts at the origin
         # reconstruct from the same substream to confirm the formula
         path = _fbm_paths(0.7, 24, _substream(5, 0), 1)[0]
@@ -305,7 +298,7 @@ class TestFbmSampling:
         model = self.make_model(0.6)
         t = 5
         draws = np.array(
-            [sample_fbm_loads([model], 6, (4, k)).values[0, t] for k in range(20_000)]
+            [sample_loads([model], 6, (4, k)).values[0, t] for k in range(20_000)]
         )
         target = expected_load(model, t)
         se = draws.std() / math.sqrt(draws.size)
@@ -314,14 +307,14 @@ class TestFbmSampling:
     def test_loads_nonnegative(self):
         model = self.make_model(1.0, hurst=0.4)
         for seed in range(10):
-            assert (sample_fbm_loads([model], 48, seed).values >= 0.0).all()
+            assert (sample_loads([model], 48, seed).values >= 0.0).all()
 
     def test_deterministic_and_player_keyed(self):
         models = [self.make_model(0.5), self.make_model(0.9)]
-        a = sample_fbm_loads(models, 24, 77).values
-        b = sample_fbm_loads(models, 24, 77).values
+        a = sample_loads(models, 24, 77).values
+        b = sample_loads(models, 24, 77).values
         assert np.array_equal(a, b)
-        alone = sample_fbm_loads(models[:1], 24, 77).values
+        alone = sample_loads(models[:1], 24, 77).values
         assert np.array_equal(a[:1], alone)
 
     def test_dispatcher_routes_by_kind(self):
