@@ -4,9 +4,12 @@ Subcommands: ``plan`` (capacity and shares), ``stability`` (analytic
 lower bounds), ``simulate`` (Monte Carlo settlement), ``payback``
 (payback distribution across investment lengths).  Tables go to the CSV
 named by ``--out``; machine-readable context goes to a JSON sidecar at
-the same path with extension ``.json``.  Writes are atomic
-(temp file then rename).  Exit codes: 0 success, 1 configuration
-problem, 2 numeric failure, 3 command/model mismatch.
+the same path with extension ``.json``, so ``--out`` must not end in
+``.json``.  ``main`` loads the config and checks the flags once; each
+command does all of its numeric work, then streams its rows into a temp
+file in the output directory, renamed into place on success, so memory
+does not grow with the row count.  Exit codes: 0 success, 1
+configuration problem, 2 numeric failure, 3 command/model mismatch.
 
 ``COINVEST_THREADS`` caps simulation workers; output is byte-identical
 at any setting.
@@ -15,6 +18,7 @@ at any setting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -23,7 +27,7 @@ import sys
 import tempfile
 from dataclasses import replace
 
-from .allocation import AllocationError, optimal_plan
+from .allocation import optimal_plan
 from .economics import EconomicParams, HOURS_PER_YEAR
 from .economics import cost as capacity_cost
 from .game import (
@@ -95,6 +99,8 @@ def _profile(obj, path: str) -> RateProfile:
     period = _require(obj, "period", path)
     if isinstance(period, bool) or not isinstance(period, int):
         raise ConfigError(f"{path}.period: expected an integer number of slots")
+    if period > MAX_FBM_SLOTS:
+        raise ConfigError(f"{path}.period: {period} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
     components = obj.get("components", [])
     if not isinstance(components, list):
         raise ConfigError(f"{path}.components: expected a list of [amplitude, phase] pairs")
@@ -219,12 +225,14 @@ def load_config(path: str):
     return scenario, normalized
 
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text file handle on a temp file next to ``path``, renamed into place on success."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinvest-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         # mkstemp creates 0600; give the output the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -236,23 +244,33 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
-
-
 def _write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    with _atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_outputs(out: str, header, rows, sidecar: dict):
+    """Stream ``rows`` under ``header`` to the CSV ``out``, then write its sidecar."""
+    with _atomic_open(out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_json(_sidecar_path(out), {"schema_version": SCHEMA_VERSION, **sidecar})
 
 
 def _sidecar_path(out: str) -> str:
     root, _ = os.path.splitext(out)
     return root + ".json"
+
+
+def _check_output_paths(args):
+    """Refuse an --out or --dump-config that one of the other outputs would overwrite."""
+    out, sidecar = (os.path.realpath(p) for p in (args.out, _sidecar_path(args.out)))
+    if out == sidecar:
+        raise ConfigError(f"--out: {args.out} ends in .json, so its JSON sidecar would overwrite it")
+    if args.dump_config and os.path.realpath(args.dump_config) in (out, sidecar):
+        raise ConfigError(f"--dump-config: {args.dump_config} is the --out table or its JSON sidecar")
 
 
 def _workers() -> int:
@@ -268,52 +286,51 @@ def _workers() -> int:
     return value
 
 
-def _quantile_dict(values) -> dict:
-    keys = ("min", "p25", "p50", "p75", "max")
-    return {k: float(v) for k, v in zip(keys, values)}
+def _per_player(names, values, convert=float) -> dict:
+    return {name: convert(v) for name, v in zip(names, values)}
 
 
-def cmd_plan(args) -> int:
-    scenario, _ = load_config(args.config)
+def _quantiles(values):
+    """Quantile dict of a summary row, or None when it has no values."""
+    if values is None:
+        return None
+    return {k: float(v) for k, v in zip(("min", "p25", "p50", "p75", "max"), values)}
+
+
+def cmd_plan(args, scenario: Scenario) -> int:
     loads = scenario.expected_loads()
     n = scenario.n_players
     names = scenario.player_names
-    if args.all_coalitions:
-        bits_list = list(range(1 << n))
-    else:
-        bits_list = [(1 << n) - 1]
+    grand = (1 << n) - 1
+    coalitions = [PlayerSet(bits, n) for bits in (range(grand + 1) if args.all_coalitions else [grand])]
+    plans = [optimal_plan(coalition, loads, scenario.params) for coalition in coalitions]
+    labels = [coalition.label(list(names)) for coalition in coalitions]
 
-    rows = []
-    coalition_meta = []
-    for bits in bits_list:
-        coalition = PlayerSet(bits, n)
-        plan = optimal_plan(coalition, loads, scenario.params)
-        label = coalition.label(list(names))
-        for player in coalition.members:
-            if player == 0:
-                continue
-            sp = player - 1
-            for slot in range(scenario.horizon):
-                rows.append([label, _fmt(plan.capacity), names[player], slot, _fmt(plan.shares[sp, slot])])
-        coalition_meta.append(
-            {
-                "coalition": label,
-                "bits": bits,
-                "capacity_vcores": plan.capacity,
-                "expected_value": plan.objective,
-                "cost": capacity_cost(scenario.params, plan.capacity),
-                "method": plan.method,
-            }
-        )
-    _write_csv(args.out, ["coalition", "capacity_vcores", "player", "slot", "share_vcores"], rows)
-    _write_json(
-        _sidecar_path(args.out),
+    def rows():
+        for coalition, label, plan in zip(coalitions, labels, plans):
+            capacity = _fmt(plan.capacity)
+            for player in coalition.members:
+                if player == 0:
+                    continue  # the InP holds no shares
+                for slot, share in enumerate(plan.shares[player - 1].tolist()):
+                    yield label, capacity, names[player], slot, _fmt(share)
+
+    coalition_meta = [
         {
-            "schema_version": SCHEMA_VERSION,
-            "horizon_slots": scenario.horizon,
-            "players": list(names),
-            "coalitions": coalition_meta,
-        },
+            "coalition": label,
+            "bits": coalition.bits,
+            "capacity_vcores": plan.capacity,
+            "expected_value": plan.objective,
+            "cost": capacity_cost(scenario.params, plan.capacity),
+            "method": plan.method,
+        }
+        for coalition, label, plan in zip(coalitions, labels, plans)
+    ]
+    _write_outputs(
+        args.out,
+        ["coalition", "capacity_vcores", "player", "slot", "share_vcores"],
+        rows(),
+        {"horizon_slots": scenario.horizon, "players": list(names), "coalitions": coalition_meta},
     )
     return EXIT_OK
 
@@ -339,8 +356,7 @@ def _check_fbm_horizon(scenario: Scenario, source: str):
         )
 
 
-def cmd_stability(args) -> int:
-    scenario, _ = load_config(args.config)
+def cmd_stability(args, scenario: Scenario) -> int:
     if scenario.kind != "bounded":
         raise CommandMismatch(
             "stability bounds require the bounded demand model; this config uses fBm"
@@ -360,40 +376,37 @@ def cmd_stability(args) -> int:
     grand_plan = table.plan(table.grand_bits)
     names = scenario.player_names
 
-    rows = []
-    sweep_meta = []
+    bounds = []
     for s in sweep:
         models = tuple(replace(m, spread=s) for m in scenario.models)
         spans = utility_ranges(grand_plan, models, scenario.params)
-        probs, joint = stability_lower_bound(delta, spans)
-        for player, prob in enumerate(probs):
-            rows.append([_fmt(s), names[player], _fmt(prob)])
-        rows.append([_fmt(s), "nu_lb", _fmt(joint)])
-        sweep_meta.append(
-            {
-                "spread": s,
-                "player_bounds": {names[i]: float(p) for i, p in enumerate(probs)},
-                "nu_lb": joint,
-            }
-        )
-    _write_csv(args.out, ["sigma", "player", "p_lb"], rows)
-    _write_json(
-        _sidecar_path(args.out),
+        bounds.append((s, *stability_lower_bound(delta, spans)))
+
+    def rows():
+        for s, probs, joint in bounds:
+            yield from ((_fmt(s), name, _fmt(prob)) for name, prob in zip(names, probs))
+            yield _fmt(s), "nu_lb", _fmt(joint)
+
+    _write_outputs(
+        args.out,
+        ["sigma", "player", "p_lb"],
+        rows(),
         {
-            "schema_version": SCHEMA_VERSION,
             "grand_value": table.grand_value,
             "degenerate": table.grand_value <= 0.0,
-            "expected_payoff": {names[i]: float(x) for i, x in enumerate(payoff)},
+            "expected_payoff": _per_player(names, payoff),
             "sigma_hat": sigma,
             "delta": delta,
-            "sweep": sweep_meta,
+            "sweep": [
+                {"spread": s, "player_bounds": _per_player(names, probs), "nu_lb": joint}
+                for s, probs, joint in bounds
+            ],
         },
     )
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    scenario, _ = load_config(args.config)
+def cmd_simulate(args, scenario: Scenario) -> int:
     if args.realizations < 1:
         raise ConfigError("--realizations: must be at least 1")
     _check_fbm_horizon(scenario, "economics.investment_years")
@@ -406,55 +419,42 @@ def cmd_simulate(args) -> int:
         args.realizations,
         args.seed,
         payment_mode=args.payment_mode,
-        workers=_workers(),
+        workers=args.workers,
     )
     summary = summarize(outcomes, delta)
     names = scenario.player_names
 
-    rows = []
-    for o in outcomes:
-        for player, name in enumerate(names):
-            rows.append(
-                [
-                    o.index,
-                    name,
-                    _fmt(o.collected[player]),
-                    _fmt(o.payments[player]),
-                    _fmt(o.rewards[player]),
-                    _fmt(o.payoffs[player]),
-                    _fmt(o.deviations[player]),
-                ]
-            )
-    _write_csv(
+    def rows():
+        for o in outcomes:
+            columns = (o.collected, o.payments, o.rewards, o.payoffs, o.deviations)
+            for player, name in enumerate(names):
+                yield (o.index, name, *(_fmt(column[player]) for column in columns))
+
+    _write_outputs(
         args.out,
         ["omega", "player", "collected", "payment", "reward", "shapley_payoff", "deviation"],
-        rows,
+        rows(),
+        {
+            "seed": args.seed,
+            "realizations": args.realizations,
+            "payment_mode": args.payment_mode,
+            "grand_value": table.grand_value,
+            "delta": delta,
+            "expected_payoff": _per_player(names, payoff),
+            "profit_probability": _per_player(names, summary.player_profit_prob),
+            "joint_profit_probability": summary.joint_profit_prob,
+            "stability_frequency": summary.stability_frequency,
+            "payoff_quantiles": _per_player(names, summary.payoff_quantiles, _quantiles),
+            "payment_quantiles": _per_player(names, summary.payment_quantiles, _quantiles),
+            "reward_quantiles": _per_player(names, summary.reward_quantiles, _quantiles),
+            "payback_slot_quantiles": _quantiles(summary.payback_quantiles),
+            "payback_censored": summary.payback_censored,
+        },
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": args.seed,
-        "realizations": args.realizations,
-        "payment_mode": args.payment_mode,
-        "grand_value": table.grand_value,
-        "delta": delta,
-        "expected_payoff": {names[i]: float(x) for i, x in enumerate(payoff)},
-        "profit_probability": {names[i]: float(p) for i, p in enumerate(summary.player_profit_prob)},
-        "joint_profit_probability": summary.joint_profit_prob,
-        "stability_frequency": summary.stability_frequency,
-        "payoff_quantiles": {names[i]: _quantile_dict(q) for i, q in enumerate(summary.payoff_quantiles)},
-        "payment_quantiles": {names[i]: _quantile_dict(q) for i, q in enumerate(summary.payment_quantiles)},
-        "reward_quantiles": {names[i]: _quantile_dict(q) for i, q in enumerate(summary.reward_quantiles)},
-        "payback_slot_quantiles": (
-            None if summary.payback_quantiles is None else _quantile_dict(summary.payback_quantiles)
-        ),
-        "payback_censored": summary.payback_censored,
-    }
-    _write_json(_sidecar_path(args.out), payload)
     return EXIT_OK
 
 
-def cmd_payback(args) -> int:
-    scenario, _ = load_config(args.config)
+def cmd_payback(args, scenario: Scenario) -> int:
     periods = _parse_float_list(args.periods, "--periods")
     if args.realizations < 1:
         raise ConfigError("--realizations: must be at least 1")
@@ -470,37 +470,38 @@ def cmd_payback(args) -> int:
         _check_fbm_horizon(sub, f"--periods: {y} years")
         subs.append((y, sub))
 
-    rows = []
+    paybacks = []
     period_meta = []
     for y, sub in subs:
         table = build_value_table(sub.expected_loads(), sub.params)
-        outcomes = simulate(sub, table, args.realizations, args.seed, workers=_workers())
-        for o in outcomes:
-            if o.payback_slot is None:
-                rows.append([_fmt(y), o.index, "", "", 1])
-            else:
-                years = o.payback_slot * sub.params.slot_hours / HOURS_PER_YEAR
-                rows.append([_fmt(y), o.index, o.payback_slot, _fmt(years), 0])
+        outcomes = simulate(sub, table, args.realizations, args.seed, workers=args.workers)
+        paybacks.append((y, [(o.index, o.payback_slot) for o in outcomes]))
         summary = summarize(outcomes)
         period_meta.append(
             {
                 "investment_years": y,
                 "capacity_vcores": table.plan(table.grand_bits).capacity,
                 "grand_value": table.grand_value,
-                "payback_slot_quantiles": (
-                    None if summary.payback_quantiles is None else _quantile_dict(summary.payback_quantiles)
-                ),
+                "payback_slot_quantiles": _quantiles(summary.payback_quantiles),
                 "censored": summary.payback_censored,
             }
         )
-    _write_csv(
+    slot_hours = scenario.params.slot_hours
+
+    def rows():
+        for y, slots in paybacks:
+            years = _fmt(y)
+            for omega, slot in slots:
+                if slot is None:
+                    yield years, omega, "", "", 1
+                else:
+                    yield years, omega, slot, _fmt(slot * slot_hours / HOURS_PER_YEAR), 0
+
+    _write_outputs(
         args.out,
         ["investment_years", "omega", "payback_slot", "payback_years", "censored"],
-        rows,
-    )
-    _write_json(
-        _sidecar_path(args.out),
-        {"schema_version": SCHEMA_VERSION, "seed": args.seed, "periods": period_meta},
+        rows(),
+        {"seed": args.seed, "periods": period_meta},
     )
     return EXIT_OK
 
@@ -513,7 +514,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("config", help="scenario config (JSON)")
-    common.add_argument("--out", required=True, help="output CSV path (JSON sidecar written next to it)")
+    common.add_argument("--out", required=True, help="output CSV path, not *.json (JSON sidecar next to it)")
     common.add_argument("--seed", type=int, default=0, help="master seed for demand sampling")
     common.add_argument("--dump-config", metavar="PATH", help="write the normalized config here and continue")
 
@@ -546,26 +547,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed < 0:
             raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
+        args.workers = _workers()
+        _check_output_paths(args)
+        scenario, normalized = load_config(args.config)
         if args.dump_config:
-            _, normalized = load_config(args.config)
             _write_json(args.dump_config, normalized)
-        return args.func(args)
-    except ConfigError as exc:
+        return args.func(args, scenario)
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CommandMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (AllocationError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        if isinstance(exc, CommandMismatch):
+            return EXIT_MISMATCH
+        return EXIT_NUMERIC if isinstance(exc, RuntimeError) else EXIT_CONFIG
 
 if __name__ == "__main__":
     sys.exit(main())

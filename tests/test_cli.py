@@ -14,7 +14,9 @@ import pytest
 
 from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
+from coinvest.allocation import AllocationError
 from coinvest.cli import load_config, main
+from coinvest.traffic import MAX_FBM_SLOTS
 
 
 def base_config(**overrides):
@@ -72,6 +74,16 @@ def write_config(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture
+def no_planning(monkeypatch):
+    """Fail the test if the command builds a value table."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("value table built before the inputs were checked")
+
+    monkeypatch.setattr(cli, "build_value_table", refuse)
 
 
 def read_csv(path):
@@ -137,6 +149,16 @@ class TestConfigLoading:
         assert "players[0].profile.components[1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("period", [10**12, MAX_FBM_SLOTS + 1])
+    def test_period_past_the_ceiling_names_the_field(self, write_config, tmp_path, capsys, period):
+        cfg = base_config()
+        cfg["players"][1]["profile"]["period"] = period
+        start = time.perf_counter()
+        assert main(["plan", write_config(cfg), "--out", str(tmp_path / "plan.csv")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: players[1].profile.period: ") and "ceiling" in err
+
     def test_missing_file_and_bad_json(self, tmp_path, capsys):
         assert main(["plan", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
         bad = tmp_path / "bad.json"
@@ -163,6 +185,74 @@ class TestDumpConfig:
         assert main(["plan", path, "--out", str(out), "--dump-config", str(dump1)]) == 0
         assert main(["plan", str(dump1), "--out", str(out), "--dump-config", str(dump2)]) == 0
         assert dump1.read_bytes() == dump2.read_bytes()
+
+    def test_config_loaded_once(self, write_config, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_config(path)
+
+        monkeypatch.setattr(cli, "load_config", counting)
+        path = write_config(base_config())
+        dump = tmp_path / "norm.json"
+        assert main(["plan", path, "--out", str(tmp_path / "plan.csv"), "--dump-config", str(dump)]) == 0
+        assert calls == [path]
+        assert json.loads(dump.read_text())["schema_version"] == 1
+
+
+class TestOutputPaths:
+    """An output that another output of the same run would overwrite is refused up front."""
+
+    def test_out_ending_in_json_is_refused(self, write_config, tmp_path, capsys, no_planning):
+        out = tmp_path / "clash.json"
+        assert main(["stability", write_config(base_config()), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["stab.csv", "stab.json", "./stab.json"])
+    def test_dump_config_onto_an_output_is_refused(
+        self, write_config, tmp_path, capsys, monkeypatch, no_planning, target
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(base_config())
+        assert main(["stability", path, "--out", "stab.csv", "--dump-config", target]) == 1
+        assert capsys.readouterr().err.startswith("error: --dump-config: ")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
+class TestStreamingWriter:
+    """A failed command or writer leaves earlier outputs alone and no temp file behind."""
+
+    def test_numeric_failure_keeps_previous_outputs(self, write_config, tmp_path, capsys, monkeypatch):
+        path = write_config(base_config())
+        out = tmp_path / "plan.csv"
+        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = cli.optimal_plan
+        calls = []
+
+        def planner(*args):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise AllocationError("third coalition failed")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "optimal_plan", planner)
+        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 2
+        assert "third coalition failed" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+
+        def rows():
+            yield (1, "a")
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            cli._write_outputs(str(out), ["n", "name"], rows(), {})
+        assert os.listdir(tmp_path) == []
 
 
 class TestPlan:
@@ -326,12 +416,15 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_thread_env_validated(self, write_config, tmp_path, monkeypatch):
+    def test_thread_env_validated(self, write_config, tmp_path, monkeypatch, capsys, no_planning):
         path = write_config(base_config())
         out = str(tmp_path / "sim.csv")
         for bad in ("zero", "0"):
             monkeypatch.setenv("COINVEST_THREADS", bad)
             assert main(["simulate", path, "--out", out, "--realizations", "1"]) == 1
+            assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
+            assert main(["payback", path, "--out", out, "--periods", "1", "--realizations", "1"]) == 1
+            assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
 
     def test_payment_mode_flag(self, write_config, tmp_path):
         path = write_config(base_config())
@@ -464,13 +557,6 @@ class TestPayback:
 
 class TestFbmCeiling:
     """Horizons past MAX_FBM_SLOTS fail by name before any planning."""
-
-    @pytest.fixture
-    def no_planning(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("value table built for an undrawable horizon")
-
-        monkeypatch.setattr(cli, "build_value_table", refuse)
 
     def test_simulate_names_investment_years(self, write_config, tmp_path, capsys, no_planning):
         cfg = fbm_config()
