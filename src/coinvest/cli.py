@@ -5,11 +5,12 @@ lower bounds), ``simulate`` (Monte Carlo settlement), ``payback``
 (payback distribution across investment lengths).  Tables go to the CSV
 named by ``--out``; machine-readable context goes to a JSON sidecar at
 the same path with extension ``.json``, so ``--out`` must not end in
-``.json``.  ``main`` loads the config and checks the flags once; each
-command does all of its numeric work, then streams its rows into a temp
-file in the output directory, renamed into place on success, so memory
-does not grow with the row count.  Exit codes: 0 success, 1
-configuration problem, 2 numeric failure, 3 command/model mismatch.
+``.json``.  ``main`` checks the output paths and loads the config; each
+command checks its flags, computes, and returns a header, a row
+generator and a sidecar.  Only then does ``main`` write, streaming the
+rows through a temp file renamed into place, so a failed run writes
+nothing.  Exit codes: 0 success, 1 configuration problem, 2 numeric
+failure (results not finite included), 3 command/model mismatch.
 
 ``COINVEST_THREADS`` caps simulation workers; output is byte-identical
 at any setting.
@@ -39,7 +40,7 @@ from .game import (
     utility_ranges,
 )
 from .montecarlo import PAYMENT_MODES, simulate, summarize
-from .players import PlayerSet
+from .players import MAX_PLAYERS, PlayerSet
 from .scenario import Scenario
 from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
 
@@ -165,6 +166,8 @@ def load_config(path: str):
     players = _require(cfg, "players", "config")
     if not isinstance(players, list) or not players:
         raise ConfigError("players: expected a nonempty list of SP descriptors")
+    if len(players) > MAX_PLAYERS - 1:
+        raise ConfigError(f"players: at most {MAX_PLAYERS - 1} SPs are supported, got {len(players)}")
     slot_seconds = slot_hours * 3600.0
     names, benefits, models, normalized_players = [], [], [], []
     for i, sp in enumerate(players):
@@ -252,11 +255,16 @@ def _write_json(path: str, payload: dict):
 
 def _write_outputs(out: str, header, rows, sidecar: dict):
     """Stream ``rows`` under ``header`` to the CSV ``out``, then write its sidecar."""
+    try:  # before the table, so that results that are not finite write nothing
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **sidecar}, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"results are not finite ({exc}); nothing was written") from exc
     with _atomic_open(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    _write_json(_sidecar_path(out), {"schema_version": SCHEMA_VERSION, **sidecar})
+    with _atomic_open(_sidecar_path(out)) as fh:
+        fh.write(text + "\n")
 
 
 def _sidecar_path(out: str) -> str:
@@ -265,8 +273,17 @@ def _sidecar_path(out: str) -> str:
 
 
 def _check_output_paths(args):
-    """Refuse an --out or --dump-config that one of the other outputs would overwrite."""
-    out, sidecar = (os.path.realpath(p) for p in (args.out, _sidecar_path(args.out)))
+    """Refuse an --out or --dump-config that cannot be written or that another output overwrites."""
+    out, sidecar = args.out, _sidecar_path(args.out)
+    for flag, path in (("--out", out), ("--out", sidecar), ("--dump-config", args.dump_config)):
+        if not path:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise ConfigError(f"{flag}: {path}: directory {directory} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag}: {path} is a directory")
+    out, sidecar = (os.path.realpath(p) for p in (out, sidecar))
     if out == sidecar:
         raise ConfigError(f"--out: {args.out} ends in .json, so its JSON sidecar would overwrite it")
     if args.dump_config and os.path.realpath(args.dump_config) in (out, sidecar):
@@ -297,7 +314,7 @@ def _quantiles(values):
     return {k: float(v) for k, v in zip(("min", "p25", "p50", "p75", "max"), values)}
 
 
-def cmd_plan(args, scenario: Scenario) -> int:
+def cmd_plan(args, scenario: Scenario):
     loads = scenario.expected_loads()
     n = scenario.n_players
     names = scenario.player_names
@@ -326,13 +343,11 @@ def cmd_plan(args, scenario: Scenario) -> int:
         }
         for coalition, label, plan in zip(coalitions, labels, plans)
     ]
-    _write_outputs(
-        args.out,
+    return (
         ["coalition", "capacity_vcores", "player", "slot", "share_vcores"],
         rows(),
         {"horizon_slots": scenario.horizon, "players": list(names), "coalitions": coalition_meta},
     )
-    return EXIT_OK
 
 
 def _parse_float_list(raw: str, flag: str):
@@ -356,7 +371,7 @@ def _check_fbm_horizon(scenario: Scenario, source: str):
         )
 
 
-def cmd_stability(args, scenario: Scenario) -> int:
+def cmd_stability(args, scenario: Scenario):
     if scenario.kind != "bounded":
         raise CommandMismatch(
             "stability bounds require the bounded demand model; this config uses fBm"
@@ -387,8 +402,7 @@ def cmd_stability(args, scenario: Scenario) -> int:
             yield from ((_fmt(s), name, _fmt(prob)) for name, prob in zip(names, probs))
             yield _fmt(s), "nu_lb", _fmt(joint)
 
-    _write_outputs(
-        args.out,
+    return (
         ["sigma", "player", "p_lb"],
         rows(),
         {
@@ -403,10 +417,9 @@ def cmd_stability(args, scenario: Scenario) -> int:
             ],
         },
     )
-    return EXIT_OK
 
 
-def cmd_simulate(args, scenario: Scenario) -> int:
+def cmd_simulate(args, scenario: Scenario):
     if args.realizations < 1:
         raise ConfigError("--realizations: must be at least 1")
     _check_fbm_horizon(scenario, "economics.investment_years")
@@ -430,8 +443,7 @@ def cmd_simulate(args, scenario: Scenario) -> int:
             for player, name in enumerate(names):
                 yield (o.index, name, *(_fmt(column[player]) for column in columns))
 
-    _write_outputs(
-        args.out,
+    return (
         ["omega", "player", "collected", "payment", "reward", "shapley_payoff", "deviation"],
         rows(),
         {
@@ -451,10 +463,9 @@ def cmd_simulate(args, scenario: Scenario) -> int:
             "payback_censored": summary.payback_censored,
         },
     )
-    return EXIT_OK
 
 
-def cmd_payback(args, scenario: Scenario) -> int:
+def cmd_payback(args, scenario: Scenario):
     periods = _parse_float_list(args.periods, "--periods")
     if args.realizations < 1:
         raise ConfigError("--realizations: must be at least 1")
@@ -497,13 +508,11 @@ def cmd_payback(args, scenario: Scenario) -> int:
                 else:
                     yield years, omega, slot, _fmt(slot * slot_hours / HOURS_PER_YEAR), 0
 
-    _write_outputs(
-        args.out,
+    return (
         ["investment_years", "omega", "payback_slot", "payback_years", "censored"],
         rows(),
         {"seed": args.seed, "periods": period_meta},
     )
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -550,9 +559,11 @@ def main(argv=None) -> int:
         args.workers = _workers()
         _check_output_paths(args)
         scenario, normalized = load_config(args.config)
+        header, rows, sidecar = args.func(args, scenario)
+        _write_outputs(args.out, header, rows, sidecar)
         if args.dump_config:
             _write_json(args.dump_config, normalized)
-        return args.func(args, scenario)
+        return EXIT_OK
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CommandMismatch):

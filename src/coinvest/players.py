@@ -49,10 +49,6 @@ class PlayerSet:
         return bool(self.bits & 1)
 
     @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    @property
     def members(self) -> tuple:
         return tuple(i for i in range(self.n_players) if self.bits >> i & 1)
 
@@ -66,15 +62,6 @@ class PlayerSet:
 
     def add(self, player: int) -> "PlayerSet":
         return PlayerSet(self.bits | 1 << player, self.n_players)
-
-    def remove(self, player: int) -> "PlayerSet":
-        return PlayerSet(self.bits & ~(1 << player), self.n_players)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return self.size
 
     def label(self, names=None) -> str:
         if self.bits == 0:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from coinvest import cli
 from coinvest.allocation import AllocationError
 from coinvest.cli import load_config, main
 from coinvest.traffic import MAX_FBM_SLOTS
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def base_config(**overrides):
@@ -159,6 +162,14 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: players[1].profile.period: ") and "ceiling" in err
 
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_too_many_sps_names_the_field(self, write_config, tmp_path, capsys, no_planning, command):
+        sp = base_config()["players"][0]
+        players = [{**sp, "name": f"sp{i}"} for i in range(16)]
+        path = write_config(base_config(players=players))
+        assert main([command, path, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: players: at most 15 SPs are supported, got 16")
+
     def test_missing_file_and_bad_json(self, tmp_path, capsys):
         assert main(["plan", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
         bad = tmp_path / "bad.json"
@@ -220,6 +231,35 @@ class TestOutputPaths:
         assert capsys.readouterr().err.startswith("error: --dump-config: ")
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
+    def test_failed_flag_check_writes_no_dump(self, write_config, tmp_path, capsys):
+        path = write_config(base_config())
+        out, dump = str(tmp_path / "s.csv"), str(tmp_path / "d.json")
+        assert main(["simulate", path, "--out", out, "--realizations", "0", "--dump-config", dump]) == 1
+        assert capsys.readouterr().err.startswith("error: --realizations: ")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "flag, out, dump", [("--out", "nodir/x.csv", "d.json"), ("--dump-config", "s.csv", "nodir/d.json")]
+    )
+    def test_missing_directory_names_the_flag(
+        self, write_config, tmp_path, capsys, monkeypatch, no_planning, flag, out, dump
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(base_config())
+        assert main(["simulate", path, "--out", out, "--dump-config", dump]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.mark.parametrize("directory", ["s.csv", "s.json"])
+    def test_out_or_sidecar_naming_a_directory_is_refused(
+        self, write_config, tmp_path, capsys, no_planning, directory
+    ):
+        (tmp_path / directory).mkdir()
+        path = write_config(base_config())
+        assert main(["simulate", path, "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert sorted(os.listdir(tmp_path)) == sorted(["scenario.json", directory])
+
 
 class TestStreamingWriter:
     """A failed command or writer leaves earlier outputs alone and no temp file behind."""
@@ -239,7 +279,8 @@ class TestStreamingWriter:
             return real(*args)
 
         monkeypatch.setattr(cli, "optimal_plan", planner)
-        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 2
+        dump = tmp_path / "d.json"
+        assert main(["plan", path, "--out", str(out), "--all-coalitions", "--dump-config", str(dump)]) == 2
         assert "third coalition failed" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -253,6 +294,27 @@ class TestStreamingWriter:
         with pytest.raises(RuntimeError, match="row source failed"):
             cli._write_outputs(str(out), ["n", "name"], rows(), {})
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command", ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
+    )
+    def test_non_finite_results_write_nothing(self, tmp_path, command):
+        # In a subprocess: numpy's overflow warnings are errors inside the suite.
+        cfg = json.loads((REPO / "configs" / "edge-bounded.json").read_text())
+        cfg["players"][0]["benefit"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        name, *flags = command.split()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"),
+             "--dump-config", str(tmp_path / "d.json"), *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "error: results are not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["huge.json"]
 
 
 class TestPlan:
