@@ -46,6 +46,7 @@ from .montecarlo import (
     RealizationOutcome,
     SimulationSummary,
     simulate,
+    payback_slots,
     summarize,
     profitability_probabilities,
     empirical_stability_frequency,
@@ -84,6 +85,7 @@ __all__ = [
     "RealizationOutcome",
     "SimulationSummary",
     "simulate",
+    "payback_slots",
     "summarize",
     "profitability_probabilities",
     "empirical_stability_frequency",

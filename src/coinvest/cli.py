@@ -39,7 +39,7 @@ from .game import (
     stability_value_hat,
     utility_ranges,
 )
-from .montecarlo import PAYMENT_MODES, simulate, summarize
+from .montecarlo import PAYMENT_MODES, payback_quantiles, payback_slots, simulate, summarize
 from .players import MAX_PLAYERS, PlayerSet
 from .scenario import Scenario
 from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
@@ -481,20 +481,21 @@ def cmd_payback(args, scenario: Scenario):
         _check_fbm_horizon(sub, f"--periods: {y} years")
         subs.append((y, sub))
 
+    grand = PlayerSet((1 << scenario.n_players) - 1, scenario.n_players)
     paybacks = []
     period_meta = []
     for y, sub in subs:
-        table = build_value_table(sub.expected_loads(), sub.params)
-        outcomes = simulate(sub, table, args.realizations, args.seed, workers=args.workers)
-        paybacks.append((y, [(o.index, o.payback_slot) for o in outcomes]))
-        summary = summarize(outcomes)
+        plan = optimal_plan(grand, sub.expected_loads(), sub.params)
+        slots = payback_slots(sub, plan, args.realizations, args.seed, workers=args.workers)
+        paybacks.append((y, slots))
+        quantiles, censored = payback_quantiles(slots)
         period_meta.append(
             {
                 "investment_years": y,
-                "capacity_vcores": table.plan(table.grand_bits).capacity,
-                "grand_value": table.grand_value,
-                "payback_slot_quantiles": _quantiles(summary.payback_quantiles),
-                "censored": summary.payback_censored,
+                "capacity_vcores": plan.capacity,
+                "grand_value": plan.objective,
+                "payback_slot_quantiles": _quantiles(quantiles),
+                "censored": censored,
             }
         )
     slot_hours = scenario.params.slot_hours
@@ -502,7 +503,7 @@ def cmd_payback(args, scenario: Scenario):
     def rows():
         for y, slots in paybacks:
             years = _fmt(y)
-            for omega, slot in slots:
+            for omega, slot in enumerate(slots):
                 if slot is None:
                     yield years, omega, "", "", 1
                 else:

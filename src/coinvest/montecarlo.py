@@ -1,9 +1,12 @@
 """Monte Carlo assessment of a co-investment.
 
-Plans are committed on expected demand and held fixed; each realization
-re-prices every coalition at the realized loads, recomputes Shapley
-payoffs on the realized value table, settles payments and rewards, and
-locates the payback slot of the grand coalition.
+Plans are committed on expected demand and held fixed.  ``simulate``
+re-prices every coalition at each realization's loads, recomputes
+Shapley payoffs on the realized value table, settles payments and
+rewards, and locates the payback slot of the grand coalition.
+``payback_slots`` needs only one plan: it draws one realization at a
+time and keeps only that plan's payback slot, the first slot at which
+its cumulative collected revenue covers its installed cost.
 
 Settlement modes:
 
@@ -16,9 +19,9 @@ Settlement modes:
   then fluctuate with the realized Shapley payoffs.
 
 Determinism: realization ``omega`` for player ``i`` consumes the
-substream keyed ``(master_seed, omega, i)``.  Work is split into
-fixed-size chunks regardless of the worker count, so output is
-bit-for-bit identical at any parallelism level.
+substream keyed ``(master_seed, omega, i)`` in both functions.  Work is
+split into fixed-size chunks regardless of the worker count, so output
+is bit-for-bit identical at any parallelism level.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .allocation import AllocationPlan
 from .economics import cost
 from .game import ValueTable, shapley, shapley_matrix
 from .scenario import Scenario
@@ -69,6 +73,42 @@ class SimulationSummary:
 QUANTILE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def _check_counts(n_realizations: int, workers: int):
+    if n_realizations < 1:
+        raise ValueError("need at least one realization")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+
+
+def _revenue_weights(params, shares: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Revenue per request of each SP and slot, ``beta * (1 - exp(-saturation * shares))``."""
+    out = np.multiply(shares, -params.saturation, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    out *= np.asarray(params.benefits)[:, None]
+    return out
+
+
+def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float) -> Optional[int]:
+    """First slot whose cumulative revenue covers ``installed``, or None."""
+    surplus = np.cumsum(np.einsum("it,it->t", weights, loads))
+    surplus -= installed
+    recovered = surplus >= 0.0
+    first = int(recovered.argmax())
+    return first if recovered[first] else None
+
+
+def _map_chunks(run_chunk, n_realizations: int, workers: int) -> list:
+    """``run_chunk(start, stop)`` over fixed CHUNK_SIZE chunks, concatenated in order."""
+    bounds = [(s, min(s + CHUNK_SIZE, n_realizations)) for s in range(0, n_realizations, CHUNK_SIZE)]
+    if workers == 1 or len(bounds) == 1:
+        chunks = [run_chunk(s, e) for s, e in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(lambda se: run_chunk(*se), bounds))
+    return [item for chunk in chunks for item in chunk]
+
+
 def simulate(
     scenario: Scenario,
     table: ValueTable,
@@ -80,29 +120,24 @@ def simulate(
     """Draw ``n_realizations`` demand paths and settle each one."""
     if payment_mode not in PAYMENT_MODES:
         raise ValueError(f"payment_mode must be one of {PAYMENT_MODES}")
-    if n_realizations < 1:
-        raise ValueError("need at least one realization")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    _check_counts(n_realizations, workers)
     params = scenario.params
     n = table.n_players
     n_sp = n - 1
     horizon = scenario.horizon
     grand = table.grand_bits
 
-    beta = np.asarray(params.benefits)[:, None]
-    weights = np.stack(
-        [beta * -np.expm1(-params.saturation * p.shares) for p in table.plans]
-    )
+    weights = np.empty((len(table.plans), n_sp, horizon))
+    for w, p in zip(weights, table.plans):
+        _revenue_weights(params, p.shares, out=w)
     costs = np.array([cost(params, p.capacity) for p in table.plans])
-    lbar = scenario.expected_loads()
-    nominal_collected = (weights * lbar).sum(axis=2)
+    nominal_collected = (weights[grand] * scenario.expected_loads()).sum(axis=1)
     expected_payoff = shapley(table)
     mix = shapley_matrix(n)
 
     if payment_mode == "ex-ante":
         fixed_payments = np.zeros(n)
-        fixed_payments[1:] = nominal_collected[grand]
+        fixed_payments[1:] = nominal_collected
         fixed_payments -= expected_payoff
 
     def run_chunk(start: int, stop: int):
@@ -116,41 +151,59 @@ def simulate(
         collected = np.zeros((count, n))
         collected[:, 1:] = collected_sp[:, grand, :]
         deviations = np.zeros((count, n))
-        deviations[:, 1:] = collected_sp[:, grand, :] - nominal_collected[grand]
+        deviations[:, 1:] = collected_sp[:, grand, :] - nominal_collected
         if payment_mode == "ex-post":
             payments = collected - payoffs
         else:
             payments = np.broadcast_to(fixed_payments, (count, n)).copy()
         rewards = payoffs + payments
-        slot_cash = np.einsum("it,bit->bt", weights[grand], loads)
-        surplus = np.cumsum(slot_cash, axis=1, out=slot_cash)
-        surplus -= costs[grand]
-        recovered = surplus >= 0.0
-        first = recovered.argmax(axis=1)
-        out = []
-        for k in range(count):
-            out.append(
-                RealizationOutcome(
-                    index=start + k,
-                    loads=LoadMatrix(loads[k]),
-                    values=values[k],
-                    payoffs=payoffs[k],
-                    deviations=deviations[k],
-                    collected=collected[k],
-                    payments=payments[k],
-                    rewards=rewards[k],
-                    payback_slot=int(first[k]) if recovered[k].any() else None,
-                )
+        return [
+            RealizationOutcome(
+                index=start + k,
+                loads=LoadMatrix(loads[k]),
+                values=values[k],
+                payoffs=payoffs[k],
+                deviations=deviations[k],
+                collected=collected[k],
+                payments=payments[k],
+                rewards=rewards[k],
+                payback_slot=_payback_slot(weights[grand], loads[k], costs[grand]),
             )
-        return out
+            for k in range(count)
+        ]
 
-    bounds = [(s, min(s + CHUNK_SIZE, n_realizations)) for s in range(0, n_realizations, CHUNK_SIZE)]
-    if workers == 1 or len(bounds) == 1:
-        chunks = [run_chunk(s, e) for s, e in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda se: run_chunk(*se), bounds))
-    return [o for chunk in chunks for o in chunk]
+    return _map_chunks(run_chunk, n_realizations, workers)
+
+
+def payback_slots(
+    scenario: Scenario,
+    plan: AllocationPlan,
+    n_realizations: int,
+    seed: int,
+    workers: int = 1,
+) -> list:
+    """Payback slot of ``plan`` in each of ``n_realizations`` demand draws.
+
+    The payback slot is the first slot at which the revenue ``plan``
+    has collected covers its installed cost, or None when the horizon
+    ends first.  Realization ``omega`` draws the loads ``simulate``
+    draws, one at a time, and keeps only that slot; so for the grand
+    plan the list equals the outcomes' ``payback_slot``s, with no value
+    table, Shapley split or kept load matrix.
+    """
+    _check_counts(n_realizations, workers)
+    params = scenario.params
+    weights = _revenue_weights(params, plan.shares)
+    installed = cost(params, plan.capacity)
+    horizon = scenario.horizon
+
+    def run_chunk(start: int, stop: int):
+        return [
+            _payback_slot(weights, sample_loads(scenario.models, horizon, (seed, omega)).values, installed)
+            for omega in range(start, stop)
+        ]
+
+    return _map_chunks(run_chunk, n_realizations, workers)
 
 
 def profitability_probabilities(outcomes: Sequence[RealizationOutcome]):
@@ -170,15 +223,20 @@ def _quantiles(matrix: np.ndarray) -> np.ndarray:
     return np.quantile(matrix, QUANTILE_GRID, axis=0).T
 
 
+def payback_quantiles(slots: Sequence[Optional[int]]):
+    """Quantiles of the recovered payback slots (None if there are none) and the censored count."""
+    recovered = [s for s in slots if s is not None]
+    quantiles = np.quantile(np.array(recovered, dtype=float), QUANTILE_GRID) if recovered else None
+    return quantiles, len(slots) - len(recovered)
+
+
 def summarize(outcomes: Sequence[RealizationOutcome], delta: Optional[float] = None) -> SimulationSummary:
     player_prob, joint_prob = profitability_probabilities(outcomes)
     stability = None if delta is None else empirical_stability_frequency(outcomes, delta)
     payoffs = np.stack([o.payoffs for o in outcomes])
     payments = np.stack([o.payments for o in outcomes])
     rewards = np.stack([o.rewards for o in outcomes])
-    slots = [o.payback_slot for o in outcomes if o.payback_slot is not None]
-    censored = len(outcomes) - len(slots)
-    payback_q = np.quantile(np.array(slots, dtype=float), QUANTILE_GRID) if slots else None
+    payback_q, censored = payback_quantiles([o.payback_slot for o in outcomes])
     return SimulationSummary(
         n_realizations=len(outcomes),
         player_profit_prob=player_prob,

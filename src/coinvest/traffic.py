@@ -18,6 +18,15 @@ profile two uncertainty models are supported:
 
 Loads are requests per slot: ``load = rate * slot_seconds``.
 
+fBm paths are cumulative sums of fractional Gaussian noise drawn exactly
+by Davies-Harte circulant embedding.  A draw weights the Hermitian half
+of the spectrum (``m + 1`` complex entries for an embedding of ``2m``)
+and runs one real inverse FFT; the spectrum's square roots are memoised
+per ``(H, m)``, and each thread reuses its normal and half-spectrum
+buffers from one draw to the next.  Each model also keeps the
+deterministic rows of its last horizon, read-only: the bounded mean,
+or the fBm trend and smooth envelope term.
+
 Randomness contract: every sampler derives one independent substream
 per (seed, realization, player) through ``numpy.random.SeedSequence``
 initialised with that integer tuple.  Results are therefore
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -36,9 +46,9 @@ import numpy as np
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Largest fBm path length we are willing to synthesise.  The circulant
-# embedding needs a handful of complex arrays of twice the next power of
-# two, so this cap keeps a single path under ~1 GiB of scratch.
+# Largest fBm path length we are willing to synthesise.  A draw needs a
+# few arrays of twice the next power of two (2**22 floats, 32 MiB, here),
+# so this cap keeps a single path under ~200 MiB of working memory.
 MAX_FBM_SLOTS = 1 << 21
 
 
@@ -103,7 +113,7 @@ class BoundedLoadModel:
 
     def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
         """One load row over ``slots`` slots, uniform in the spread band."""
-        mean = expected_load(self, np.arange(slots))
+        (mean,) = _cached_rows(self, slots, lambda t: (expected_load(self, t),))
         return rng.uniform((1.0 - self.spread) * mean, (1.0 + self.spread) * mean)
 
 
@@ -131,12 +141,24 @@ class FbmLoadModel:
         return env if env.shape else float(env)
 
     def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
-        """One load row over ``slots`` slots from one fBm path."""
-        t = np.arange(slots)
-        path = _fbm_paths(self.hurst, slots, rng, 1)[0]
+        """One load row over ``slots`` slots from one fBm path.
+
+        ``trend * ((1 - alpha) * envelope + alpha * max(0, path)) * slot_seconds``,
+        evaluated in place on the fresh path.
+        """
+        trend, smooth = _cached_rows(self, slots, self._rows)
+        load = _fbm_paths(self.hurst, slots, rng, 1)[0]
+        np.maximum(load, 0.0, out=load)
+        load *= self.alpha
+        load += smooth
+        load *= trend
+        load *= self.slot_seconds
+        return load
+
+    def _rows(self, t: np.ndarray) -> tuple:
+        """The trend rate and the smooth part ``(1 - alpha) * t**H / sqrt(2*pi)``."""
         envelope = np.power(t.astype(float), self.hurst) / SQRT_2PI
-        rate = self.trend.rate(t) * ((1.0 - self.alpha) * envelope + self.alpha * np.maximum(path, 0.0))
-        return rate * self.slot_seconds
+        return self.trend.rate(t), (1.0 - self.alpha) * envelope
 
 
 LoadModel = Union[BoundedLoadModel, FbmLoadModel]
@@ -166,6 +188,23 @@ class LoadMatrix:
     @property
     def horizon(self) -> int:
         return self.values.shape[1]
+
+
+def _cached_rows(model: LoadModel, slots: int, build) -> tuple:
+    """``build(np.arange(slots))``, memoised on ``model`` for its last ``slots``.
+
+    Every draw of a model over one horizon reuses the same deterministic
+    rows, so they are computed once and frozen read-only.  One entry per
+    model keeps the memory at a few rows per SP.
+    """
+    hit = model.__dict__.get("_rows_cache")
+    if hit is not None and hit[0] == slots:
+        return hit[1]
+    rows = build(np.arange(slots))
+    for row in rows:
+        row.flags.writeable = False
+    object.__setattr__(model, "_rows_cache", (slots, rows))
+    return rows
 
 
 def expected_load(model: LoadModel, t):
@@ -214,16 +253,19 @@ def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
     return gamma
 
 
-# One spectrum at MAX_FBM_SLOTS holds 2**22 floats (32 MiB); a few
+# One spectrum at MAX_FBM_SLOTS holds 2**21 + 1 floats (16 MiB); a few
 # entries cover every distinct Hurst exponent of a typical scenario.
 @functools.lru_cache(maxsize=4)
-def _circulant_eigenvalues(hurst: float, m: int) -> np.ndarray:
-    """Read-only spectrum of the fGn circulant embedding of size ``2m``.
+def _circulant_roots(hurst: float, m: int) -> np.ndarray:
+    """Read-only scaled square roots of the fGn circulant spectrum, size ``2m``.
 
-    The embedding of fGn is nonnegative definite for every H (Dietrich &
-    Newsam, 1997), so round-off dips below zero are clipped; a dip below
-    ``-1e-10 * max`` raises ``RuntimeError``.  Memoised per
-    ``(hurst, m)``: every draw reuses the same deterministic array.
+    Entry ``k`` of the returned ``m + 1`` is ``sqrt(eig_k / 2m)`` at
+    ``k = 0, m`` and ``sqrt(eig_k / 4m)`` in between, the Davies-Harte
+    weights of the Hermitian half.  The embedding of fGn is nonnegative
+    definite for every H (Dietrich & Newsam, 1997), so round-off dips
+    below zero are clipped; a dip below ``-1e-10 * max`` raises
+    ``RuntimeError``.  Memoised per ``(hurst, m)``: every draw reuses
+    the same deterministic array.
     """
     gamma = _fgn_autocov(hurst, np.arange(m + 1))
     eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
@@ -232,24 +274,48 @@ def _circulant_eigenvalues(hurst: float, m: int) -> np.ndarray:
             f"fGn circulant embedding not nonnegative at hurst={hurst}, m={m} "
             f"(min/max eigenvalue {eig.min() / eig.max():.3g})"
         )
-    eig = np.clip(eig, 0.0, None)
-    eig.flags.writeable = False
-    return eig
+    eig = np.clip(eig[: m + 1], 0.0, None)
+    two_m = 2 * m
+    roots = np.sqrt(eig / (2.0 * two_m))
+    roots[[0, m]] = np.sqrt(eig[[0, m]] / two_m)
+    roots.flags.writeable = False
+    return roots
+
+
+# Per-thread draw buffers, reused while the draw shape stays the same.
+_draw_local = threading.local()
+
+
+def _draw_buffers(paths: int, m: int):
+    """This thread's normals ``(paths, 2m)`` and Hermitian half ``(paths, m + 1)``.
+
+    The imaginary parts of the half's first and last entries are never
+    written, so they stay zero.
+    """
+    if getattr(_draw_local, "shape", None) != (paths, m):
+        _draw_local.z = np.empty((paths, 2 * m))
+        _draw_local.half = np.zeros((paths, m + 1), dtype=complex)
+        _draw_local.shape = (paths, m)
+    return _draw_local.z, _draw_local.half
 
 
 def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:
-    """Exact fGn via circulant embedding (Davies-Harte), O(n log n)."""
+    """Exact fGn via circulant embedding (Davies-Harte), O(n log n).
+
+    ``2m`` standard normals per path weight the spectrum's Hermitian
+    half ``w_k = r_k * (z_k + i * z_{2m-k})`` (real at ``k = 0, m``).
+    One real inverse FFT of length ``2m`` of its conjugate equals the
+    real part of the full complex FFT of the Hermitian-extended ``w``.
+    """
     m = 1 << max(1, (n - 1).bit_length())
-    eig = _circulant_eigenvalues(float(hurst), m)
-    two_m = 2 * m
-    z = rng.standard_normal((paths, two_m))
-    w = np.zeros((paths, two_m), dtype=complex)
-    w[:, 0] = math.sqrt(eig[0] / two_m) * z[:, 0]
-    w[:, m] = math.sqrt(eig[m] / two_m) * z[:, m]
-    scale = np.sqrt(eig[1:m] / (2.0 * two_m))
-    w[:, 1:m] = scale * (z[:, 1:m] + 1j * z[:, m + 1:][:, ::-1])
-    w[:, m + 1:] = np.conj(w[:, 1:m])[:, ::-1]
-    return np.fft.fft(w, axis=1).real[:, :n]
+    roots = _circulant_roots(float(hurst), m)
+    z, half = _draw_buffers(paths, m)
+    rng.standard_normal(out=z)
+    np.multiply(z[:, : m + 1], roots, out=half.real)
+    imag = half.imag[:, 1:m]
+    np.multiply(z[:, :m:-1], roots[1:m], out=imag)
+    np.negative(imag, out=imag)
+    return np.fft.irfft(half, n=2 * m, axis=1, norm="forward")[:, :n]
 
 
 def _fbm_paths(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
 from coinvest.allocation import AllocationError
 from coinvest.cli import load_config, main
+from coinvest.montecarlo import CHUNK_SIZE
 from coinvest.traffic import MAX_FBM_SLOTS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -81,12 +82,13 @@ def write_config(tmp_path):
 
 @pytest.fixture
 def no_planning(monkeypatch):
-    """Fail the test if the command builds a value table."""
+    """Fail the test if the command builds a value table or plans a coalition."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("value table built before the inputs were checked")
+        raise AssertionError("planning started before the inputs were checked")
 
     monkeypatch.setattr(cli, "build_value_table", refuse)
+    monkeypatch.setattr(cli, "optimal_plan", refuse)
 
 
 def read_csv(path):
@@ -478,6 +480,19 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_fbm_thread_count_is_invisible(self, write_config, tmp_path, monkeypatch):
+        cfg = fbm_config()
+        cfg["economics"]["investment_years"] = 48.0 / 8760.0
+        args = ["simulate", write_config(cfg), "--realizations", str(CHUNK_SIZE + 3), "--seed", "4"]
+        monkeypatch.setenv("COINVEST_THREADS", "1")
+        a = tmp_path / "a.csv"
+        assert main(args + ["--out", str(a)]) == 0
+        monkeypatch.setenv("COINVEST_THREADS", "3")
+        b = tmp_path / "b.csv"
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_thread_env_validated(self, write_config, tmp_path, monkeypatch, capsys, no_planning):
         path = write_config(base_config())
         out = str(tmp_path / "sim.csv")
@@ -594,6 +609,29 @@ class TestPayback:
         assert relative["10"] < relative["5"]
         sidecar = json.loads((tmp_path / "pb.json").read_text())
         assert len(sidecar["periods"]) == 2
+
+    def test_plans_only_the_grand_coalition(self, write_config, tmp_path, monkeypatch):
+        path = write_config(fbm_config())
+        args = ["payback", path, "--periods", "0.5,1", "--realizations", "30", "--seed", "9"]
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("payback needs only the grand plan")
+
+        for name in ("build_value_table", "simulate", "shapley"):
+            monkeypatch.setattr(cli, name, refuse)
+        planned = []
+        real = cli.optimal_plan
+
+        def planner(coalition, *rest):
+            planned.append(coalition.bits)
+            return real(coalition, *rest)
+
+        monkeypatch.setattr(cli, "optimal_plan", planner)
+        assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert planned == [0b11, 0b11]  # InP and the one SP, once per period
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_period_validation(self, write_config, tmp_path):
         path = write_config(base_config())

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,18 +11,21 @@ import pytest
 from coinvest import (
     BoundedLoadModel,
     EconomicParams,
+    FbmLoadModel,
     RateProfile,
     Scenario,
     build_value_table,
     cost,
     deviation_threshold,
     empirical_stability_frequency,
+    payback_slots,
     profitability_probabilities,
     shapley,
     simulate,
     stability_value_hat,
     summarize,
 )
+from coinvest.montecarlo import CHUNK_SIZE
 
 
 def bounded_scenario(spread, horizon=24, base=(50_000.0, 35_000.0)):
@@ -30,6 +35,16 @@ def bounded_scenario(spread, horizon=24, base=(50_000.0, 35_000.0)):
         RateProfile(base[1], ((base[1] / 5.0, 9.0),), 24),
     )
     models = tuple(BoundedLoadModel(p, spread, 3600.0) for p in profiles)
+    return Scenario(("east", "west"), models, params)
+
+
+def fbm_scenario(horizon=48):
+    params = EconomicParams(60.0, 0.5, float(horizon), 1.0, (6e-6, 6e-6), 0.03)
+    profiles = (
+        RateProfile(5_000.0, ((1_000.0, 3.0),), 24),
+        RateProfile(3_500.0, ((700.0, 9.0),), 24),
+    )
+    models = tuple(FbmLoadModel(p, 0.8, 0.7, 3600.0) for p in profiles)
     return Scenario(("east", "west"), models, params)
 
 
@@ -232,6 +247,48 @@ class TestSummaries:
         assert table.plan(table.grand_bits).capacity == 0.0
         for o in simulate(scenario, table, 5, seed=1):
             assert o.payback_slot == 0
+
+
+class TestPaybackSlots:
+    """``payback_slots`` draws one grand-plan realization at a time."""
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("make", (lambda: bounded_scenario(0.4), fbm_scenario), ids=("bounded", "fbm"))
+    def test_equals_the_simulated_payback_slots(self, make, workers):
+        scenario = make()
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        count = CHUNK_SIZE + 3
+        expected = [o.payback_slot for o in simulate(scenario, table, count, seed=5)]
+        slots = payback_slots(scenario, table.plan(table.grand_bits), count, 5, workers=workers)
+        assert slots == expected
+        assert len(set(slots)) > 2  # the draws move the payback slot
+
+    def test_many_threads_on_cold_caches(self):
+        # more workers than cores, all filling the same models' row caches
+        # and their own draw buffers at once
+        scenario = fbm_scenario()
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        plan = table.plan(table.grand_bits)
+        count = 4 * CHUNK_SIZE + 1
+        serial = payback_slots(scenario, plan, count, 12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            threaded = payback_slots(fbm_scenario(), plan, count, 12, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 60.0
+        assert threaded == serial
+
+    def test_rejects_bad_arguments(self):
+        scenario = bounded_scenario(0.1)
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        plan = table.plan(table.grand_bits)
+        with pytest.raises(ValueError):
+            payback_slots(scenario, plan, 0, seed=1)
+        with pytest.raises(ValueError):
+            payback_slots(scenario, plan, 1, seed=1, workers=0)
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Demand models: rate profiles, bounded sampling, and fBm generation."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,13 +20,29 @@ from coinvest import (
 from coinvest import traffic
 from coinvest.traffic import (
     MAX_FBM_SLOTS,
-    _circulant_eigenvalues,
+    _circulant_roots,
     _fbm_paths,
     _fgn_autocov,
     _fgn_davies_harte,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def full_fft_fgn(hurst, n, rng, paths=1):
+    """Oracle: Davies-Harte through the full complex FFT of the Hermitian-extended weights."""
+    m = 1 << max(1, (n - 1).bit_length())
+    gamma = _fgn_autocov(hurst, np.arange(m + 1))
+    eig = np.clip(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None)
+    two_m = 2 * m
+    z = rng.standard_normal((paths, two_m))
+    w = np.zeros((paths, two_m), dtype=complex)
+    w[:, 0] = math.sqrt(eig[0] / two_m) * z[:, 0]
+    w[:, m] = math.sqrt(eig[m] / two_m) * z[:, m]
+    scale = np.sqrt(eig[1:m] / (2.0 * two_m))
+    w[:, 1:m] = scale * (z[:, 1:m] + 1j * z[:, m + 1:][:, ::-1])
+    w[:, m + 1:] = np.conj(w[:, 1:m])[:, ::-1]
+    return np.fft.fft(w, axis=1).real[:, :n]
 
 
 class TestRateProfile:
@@ -240,26 +257,48 @@ class TestFbmGeneration:
         models = [
             FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h, 60.0) for h in (0.7, 0.3)
         ]
-        _circulant_eigenvalues.cache_clear()
+        _circulant_roots.cache_clear()
         cold = sample_loads(models, 1000, (9, 2)).values
-        assert _circulant_eigenvalues.cache_info().currsize == 2
+        assert _circulant_roots.cache_info().currsize == 2
         warm = sample_loads(models, 1000, (9, 2)).values
-        assert _circulant_eigenvalues.cache_info().hits >= 2
+        assert _circulant_roots.cache_info().hits >= 2
         assert np.array_equal(cold, warm)
 
     def test_cached_spectrum_is_read_only(self):
-        eig = _circulant_eigenvalues(0.7, 64)
-        assert eig is _circulant_eigenvalues(0.7, 64)
+        roots = _circulant_roots(0.7, 64)
+        assert roots is _circulant_roots(0.7, 64)
         with pytest.raises(ValueError):
-            eig[0] = 0.0
+            roots[0] = 0.0
+
+    @pytest.mark.parametrize("n", (2, 3, 100, 8760, 43800))
+    @pytest.mark.parametrize("hurst", (0.01, 0.3, 0.5, 0.7, 0.99))
+    def test_half_spectrum_draw_matches_full_fft_oracle(self, hurst, n):
+        got = _fgn_davies_harte(hurst, n, np.random.default_rng(n), 1)
+        want = full_fft_fgn(hurst, n, np.random.default_rng(n))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_paths_consume_the_stream_in_order(self):
+        got = _fgn_davies_harte(0.7, 100, np.random.default_rng(3), 3)
+        want = full_fft_fgn(0.7, 100, np.random.default_rng(3), paths=3)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_returned_paths_survive_the_next_draw(self):
+        rng = np.random.default_rng(6)
+        noise = _fgn_davies_harte(0.7, 100, rng, 1)
+        path = generate_fbm(0.7, 101, 1)
+        kept = noise.copy(), path.copy()
+        _fgn_davies_harte(0.7, 100, rng, 1)
+        generate_fbm(0.7, 101, 2)
+        assert np.array_equal(noise, kept[0])
+        assert np.array_equal(path, kept[1])
 
     def test_non_psd_embedding_raises(self, monkeypatch):
         # a lag-1 correlation above 1 is no covariance at all
         monkeypatch.setattr(traffic, "_fgn_autocov", lambda hurst, lags: np.where(lags == 1, 2.0, lags == 0))
-        _circulant_eigenvalues.cache_clear()
+        _circulant_roots.cache_clear()
         with pytest.raises(RuntimeError, match=r"hurst=0\.8, m=8"):
             _fbm_paths(0.8, 9, np.random.default_rng(4), 1)
-        assert _circulant_eigenvalues.cache_info().currsize == 0
+        assert _circulant_roots.cache_info().currsize == 0
 
     def test_rejects_bad_hurst(self):
         with pytest.raises(ValueError):
@@ -324,6 +363,34 @@ class TestFbmSampling:
         assert sample_loads([fbm], 4, 0).values.shape == (1, 4)
         with pytest.raises(ValueError):
             sample_loads([], 4, 0)
+
+
+class TestSamplerRows:
+    """Each model's deterministic rows are computed once per horizon."""
+
+    MODELS = (
+        BoundedLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.3, 60.0),
+        FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, 0.7, 60.0),
+    )
+
+    @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
+    def test_cached_rows_are_read_only(self, model):
+        model.sample(48, np.random.default_rng(0))
+        slots, rows = model._rows_cache
+        assert slots == 48 and rows
+        for row in rows:
+            assert row.shape == (48,) and not row.flags.writeable
+
+    @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
+    def test_draws_follow_the_horizon(self, model):
+        a = model.sample(24, np.random.default_rng(1))
+        first = model.sample(24, np.random.default_rng(2))
+        kept = first.copy()
+        model.sample(48, np.random.default_rng(1))
+        b = model.sample(24, np.random.default_rng(1))
+        fresh = replace(model).sample(24, np.random.default_rng(1))
+        assert np.array_equal(a, b) and np.array_equal(a, fresh)
+        assert np.array_equal(first, kept)
 
 
 class TestLoadMatrix:
