@@ -10,7 +10,8 @@ command checks its flags, computes, and returns a header, a row
 generator and a sidecar.  Only then does ``main`` write, streaming the
 rows through a temp file renamed into place, so a failed run writes
 nothing.  Exit codes: 0 success, 1 configuration problem, 2 numeric
-failure (results not finite included), 3 command/model mismatch.
+failure (results not finite and out of memory included), 3
+command/model mismatch.
 
 ``COINVEST_THREADS`` caps simulation workers; output is byte-identical
 at any setting.
@@ -570,6 +571,9 @@ def main(argv=None) -> int:
         if isinstance(exc, CommandMismatch):
             return EXIT_MISMATCH
         return EXIT_NUMERIC if isinstance(exc, RuntimeError) else EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory (MemoryError: {exc})", file=sys.stderr)
+        return EXIT_NUMERIC
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -322,8 +322,6 @@ def stability_lower_bound(delta: float, ranges: np.ndarray):
     ssq = (ranges * ranges).sum(axis=1)
     probs = np.ones(ranges.shape[0])
     risky = ssq > 0.0
-    if risky.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            exponent = np.where(risky, -2.0 * delta * delta / np.where(risky, ssq, 1.0), -np.inf)
-        probs = np.where(risky, np.maximum(1.0 - 2.0 * np.exp(exponent), 0.0), 1.0)
+    with np.errstate(over="ignore"):
+        probs[risky] = np.maximum(1.0 - 2.0 * np.exp(-2.0 * delta * delta / ssq[risky]), 0.0)
     return probs, float(probs.prod())

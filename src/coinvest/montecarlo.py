@@ -1,12 +1,12 @@
 """Monte Carlo assessment of a co-investment.
 
-Plans are committed on expected demand and held fixed.  ``simulate``
-re-prices every coalition at each realization's loads, recomputes
-Shapley payoffs on the realized value table, settles payments and
-rewards, and locates the payback slot of the grand coalition.
-``payback_slots`` needs only one plan: it draws one realization at a
-time and keeps only that plan's payback slot, the first slot at which
-its cumulative collected revenue covers its installed cost.
+Plans are committed on expected demand and held fixed.  Each
+realization is drawn and settled on its own.  ``simulate`` re-prices
+every coalition at its loads, recomputes Shapley payoffs on the realized
+value table, settles payments and rewards, and locates the payback slot
+of the grand coalition; each outcome keeps its loads.  ``payback_slots``
+needs only one plan and keeps only its payback slot, the first slot at
+which its cumulative collected revenue covers its installed cost.
 
 Settlement modes:
 
@@ -19,9 +19,9 @@ Settlement modes:
   then fluctuate with the realized Shapley payoffs.
 
 Determinism: realization ``omega`` for player ``i`` consumes the
-substream keyed ``(master_seed, omega, i)`` in both functions.  Work is
-split into fixed-size chunks regardless of the worker count, so output
-is bit-for-bit identical at any parallelism level.
+substream keyed ``(master_seed, omega, i)`` in both functions and reads
+nothing else random, so output is bit-for-bit identical at any
+parallelism level.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .economics import cost
 from .game import ValueTable, shapley, shapley_matrix
 from .scenario import Scenario
 from .traffic import LoadMatrix, sample_loads
-
-CHUNK_SIZE = 512
 
 PAYMENT_MODES = ("ex-ante", "ex-post")
 
@@ -98,15 +96,12 @@ def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float) -> O
     return first if recovered[first] else None
 
 
-def _map_chunks(run_chunk, n_realizations: int, workers: int) -> list:
-    """``run_chunk(start, stop)`` over fixed CHUNK_SIZE chunks, concatenated in order."""
-    bounds = [(s, min(s + CHUNK_SIZE, n_realizations)) for s in range(0, n_realizations, CHUNK_SIZE)]
-    if workers == 1 or len(bounds) == 1:
-        chunks = [run_chunk(s, e) for s, e in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda se: run_chunk(*se), bounds))
-    return [item for chunk in chunks for item in chunk]
+def _map_realizations(settle, n_realizations: int, workers: int) -> list:
+    """``[settle(omega) for omega in range(n_realizations)]``, on ``workers`` threads."""
+    if workers == 1:
+        return [settle(omega) for omega in range(n_realizations)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(settle, range(n_realizations)))
 
 
 def simulate(
@@ -136,43 +131,31 @@ def simulate(
     mix = shapley_matrix(n)
 
     if payment_mode == "ex-ante":
-        fixed_payments = np.zeros(n)
-        fixed_payments[1:] = nominal_collected
-        fixed_payments -= expected_payoff
+        fixed_payments = np.concatenate(([0.0], nominal_collected)) - expected_payoff
 
-    def run_chunk(start: int, stop: int):
-        count = stop - start
-        loads = np.empty((count, n_sp, horizon))
-        for k in range(count):
-            loads[k] = sample_loads(scenario.models, horizon, (seed, start + k)).values
-        collected_sp = np.einsum("sit,bit->bsi", weights, loads)
-        values = collected_sp.sum(axis=2) - costs
+    def settle(omega: int) -> RealizationOutcome:
+        loads = sample_loads(scenario.models, horizon, (seed, omega))
+        collected_sp = np.einsum("sit,it->si", weights, loads.values)
+        values = collected_sp.sum(axis=1) - costs
         payoffs = values @ mix
-        collected = np.zeros((count, n))
-        collected[:, 1:] = collected_sp[:, grand, :]
-        deviations = np.zeros((count, n))
-        deviations[:, 1:] = collected_sp[:, grand, :] - nominal_collected
-        if payment_mode == "ex-post":
-            payments = collected - payoffs
-        else:
-            payments = np.broadcast_to(fixed_payments, (count, n)).copy()
-        rewards = payoffs + payments
-        return [
-            RealizationOutcome(
-                index=start + k,
-                loads=LoadMatrix(loads[k]),
-                values=values[k],
-                payoffs=payoffs[k],
-                deviations=deviations[k],
-                collected=collected[k],
-                payments=payments[k],
-                rewards=rewards[k],
-                payback_slot=_payback_slot(weights[grand], loads[k], costs[grand]),
-            )
-            for k in range(count)
-        ]
+        collected = np.zeros(n)
+        collected[1:] = collected_sp[grand]
+        deviations = np.zeros(n)
+        deviations[1:] = collected_sp[grand] - nominal_collected
+        payments = collected - payoffs if payment_mode == "ex-post" else fixed_payments.copy()
+        return RealizationOutcome(
+            index=omega,
+            loads=loads,
+            values=values,
+            payoffs=payoffs,
+            deviations=deviations,
+            collected=collected,
+            payments=payments,
+            rewards=payoffs + payments,
+            payback_slot=_payback_slot(weights[grand], loads.values, costs[grand]),
+        )
 
-    return _map_chunks(run_chunk, n_realizations, workers)
+    return _map_realizations(settle, n_realizations, workers)
 
 
 def payback_slots(
@@ -187,9 +170,8 @@ def payback_slots(
     The payback slot is the first slot at which the revenue ``plan``
     has collected covers its installed cost, or None when the horizon
     ends first.  Realization ``omega`` draws the loads ``simulate``
-    draws, one at a time, and keeps only that slot; so for the grand
-    plan the list equals the outcomes' ``payback_slot``s, with no value
-    table, Shapley split or kept load matrix.
+    draws, so for the grand plan the list equals the outcomes'
+    ``payback_slot``s, with no value table, Shapley split or kept loads.
     """
     _check_counts(n_realizations, workers)
     params = scenario.params
@@ -197,13 +179,10 @@ def payback_slots(
     installed = cost(params, plan.capacity)
     horizon = scenario.horizon
 
-    def run_chunk(start: int, stop: int):
-        return [
-            _payback_slot(weights, sample_loads(scenario.models, horizon, (seed, omega)).values, installed)
-            for omega in range(start, stop)
-        ]
+    def settle(omega: int) -> Optional[int]:
+        return _payback_slot(weights, sample_loads(scenario.models, horizon, (seed, omega)).values, installed)
 
-    return _map_chunks(run_chunk, n_realizations, workers)
+    return _map_realizations(settle, n_realizations, workers)
 
 
 def profitability_probabilities(outcomes: Sequence[RealizationOutcome]):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import stat
 import subprocess
 import sys
@@ -17,7 +18,6 @@ from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
 from coinvest.allocation import AllocationError
 from coinvest.cli import load_config, main
-from coinvest.montecarlo import CHUNK_SIZE
 from coinvest.traffic import MAX_FBM_SLOTS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -318,6 +318,32 @@ class TestStreamingWriter:
         assert "Traceback" not in proc.stderr
         assert sorted(os.listdir(tmp_path)) == ["huge.json"]
 
+    @pytest.mark.parametrize(
+        "command", ["plan 1e6", "simulate 5 --realizations 100000", "payback 5 --periods 100000"]
+    )
+    def test_out_of_memory_writes_nothing(self, tmp_path, command):
+        # Under a 1 GiB address-space cap each run needs more than it may map.
+        name, years, *flags = command.split()
+        cfg = json.loads((REPO / "configs" / "edge-bounded.json").read_text())
+        cfg["economics"]["investment_years"] = float(years)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"),
+             "--dump-config", str(tmp_path / "d.json"), *flags],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out of memory (MemoryError: ")
+        assert "Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
 
 class TestPlan:
     def test_grand_plan_csv_shape(self, write_config, tmp_path):
@@ -483,7 +509,7 @@ class TestSimulate:
     def test_fbm_thread_count_is_invisible(self, write_config, tmp_path, monkeypatch):
         cfg = fbm_config()
         cfg["economics"]["investment_years"] = 48.0 / 8760.0
-        args = ["simulate", write_config(cfg), "--realizations", str(CHUNK_SIZE + 3), "--seed", "4"]
+        args = ["simulate", write_config(cfg), "--realizations", "515", "--seed", "4"]
         monkeypatch.setenv("COINVEST_THREADS", "1")
         a = tmp_path / "a.csv"
         assert main(args + ["--out", str(a)]) == 0

@@ -20,12 +20,13 @@ from coinvest import (
     empirical_stability_frequency,
     payback_slots,
     profitability_probabilities,
+    realized_value,
+    sample_loads,
     shapley,
     simulate,
     stability_value_hat,
     summarize,
 )
-from coinvest.montecarlo import CHUNK_SIZE
 
 
 def bounded_scenario(spread, horizon=24, base=(50_000.0, 35_000.0)):
@@ -160,6 +161,19 @@ class TestDeterminism:
             assert np.array_equal(a.payoffs, b.payoffs)
             assert np.array_equal(a.rewards, b.rewards)
 
+    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("make", (lambda: bounded_scenario(0.4), fbm_scenario), ids=("bounded", "fbm"))
+    def test_each_outcome_is_its_own_draw_priced_by_hand(self, make, workers):
+        scenario = make()
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        outcomes = simulate(scenario, table, 515, seed=11, workers=workers)
+        assert [o.index for o in outcomes] == list(range(515))
+        for omega, o in enumerate(outcomes):
+            drawn = sample_loads(scenario.models, scenario.horizon, (11, omega))
+            assert np.array_equal(o.loads.values, drawn.values)
+            by_hand = [realized_value(table.plan(s), o.loads, scenario.params) for s in range(len(table.plans))]
+            assert o.values == pytest.approx(by_hand, rel=1e-9)
+
     def test_seed_changes_results(self):
         scenario = bounded_scenario(0.3)
         table = build_value_table(scenario.expected_loads(), scenario.params)
@@ -257,7 +271,7 @@ class TestPaybackSlots:
     def test_equals_the_simulated_payback_slots(self, make, workers):
         scenario = make()
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        count = CHUNK_SIZE + 3
+        count = 515
         expected = [o.payback_slot for o in simulate(scenario, table, count, seed=5)]
         slots = payback_slots(scenario, table.plan(table.grand_bits), count, 5, workers=workers)
         assert slots == expected
@@ -269,7 +283,7 @@ class TestPaybackSlots:
         scenario = fbm_scenario()
         table = build_value_table(scenario.expected_loads(), scenario.params)
         plan = table.plan(table.grand_bits)
-        count = 4 * CHUNK_SIZE + 1
+        count = 2049
         serial = payback_slots(scenario, plan, count, 12)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
