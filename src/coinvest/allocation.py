@@ -56,10 +56,6 @@ class AllocationPlan:
     objective: float
     method: str
 
-    @property
-    def horizon(self) -> int:
-        return self.shares.shape[1]
-
 
 def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParams) -> np.ndarray:
     loads = np.asarray(loads, dtype=float)
@@ -161,9 +157,11 @@ def optimal_plan_numeric(coalition, expected_loads, params):
         return _idle_plan(coalition, loads, "numeric")
     log_w_live = log_w[:, live]
 
-    # Marginal revenue of the first core equals sum_t max_i xi*beta*load;
-    # below the unit capacity cost the optimum is to buy nothing.
-    if np.exp(slot_best[live]).sum() <= price:
+    # Marginal revenue of the first core equals sum_t max_i xi*beta*load (summed
+    # in the log domain); below the unit capacity cost the optimum is to buy nothing.
+    log_price = math.log(price)
+    top = slot_best[live].max()
+    if top + math.log(np.exp(slot_best[live] - top).sum()) <= log_price:
         return _idle_plan(coalition, loads, "numeric")
 
     # Stationarity in C: g(C) = log(sum_t lambda_t(C)) - log(price) = 0.
@@ -172,7 +170,6 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     # started at C = 0 climbs to the root without overshooting.
     ordered = -np.sort(-log_w_live, axis=0)
     csum = np.cumsum(ordered, axis=0)
-    log_price = math.log(price)
     capacity = 0.0
     for _ in range(_NEWTON_STEPS):
         level, count = _water_levels(ordered, csum, xi, capacity)

@@ -41,7 +41,7 @@ from .game import (
     utility_ranges,
 )
 from .montecarlo import PAYMENT_MODES, payback_quantiles, payback_slots, simulate, summarize
-from .players import MAX_PLAYERS, PlayerSet
+from .players import MAX_PLAYERS, PlayerSet, all_coalitions
 from .scenario import Scenario
 from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
 
@@ -66,6 +66,8 @@ def _fmt(x) -> str:
 
 
 def _require(obj: dict, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
     if key not in obj:
         raise ConfigError(f"{path}.{key}: missing required field")
     return obj[key]
@@ -319,8 +321,7 @@ def cmd_plan(args, scenario: Scenario):
     loads = scenario.expected_loads()
     n = scenario.n_players
     names = scenario.player_names
-    grand = (1 << n) - 1
-    coalitions = [PlayerSet(bits, n) for bits in (range(grand + 1) if args.all_coalitions else [grand])]
+    coalitions = list(all_coalitions(n)) if args.all_coalitions else [PlayerSet.grand(n)]
     plans = [optimal_plan(coalition, loads, scenario.params) for coalition in coalitions]
     labels = [coalition.label(list(names)) for coalition in coalitions]
 
@@ -482,7 +483,7 @@ def cmd_payback(args, scenario: Scenario):
         _check_fbm_horizon(sub, f"--periods: {y} years")
         subs.append((y, sub))
 
-    grand = PlayerSet((1 << scenario.n_players) - 1, scenario.n_players)
+    grand = PlayerSet.grand(scenario.n_players)
     paybacks = []
     period_meta = []
     for y, sub in subs:

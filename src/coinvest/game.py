@@ -32,7 +32,7 @@ import numpy as np
 
 from .allocation import AllocationPlan, optimal_plan
 from .economics import EconomicParams, cost
-from .players import MAX_PLAYERS, PlayerSet, all_coalitions
+from .players import MAX_PLAYERS, PlayerSet, all_coalitions, membership
 from .traffic import BoundedLoadModel, LoadMatrix, expected_load_matrix
 
 
@@ -56,14 +56,11 @@ class ValueTable:
     def grand_value(self) -> float:
         return float(self.values[self.grand_bits])
 
-    def _bits(self, coalition) -> int:
-        return coalition.bits if isinstance(coalition, PlayerSet) else int(coalition)
+    def value(self, bits: int) -> float:
+        return float(self.values[bits])
 
-    def value(self, coalition) -> float:
-        return float(self.values[self._bits(coalition)])
-
-    def plan(self, coalition) -> AllocationPlan:
-        return self.plans[self._bits(coalition)]
+    def plan(self, bits: int) -> AllocationPlan:
+        return self.plans[bits]
 
 
 def build_value_table(expected_loads: np.ndarray, params: EconomicParams) -> ValueTable:
@@ -88,13 +85,6 @@ def realized_value(plan: AllocationPlan, loads, params: EconomicParams) -> float
 
 
 @functools.cache
-def _popcounts(n_players: int) -> np.ndarray:
-    pc = np.array([m.bit_count() for m in range(1 << n_players)])
-    pc.flags.writeable = False
-    return pc
-
-
-@functools.cache
 def shapley_matrix(n_players: int) -> np.ndarray:
     """Matrix M with payoff = values @ M; encodes the subset-sum weights.
 
@@ -102,13 +92,9 @@ def shapley_matrix(n_players: int) -> np.ndarray:
     """
     fact = [math.factorial(i) for i in range(n_players + 1)]
     w = np.array([fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)])
-    size = 1 << n_players
-    m = np.zeros((size, n_players))
-    pc = _popcounts(n_players)
-    for i in range(n_players):
-        has = (np.arange(size) >> i & 1).astype(bool)
-        m[has, i] += w[pc[has] - 1]
-        m[~has, i] -= w[pc[~has]]
+    member = membership(n_players)
+    size = member.sum(axis=1)[:, None]
+    m = np.where(member == 1, w[np.maximum(size - 1, 0)], -w[np.minimum(size, n_players - 1)])
     m.flags.writeable = False
     return m
 
@@ -116,8 +102,7 @@ def shapley_matrix(n_players: int) -> np.ndarray:
 def shapley(values, n_players: int | None = None) -> np.ndarray:
     """Shapley payoffs; accepts a ValueTable or a dense value array.
 
-    A trailing axis of length ``2**n_players`` may be batched, so one
-    call prices every Monte Carlo realization at once.
+    A trailing axis of length ``2**n_players`` may be batched.
     """
     if isinstance(values, ValueTable):
         n_players = values.n_players
@@ -131,19 +116,19 @@ def shapley(values, n_players: int | None = None) -> np.ndarray:
 
 
 def marginal_contribution(table: ValueTable, player: int, coalition: PlayerSet) -> float:
-    if coalition.contains(player):
+    if coalition.bits >> player & 1:
         raise ValueError("player already belongs to the coalition")
-    return table.value(coalition.add(player)) - table.value(coalition)
+    return table.value(coalition.bits | 1 << player) - table.value(coalition.bits)
 
 
 def coalition_payoff_sums(payoff: np.ndarray) -> np.ndarray:
     """Sum of payoffs over every coalition bitmask at once."""
     payoff = np.asarray(payoff, dtype=float)
-    n = payoff.shape[0]
-    sums = np.zeros(1 << n)
-    idx = np.arange(1 << n)
-    for i in range(n):
-        sums += (idx >> i & 1) * payoff[i]
+    member = membership(payoff.shape[0])
+    sums = np.zeros(member.shape[0])
+    # player by player, not a matmul, so every sum adds in the same order
+    for i, column in enumerate(member.T):
+        sums += column * payoff[i]
     return sums
 
 
@@ -185,10 +170,9 @@ def core_violations(table: ValueTable, allocation: np.ndarray, tolerance: float 
     scale = max(1.0, abs(table.grand_value))
     if abs(sums[table.grand_bits] - table.grand_value) > max(tolerance, 1e-9 * scale):
         out.append((table.grand_bits, float(sums[table.grand_bits] - table.grand_value)))
-    for bits in range(1, table.grand_bits):
-        gap = sums[bits] - table.values[bits]
-        if gap < -tolerance:
-            out.append((bits, float(gap)))
+    gaps = sums - table.values
+    for bits in np.flatnonzero(gaps[1:table.grand_bits] < -tolerance) + 1:
+        out.append((int(bits), float(gaps[bits])))
     return out
 
 
@@ -225,9 +209,8 @@ def stability_value_lp(table: ValueTable) -> float:
     mu_col = masks.size
 
     a = np.zeros((n + 1, n_cols))
-    for i in range(n):
-        a[i, :mu_col] = (masks >> i) & 1
-        a[i, mu_col] = -1.0
+    a[:n, :mu_col] = membership(n)[masks].T
+    a[:n, mu_col] = -1.0
     a[n, :mu_col] = 1.0
     b = np.zeros(n + 1)
     b[n] = 1.0
@@ -235,9 +218,9 @@ def stability_value_lp(table: ValueTable) -> float:
     c[:mu_col] = -table.values[masks]
     c[mu_col] = table.grand_value
 
-    # Singleton coalitions plus mu form a nonsingular starting basis
-    # with y = mu = 1/n, strictly feasible.
-    basis = [int(np.where(masks == (1 << i))[0][0]) for i in range(n)] + [mu_col]
+    # Singleton coalitions (column j holds coalition j + 1) plus mu form
+    # a nonsingular starting basis with y = mu = 1/n, strictly feasible.
+    basis = [(1 << i) - 1 for i in range(n)] + [mu_col]
     for _ in range(20000):
         bmat = a[:, basis]
         x_b = np.linalg.solve(bmat, b)
@@ -280,7 +263,7 @@ def deviation_threshold(table: ValueTable, sigma: float) -> float:
         return 0.0
     bound = grand_value / n
     masks = np.arange(1, table.grand_bits)
-    sizes = _popcounts(n)[masks]
+    sizes = membership(n)[masks].sum(axis=1)
     y = (table.values[masks] + sigma) / grand_value
     denominators = sizes + (n - 2 * sizes) * y
     dmax = denominators.max()
@@ -319,9 +302,9 @@ def stability_lower_bound(delta: float, ranges: np.ndarray):
     ranges = np.asarray(ranges, dtype=float)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    ssq = (ranges * ranges).sum(axis=1)
     probs = np.ones(ranges.shape[0])
-    risky = ssq > 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an infinite ssq gives its limit, p = 0
+        ssq = (ranges * ranges).sum(axis=1)
+        risky = ssq > 0.0
         probs[risky] = np.maximum(1.0 - 2.0 * np.exp(-2.0 * delta * delta / ssq[risky]), 0.0)
     return probs, float(probs.prod())

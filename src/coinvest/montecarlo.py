@@ -34,7 +34,7 @@ import numpy as np
 
 from .allocation import AllocationPlan
 from .economics import cost
-from .game import ValueTable, shapley, shapley_matrix
+from .game import ValueTable, shapley
 from .scenario import Scenario
 from .traffic import LoadMatrix, sample_loads
 
@@ -118,17 +118,15 @@ def simulate(
     _check_counts(n_realizations, workers)
     params = scenario.params
     n = table.n_players
-    n_sp = n - 1
     horizon = scenario.horizon
     grand = table.grand_bits
 
-    weights = np.empty((len(table.plans), n_sp, horizon))
+    weights = np.empty((len(table.plans), n - 1, horizon))
     for w, p in zip(weights, table.plans):
         _revenue_weights(params, p.shares, out=w)
     costs = np.array([cost(params, p.capacity) for p in table.plans])
     nominal_collected = (weights[grand] * scenario.expected_loads()).sum(axis=1)
     expected_payoff = shapley(table)
-    mix = shapley_matrix(n)
 
     if payment_mode == "ex-ante":
         fixed_payments = np.concatenate(([0.0], nominal_collected)) - expected_payoff
@@ -137,7 +135,7 @@ def simulate(
         loads = sample_loads(scenario.models, horizon, (seed, omega))
         collected_sp = np.einsum("sit,it->si", weights, loads.values)
         values = collected_sp.sum(axis=1) - costs
-        payoffs = values @ mix
+        payoffs = shapley(values, n)
         collected = np.zeros(n)
         collected[1:] = collected_sp[grand]
         deviations = np.zeros(n)

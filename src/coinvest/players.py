@@ -1,4 +1,4 @@
-"""Coalition bitmasks.
+"""Coalition bitmasks and their membership matrix.
 
 Player 0 is the infrastructure provider; players 1..N are the service
 providers in scenario order.  A coalition is the set of players whose
@@ -8,8 +8,9 @@ bits are set.  SP ``i`` (player index ``i``, ``i >= 1``) maps to row
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -28,21 +29,8 @@ class PlayerSet:
             raise ValueError("coalition bits out of range for this player count")
 
     @classmethod
-    def of(cls, members: Iterable[int], n_players: int) -> "PlayerSet":
-        bits = 0
-        for m in members:
-            if not 0 <= m < n_players:
-                raise ValueError(f"player {m} out of range")
-            bits |= 1 << m
-        return cls(bits, n_players)
-
-    @classmethod
     def grand(cls, n_players: int) -> "PlayerSet":
         return cls((1 << n_players) - 1, n_players)
-
-    @classmethod
-    def empty(cls, n_players: int) -> "PlayerSet":
-        return cls(0, n_players)
 
     @property
     def includes_inp(self) -> bool:
@@ -57,20 +45,20 @@ class PlayerSet:
         """Load-matrix rows of the member SPs (player index minus one)."""
         return np.array([i - 1 for i in self.members if i >= 1], dtype=int)
 
-    def contains(self, player: int) -> bool:
-        return bool(self.bits >> player & 1)
-
-    def add(self, player: int) -> "PlayerSet":
-        return PlayerSet(self.bits | 1 << player, self.n_players)
-
-    def label(self, names=None) -> str:
+    def label(self, names) -> str:
         if self.bits == 0:
             return "none"
-        if names is None:
-            names = ["InP"] + [f"SP{i}" for i in range(1, self.n_players)]
         return "+".join(names[i] for i in self.members)
 
 
 def all_coalitions(n_players: int) -> Iterator[PlayerSet]:
     for bits in range(1 << n_players):
         yield PlayerSet(bits, n_players)
+
+
+@functools.cache
+def membership(n_players: int) -> np.ndarray:
+    """Memoised read-only 0/1 matrix: row ``S`` marks the members of coalition ``S``."""
+    member = np.arange(1 << n_players)[:, None] >> np.arange(n_players) & 1
+    member.flags.writeable = False
+    return member

@@ -59,8 +59,8 @@ class RateProfile:
     rate(t) = base_rate + sum_k amplitude_k * sin(2*pi*k*(t - phase_k) / period)
 
     ``components`` holds ``(amplitude, phase)`` pairs for harmonics
-    k = 1, 2, ...  The profile must be nonnegative at every slot of one
-    full period; construction fails otherwise.
+    k = 1, 2, ...  The profile must be finite and nonnegative at every
+    slot of one full period; construction fails otherwise.
     """
 
     base_rate: float
@@ -75,8 +75,11 @@ class RateProfile:
         object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in self.components))
         if not all(math.isfinite(v) for pair in self.components for v in pair):
             raise ValueError("profile components must be finite")
-        slots = np.arange(self.period)
-        rates = self.rate(slots)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = self.rate(np.arange(self.period))
+        bad = np.nonzero(~np.isfinite(rates))[0]
+        if bad.size:
+            raise ValueError(f"rate profile is not finite at slot {int(bad[0])}")
         bad = np.nonzero(rates < 0.0)[0]
         if bad.size:
             raise ValueError(
@@ -180,14 +183,6 @@ class LoadMatrix:
         if (v < 0.0).any():
             raise ValueError("loads must be nonnegative")
         object.__setattr__(self, "values", v)
-
-    @property
-    def n_sp(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[1]
 
 
 def _cached_rows(model: LoadModel, slots: int, build) -> tuple:

@@ -36,7 +36,7 @@ class TestClosedForm:
 
     def test_without_inp_no_capacity(self):
         loads = np.array([[1e6], [2e6]])
-        coalition = PlayerSet.of([1, 2], 3)
+        coalition = PlayerSet(0b110, 3)
         plan = optimal_plan_closed_form(coalition, loads, params_for(2))
         assert plan.capacity == 0.0
         assert not plan.shares.any()
@@ -135,7 +135,7 @@ class TestNumeric:
             plan = optimal_plan_numeric(coalition, loads, params)
             assert (plan.shares >= 0.0).all()
             assert (plan.shares.sum(axis=0) <= plan.capacity + 1e-9).all()
-            outside = [i - 1 for i in range(1, n_sp + 1) if not coalition.contains(i)]
+            outside = [i - 1 for i in range(1, n_sp + 1) if not coalition.bits >> i & 1]
             assert not plan.shares[outside].any()
             if not coalition.includes_inp:
                 assert plan.capacity == 0.0

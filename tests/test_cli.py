@@ -1,5 +1,6 @@
 """Command-line surface: config validation, CSV contracts, exit codes."""
 
+import copy
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ import stat
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
 from coinvest.allocation import AllocationError
-from coinvest.cli import load_config, main
+from coinvest.cli import ConfigError, load_config, main
 from coinvest.traffic import MAX_FBM_SLOTS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -89,6 +91,23 @@ def no_planning(monkeypatch):
 
     monkeypatch.setattr(cli, "build_value_table", refuse)
     monkeypatch.setattr(cli, "optimal_plan", refuse)
+
+
+def shipped_config(name):
+    return json.loads((REPO / "configs" / name).read_text())
+
+
+def field_paths(node, path=()):
+    """Key paths of every field below ``node``, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
 
 
 def read_csv(path):
@@ -171,6 +190,38 @@ class TestConfigLoading:
         path = write_config(base_config(players=players))
         assert main([command, path, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: players: at most 15 SPs are supported, got 16")
+
+    def test_overflowing_profile_names_the_field(self, write_config, capsys):
+        # a phase of 1e308 overflows the sine's argument, so the rate is NaN
+        cfg = base_config()
+        cfg["players"][0]["profile"]["components"] = [[10000.0, 1e308]]
+        assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: players[0].profile: ") and "not finite" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "value", [5, "kind", [], {}, None, True, -1, 0, 1e308, [1], "x", 10**30], ids=repr
+    )
+    @pytest.mark.parametrize("name", ["edge-bounded.json", "edge-fbm.json"])
+    def test_any_field_set_to_any_value_loads_or_names_an_error(self, write_config, name, value):
+        base = shipped_config(name)
+        failures = []
+        for path in field_paths(base):
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    load_config(write_config(cfg))
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    failures.append(f"{path}: {type(exc).__name__}: {exc}")
+        assert failures == []
 
     def test_missing_file_and_bad_json(self, tmp_path, capsys):
         assert main(["plan", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
@@ -384,6 +435,17 @@ class TestPlan:
         assert grand["expected_value"] > 0.0
         assert grand["cost"] > 0.0
 
+    def test_huge_saturation_plans_without_overflow(self, write_config, tmp_path):
+        # exp of the first core's log marginal revenue overflows at this saturation
+        cfg = shipped_config("edge-fbm.json")
+        cfg["saturation"] = 1e300
+        out = tmp_path / "plan.csv"
+        assert main(["plan", write_config(cfg), "--out", str(out)]) == 0
+        (grand,) = json.loads((tmp_path / "plan.json").read_text())["coalitions"]
+        assert grand["method"] == "numeric"
+        assert grand["capacity_vcores"] == pytest.approx(6.965862711954428e-298, rel=1e-9)
+        assert grand["expected_value"] == pytest.approx(401804802.7105423, rel=1e-9)
+
     def test_share_columns_match_library(self, write_config, tmp_path):
         path = write_config(base_config())
         out = tmp_path / "plan.csv"
@@ -433,6 +495,17 @@ class TestStability:
         _, rows = read_csv(out)
         nu = [float(r[2]) for r in rows if r[1] == "nu_lb"]
         assert nu == [1.0]
+
+    def test_huge_base_rate_bounds_without_overflow(self, write_config, tmp_path):
+        # the squared utility range overflows; its limit gives that SP p = 0
+        cfg = shipped_config("edge-bounded.json")
+        cfg["players"][0]["profile"]["base_rate"] = 1e300
+        out = tmp_path / "stab.csv"
+        assert main(["stability", write_config(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [(r[1], float(r[2])) for r in rows] == [
+            ("InP", 1.0), ("residential", 0.0), ("business", 0.0), ("nu_lb", 0.0)
+        ]
 
     def test_fbm_model_refused(self, write_config, tmp_path, capsys):
         out = tmp_path / "stab.csv"

@@ -24,6 +24,7 @@ from coinvest import (
     utility_ranges,
 )
 from coinvest.game import core_violations, coalition_payoff_sums, shapley_matrix
+from coinvest.players import membership
 from coinvest.traffic import BoundedLoadModel, FbmLoadModel, RateProfile
 
 
@@ -186,19 +187,29 @@ class TestShapley:
         assert np.allclose(sums[1:-1], 0.0, atol=1e-12)
 
 
+class TestMembership:
+    def test_rows_spell_out_the_bits(self):
+        for n in range(2, 7):
+            member = membership(n)
+            assert member.shape == (1 << n, n) and not member.flags.writeable
+            for bits in range(1 << n):
+                assert tuple(np.flatnonzero(member[bits])) == PlayerSet(bits, n).members
+        assert membership(4) is membership(4)
+
+
 class TestMarginalContribution:
     def test_veto_player_alone_adds_nothing(self):
         table = veto_game(3, 60.0)
-        assert marginal_contribution(table, 0, PlayerSet.empty(3)) == 0.0
+        assert marginal_contribution(table, 0, PlayerSet(0, 3)) == 0.0
 
     def test_last_member_brings_everything(self):
         table = veto_game(2, 80.0)
-        assert marginal_contribution(table, 1, PlayerSet.of([0], 2)) == 80.0
+        assert marginal_contribution(table, 1, PlayerSet(0b01, 2)) == 80.0
 
     def test_rejects_member(self):
         table = veto_game(2, 1.0)
         with pytest.raises(ValueError):
-            marginal_contribution(table, 0, PlayerSet.of([0], 2))
+            marginal_contribution(table, 0, PlayerSet(0b01, 2))
 
 
 class TestSupermodularity:
@@ -244,6 +255,21 @@ class TestCore:
     def test_inefficient_allocation_rejected(self):
         table = veto_game(2, 10.0)
         assert not check_core(table, np.array([1.0, 1.0]))
+
+    def test_violations_match_a_loop_over_masks(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            table = random_monotone_game(rng, n)
+            allocation = shapley(table) + rng.normal(0.0, 10.0, n)
+            sums = coalition_payoff_sums(allocation)
+            by_loop = []
+            for bits in range(1, table.grand_bits):
+                gap = sums[bits] - table.values[bits]
+                if gap < -0.5:
+                    by_loop.append((bits, float(gap)))
+            found = core_violations(table, allocation, 0.5)
+            assert [v for v in found if v[0] != table.grand_bits] == by_loop
 
     def test_payoff_sums_enumerate_masks(self):
         payoff = np.array([1.0, 2.0, 4.0])

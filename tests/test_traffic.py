@@ -396,7 +396,7 @@ class TestSamplerRows:
 class TestLoadMatrix:
     def test_shape_properties(self):
         m = LoadMatrix(np.ones((3, 7)))
-        assert m.n_sp == 3 and m.horizon == 7
+        assert m.values.shape == (3, 7)
 
     def test_rejects_negative_or_misshaped(self):
         with pytest.raises(ValueError):
