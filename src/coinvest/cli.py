@@ -6,12 +6,14 @@ lower bounds), ``simulate`` (Monte Carlo settlement), ``payback``
 named by ``--out``; machine-readable context goes to a JSON sidecar at
 the same path with extension ``.json``, so ``--out`` must not end in
 ``.json``.  ``main`` checks the output paths and loads the config; each
-command checks its flags, computes, and returns a header, a row
-generator and a sidecar.  Only then does ``main`` write, streaming the
-rows through a temp file renamed into place, so a failed run writes
-nothing.  Exit codes: 0 success, 1 configuration problem, 2 numeric
-failure (results not finite and out of memory included), 3
-command/model mismatch.
+command checks its flags, computes, and returns a header, a generator
+of CSV text and a sidecar.  Only then does ``main`` write, streaming the
+text through a temp file renamed into place, so a failed run writes
+nothing.  ``stability``, ``simulate`` and ``payback`` yield one line per
+row; ``plan`` yields each SP's shares in slabs of ``_SLAB_SLOTS`` slots,
+one string per slab, so memory stays flat at any horizon.  Exit codes:
+0 success, 1 configuration problem, 2 numeric failure (results not
+finite and out of memory included), 3 command/model mismatch.
 
 ``COINVEST_THREADS`` caps simulation workers; output is byte-identical
 at any setting.
@@ -61,8 +63,26 @@ class CommandMismatch(RuntimeError):
     """The command does not apply to the configured demand model."""
 
 
+# Slots of one SP's shares that ``cmd_plan`` formats into one string.
+_SLAB_SLOTS = 4096
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
+
+
+class _Echo:
+    """File stand-in whose ``write`` returns the line it is given."""
+
+    write = staticmethod(str)
+
+
+_LINE = csv.writer(_Echo())
+
+
+def _record(fields) -> str:
+    """``fields`` as one CSV line, exactly as ``csv.writer`` writes it (excel dialect, ``\\r\\n``)."""
+    return _LINE.writerow(fields)  # writerow returns what the file's write returns
 
 
 def _require(obj: dict, key: str, path: str):
@@ -139,8 +159,8 @@ def load_config(path: str):
     _check_keys(cfg, "config", {"schema_version", "economics", "saturation", "uncertainty", "players"})
 
     version = cfg.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1, and 1.0 == 1
+        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {json.dumps(version)}")
 
     econ = _require(cfg, "economics", "config")
     _check_keys(econ, "economics", {"capacity_price", "maintenance_price", "investment_years", "slot_hours"})
@@ -256,16 +276,15 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _write_outputs(out: str, header, rows, sidecar: dict):
-    """Stream ``rows`` under ``header`` to the CSV ``out``, then write its sidecar."""
+def _write_outputs(out: str, header, chunks, sidecar: dict):
+    """Stream the CSV text ``chunks`` under ``header`` to ``out``, then write its sidecar."""
     try:  # before the table, so that results that are not finite write nothing
         text = json.dumps({"schema_version": SCHEMA_VERSION, **sidecar}, indent=2, allow_nan=False)
     except ValueError as exc:
         raise RuntimeError(f"results are not finite ({exc}); nothing was written") from exc
     with _atomic_open(out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_record(header))
+        fh.writelines(chunks)
     with _atomic_open(_sidecar_path(out)) as fh:
         fh.write(text + "\n")
 
@@ -325,14 +344,21 @@ def cmd_plan(args, scenario: Scenario):
     plans = [optimal_plan(coalition, loads, scenario.params) for coalition in coalitions]
     labels = [coalition.label(list(names)) for coalition in coalitions]
 
-    def rows():
+    def slabs():
         for coalition, label, plan in zip(coalitions, labels, plans):
             capacity = _fmt(plan.capacity)
             for player in coalition.members:
                 if player == 0:
                     continue  # the InP holds no shares
-                for slot, share in enumerate(plan.shares[player - 1].tolist()):
-                    yield label, capacity, names[player], slot, _fmt(share)
+                prefix = _record((label, capacity, names[player], ""))[:-2]
+                shares = plan.shares[player - 1]
+                for lo in range(0, len(shares), _SLAB_SLOTS):
+                    yield "".join(
+                        [
+                            f"{prefix}{slot},{share:.17g}\r\n"
+                            for slot, share in enumerate(shares[lo : lo + _SLAB_SLOTS].tolist(), lo)
+                        ]
+                    )
 
     coalition_meta = [
         {
@@ -347,7 +373,7 @@ def cmd_plan(args, scenario: Scenario):
     ]
     return (
         ["coalition", "capacity_vcores", "player", "slot", "share_vcores"],
-        rows(),
+        slabs(),
         {"horizon_slots": scenario.horizon, "players": list(names), "coalitions": coalition_meta},
     )
 
@@ -401,8 +427,8 @@ def cmd_stability(args, scenario: Scenario):
 
     def rows():
         for s, probs, joint in bounds:
-            yield from ((_fmt(s), name, _fmt(prob)) for name, prob in zip(names, probs))
-            yield _fmt(s), "nu_lb", _fmt(joint)
+            yield from (_record((_fmt(s), name, _fmt(prob))) for name, prob in zip(names, probs))
+            yield _record((_fmt(s), "nu_lb", _fmt(joint)))
 
     return (
         ["sigma", "player", "p_lb"],
@@ -443,7 +469,7 @@ def cmd_simulate(args, scenario: Scenario):
         for o in outcomes:
             columns = (o.collected, o.payments, o.rewards, o.payoffs, o.deviations)
             for player, name in enumerate(names):
-                yield (o.index, name, *(_fmt(column[player]) for column in columns))
+                yield _record((o.index, name, *(_fmt(column[player]) for column in columns)))
 
     return (
         ["omega", "player", "collected", "payment", "reward", "shapley_payoff", "deviation"],
@@ -507,9 +533,9 @@ def cmd_payback(args, scenario: Scenario):
             years = _fmt(y)
             for omega, slot in enumerate(slots):
                 if slot is None:
-                    yield years, omega, "", "", 1
+                    yield _record((years, omega, "", "", 1))
                 else:
-                    yield years, omega, slot, _fmt(slot * slot_hours / HOURS_PER_YEAR), 0
+                    yield _record((years, omega, slot, _fmt(slot * slot_hours / HOURS_PER_YEAR), 0))
 
     return (
         ["investment_years", "omega", "payback_slot", "payback_years", "censored"],

@@ -62,6 +62,8 @@ class EconomicParams:
         ratio = self.investment_hours / self.slot_hours
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("investment_hours must be an integer number of slots")
+        if round(ratio) < 1:
+            raise ValueError("investment_hours must span at least one slot of slot_hours")
 
     @property
     def unit_capacity_cost(self) -> float:

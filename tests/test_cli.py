@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -18,8 +19,9 @@ import pytest
 
 from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
-from coinvest.allocation import AllocationError
+from coinvest.allocation import AllocationError, optimal_plan
 from coinvest.cli import ConfigError, load_config, main
+from coinvest.players import all_coalitions
 from coinvest.traffic import MAX_FBM_SLOTS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -233,6 +235,25 @@ class TestConfigLoading:
         assert main(["plan", write_config(base_config(schema_version=2)), "--out", "x.csv"]) == 1
         assert "schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version, shown", [(True, "true"), (1.0, "1.0"), ("1", '"1"')])
+    def test_schema_version_must_be_the_integer_one(self, write_config, tmp_path, capsys, version, shown):
+        dump = tmp_path / "d.json"
+        path = write_config(base_config(schema_version=version))
+        assert main(["plan", path, "--out", str(tmp_path / "x.csv"), "--dump-config", str(dump)]) == 1
+        assert capsys.readouterr().err == f"error: schema_version: expected 1, got {shown}\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    def test_slot_longer_than_the_horizon_names_economics(self, write_config, capsys, no_planning):
+        cfg = shipped_config("edge-bounded.json")
+        cfg["economics"]["slot_hours"] = 1e308
+        assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: economics: ")
+
+    def test_period_shorter_than_a_slot_names_periods(self, write_config, tmp_path, capsys, no_planning):
+        out = str(tmp_path / "pb.csv")
+        assert main(["payback", write_config(base_config()), "--out", out, "--periods", "1,1e-300"]) == 1
+        assert capsys.readouterr().err.startswith("error: --periods: 1e-300 years: ")
+
     def test_missing_out_flag_is_usage_error(self, write_config):
         assert main(["plan", write_config(base_config())]) == 1
 
@@ -341,7 +362,7 @@ class TestStreamingWriter:
         out = tmp_path / "table.csv"
 
         def rows():
-            yield (1, "a")
+            yield "1,a\r\n"
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError, match="row source failed"):
@@ -394,6 +415,70 @@ class TestStreamingWriter:
         assert proc.stderr.startswith("error: out of memory (MemoryError: ")
         assert "Traceback" not in proc.stderr
         assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+
+class TestTextRecords:
+    """Every command writes the bytes ``csv.writer`` would write for its rows."""
+
+    NAMES = ['res,"idential', "line\nbreak", "  spaced"]
+
+    def quoted_config(self, slots=24):
+        cfg = base_config()
+        cfg["economics"]["investment_years"] = slots / 8760.0
+        cfg["players"].append(copy.deepcopy(cfg["players"][1]))
+        for sp, name in zip(cfg["players"], self.NAMES):
+            sp["name"] = name
+        return cfg
+
+    @staticmethod
+    def rewritten(path):
+        """The table at ``path`` parsed and written again by ``csv.writer``."""
+        buf = io.StringIO(newline="")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue().encode(), rows
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "slab-1", "slab", "slab+1"])
+    def test_plan_matches_the_per_row_writer(self, write_config, tmp_path, offset):
+        slots = 1 if offset is None else cli._SLAB_SLOTS + offset
+        path = write_config(self.quoted_config(slots))
+        out = tmp_path / "plan.csv"
+        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 0
+
+        scenario, _ = load_config(path)
+        assert scenario.horizon == slots
+        names, loads = scenario.player_names, scenario.expected_loads()
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["coalition", "capacity_vcores", "player", "slot", "share_vcores"])
+        for coalition in all_coalitions(scenario.n_players):  # InP-less ones plan all-zero shares
+            plan = optimal_plan(coalition, loads, scenario.params)
+            writer.writerows(
+                (coalition.label(list(names)), f"{plan.capacity:.17g}", names[p], slot, f"{share:.17g}")
+                for p in coalition.members
+                if p != 0
+                for slot, share in enumerate(plan.shares[p - 1].tolist())
+            )
+        assert out.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "command, column",
+        [
+            ("stability --sweep 0.1,0.5", 1),
+            ("simulate --realizations 4", 1),
+            (f"payback --periods {24 / 8760},{48 / 8760} --realizations 4", None),
+        ],
+        ids=["stability", "simulate", "payback"],
+    )
+    def test_other_commands_match_the_csv_writer(self, write_config, tmp_path, command, column):
+        name, *flags = command.split()
+        out = tmp_path / "t.csv"
+        assert main([name, write_config(self.quoted_config()), "--out", str(out), *flags]) == 0
+        expected, rows = self.rewritten(out)
+        assert out.read_bytes() == expected
+        if column is not None:
+            assert set(self.NAMES) <= {row[column] for row in rows}
 
 
 class TestPlan:

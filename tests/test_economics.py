@@ -112,6 +112,11 @@ class TestEconomicParams:
         with pytest.raises(ValueError):
             make_params(investment_hours=10.0, slot_hours=3.0)
 
+    def test_rejects_horizon_below_one_slot(self):
+        # 1e-300 slots passes the integer-slot tolerance but rounds to 0
+        with pytest.raises(ValueError, match="at least one slot"):
+            make_params(investment_hours=1.0, slot_hours=1e300)
+
     def test_rejects_free_capacity(self):
         with pytest.raises(ValueError):
             make_params(capacity_price=0.0, maintenance_price=0.0)
