@@ -11,12 +11,13 @@ of CSV text and a sidecar.  Only then does ``main`` write, streaming the
 text through a temp file renamed into place, so a failed run writes
 nothing.  ``stability``, ``simulate`` and ``payback`` yield one line per
 row; ``plan`` yields each SP's shares in slabs of ``_SLAB_SLOTS`` slots,
-one string per slab, so memory stays flat at any horizon.  Exit codes:
+one string per slab, formatting each distinct share bit pattern of a
+slab once, so memory stays flat at any horizon.  Exit codes:
 0 success, 1 configuration problem, 2 numeric failure (results not
 finite and out of memory included), 3 command/model mismatch.
 
-``COINVEST_THREADS`` caps simulation workers; output is byte-identical
-at any setting.
+``COINVEST_THREADS`` caps simulation workers, at most ``MAX_THREADS``;
+output is byte-identical at any setting.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+
+import numpy as np
 
 from .allocation import optimal_plan
 from .economics import EconomicParams, HOURS_PER_YEAR
@@ -53,6 +56,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_MISMATCH = 3
+
+# Ceiling on COINVEST_THREADS; each worker thread holds its own draw buffers.
+MAX_THREADS = 256
 
 
 class ConfigError(ValueError):
@@ -322,6 +328,8 @@ def _workers() -> int:
         raise ConfigError(f"COINVEST_THREADS: expected a positive integer, got {raw!r}")
     if value < 1:
         raise ConfigError("COINVEST_THREADS: expected a positive integer")
+    if value > MAX_THREADS:
+        raise ConfigError(f"COINVEST_THREADS: {value} exceeds the ceiling of {MAX_THREADS} threads")
     return value
 
 
@@ -353,12 +361,13 @@ def cmd_plan(args, scenario: Scenario):
                 prefix = _record((label, capacity, names[player], ""))[:-2]
                 shares = plan.shares[player - 1]
                 for lo in range(0, len(shares), _SLAB_SLOTS):
-                    yield "".join(
-                        [
-                            f"{prefix}{slot},{share:.17g}\r\n"
-                            for slot, share in enumerate(shares[lo : lo + _SLAB_SLOTS].tolist(), lo)
-                        ]
+                    # keyed on bit patterns: 0.0 == -0.0, but they format as "0" and "-0"
+                    bits, inverse = np.unique(
+                        shares[lo : lo + _SLAB_SLOTS].view(np.int64), return_inverse=True
                     )
+                    texts = [f"{v:.17g}\r\n" for v in bits.view(np.float64).tolist()]
+                    rows = enumerate(inverse.tolist(), lo)
+                    yield "".join([f"{prefix}{slot},{texts[k]}" for slot, k in rows])
 
     coalition_meta = [
         {

@@ -97,7 +97,8 @@ def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float) -> O
 
 
 def _map_realizations(settle, n_realizations: int, workers: int) -> list:
-    """``[settle(omega) for omega in range(n_realizations)]``, on ``workers`` threads."""
+    """``[settle(omega) for omega in range(n_realizations)]``, on at most ``workers`` threads."""
+    workers = min(workers, n_realizations)  # map submits every realization at once
     if workers == 1:
         return [settle(omega) for omega in range(n_realizations)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

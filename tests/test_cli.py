@@ -19,7 +19,7 @@ import pytest
 
 from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
-from coinvest.allocation import AllocationError, optimal_plan
+from coinvest.allocation import AllocationError, AllocationPlan, optimal_plan
 from coinvest.cli import ConfigError, load_config, main
 from coinvest.players import all_coalitions
 from coinvest.traffic import MAX_FBM_SLOTS
@@ -439,28 +439,63 @@ class TestTextRecords:
         csv.writer(buf).writerows(rows)
         return buf.getvalue().encode(), rows
 
-    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "slab-1", "slab", "slab+1"])
-    def test_plan_matches_the_per_row_writer(self, write_config, tmp_path, offset):
-        slots = 1 if offset is None else cli._SLAB_SLOTS + offset
-        path = write_config(self.quoted_config(slots))
-        out = tmp_path / "plan.csv"
-        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 0
-
-        scenario, _ = load_config(path)
-        assert scenario.horizon == slots
+    @staticmethod
+    def per_row_csv(scenario, plan=optimal_plan):
+        """``plan --all-coalitions``'s table as ``csv.writer.writerows`` writes its row tuples."""
         names, loads = scenario.player_names, scenario.expected_loads()
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(["coalition", "capacity_vcores", "player", "slot", "share_vcores"])
         for coalition in all_coalitions(scenario.n_players):  # InP-less ones plan all-zero shares
-            plan = optimal_plan(coalition, loads, scenario.params)
+            result = plan(coalition, loads, scenario.params)
             writer.writerows(
-                (coalition.label(list(names)), f"{plan.capacity:.17g}", names[p], slot, f"{share:.17g}")
+                (coalition.label(list(names)), f"{result.capacity:.17g}", names[p], slot, f"{share:.17g}")
                 for p in coalition.members
                 if p != 0
-                for slot, share in enumerate(plan.shares[p - 1].tolist())
+                for slot, share in enumerate(result.shares[p - 1].tolist())
             )
-        assert out.read_bytes() == buf.getvalue().encode()
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "kind, offset",
+        [(kind, offset) for kind in ("bounded", "fbm") for offset in (None, -1, 0, 1)],
+        ids=[f"{kind}{horizon}" for kind in ("", "fbm-") for horizon in ("1", "slab-1", "slab", "slab+1")],
+    )
+    def test_plan_matches_the_per_row_writer(self, write_config, tmp_path, kind, offset):
+        slots = 1 if offset is None else cli._SLAB_SLOTS + offset
+        cfg = self.quoted_config(slots)
+        if kind == "fbm":  # slot 0 has zero load, so exact zeros mix with distinct numeric shares
+            cfg["uncertainty"] = fbm_config()["uncertainty"]
+        path = write_config(cfg)
+        out = tmp_path / "plan.csv"
+        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 0
+
+        scenario, _ = load_config(path)
+        assert scenario.horizon == slots
+        assert out.read_bytes() == self.per_row_csv(scenario)
+        if kind == "fbm" and slots > 1:  # one fBm slot has no load, so nothing is solved numerically
+            methods = {c["method"] for c in json.loads((tmp_path / "plan.json").read_text())["coalitions"]}
+            assert "numeric" in methods
+
+    def test_plan_keys_shares_on_bit_patterns(self, write_config, tmp_path, monkeypatch):
+        x = 0.1
+        pattern = np.array([0.0, -0.0, x, np.nextafter(x, np.inf), 5e-324, -2.5e-310, 1 / 3, -0.0, 0.0])
+        slots = cli._SLAB_SLOTS + 3
+        row = np.resize(pattern, slots)  # the same values on both sides of the slab boundary
+        assert np.signbit(row[cli._SLAB_SLOTS - 1 : cli._SLAB_SLOTS + 1]).tolist() == [False, True]  # 0, -0
+
+        def fake_plan(coalition, loads, params):
+            shares = np.stack([np.roll(row, i) for i in range(params.n_sp)])
+            return AllocationPlan(coalition, 1.5, shares, 2.0, "closed-form")
+
+        monkeypatch.setattr(cli, "optimal_plan", fake_plan)
+        path = write_config(self.quoted_config(slots))
+        out = tmp_path / "plan.csv"
+        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 0
+        scenario, _ = load_config(path)
+        written = out.read_bytes()
+        assert written == self.per_row_csv(scenario, fake_plan)
+        assert b",-0\r\n" in written and b",0\r\n" in written
 
     @pytest.mark.parametrize(
         "command, column",
@@ -686,6 +721,21 @@ class TestSimulate:
             assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
             assert main(["payback", path, "--out", out, "--periods", "1", "--realizations", "1"]) == 1
             assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
+
+    def test_thread_env_ceiling(self, write_config, tmp_path, monkeypatch, capsys, no_planning):
+        path = write_config(base_config())
+        out = str(tmp_path / "sim.csv")
+        for bad in (str(cli.MAX_THREADS + 1), "100000"):
+            monkeypatch.setenv("COINVEST_THREADS", bad)
+            assert main(["simulate", path, "--out", out, "--realizations", "100000"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: COINVEST_THREADS: {bad} exceeds the ceiling of {cli.MAX_THREADS} threads\n"
+            )
+            assert main(["payback", path, "--out", out, "--periods", "1", "--realizations", "100000"]) == 1
+            assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+        monkeypatch.setenv("COINVEST_THREADS", str(cli.MAX_THREADS))
+        assert cli._workers() == cli.MAX_THREADS
 
     def test_payment_mode_flag(self, write_config, tmp_path):
         path = write_config(base_config())

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from coinvest import montecarlo
 from coinvest import (
     BoundedLoadModel,
     EconomicParams,
@@ -303,6 +304,51 @@ class TestPaybackSlots:
             payback_slots(scenario, plan, 0, seed=1)
         with pytest.raises(ValueError):
             payback_slots(scenario, plan, 1, seed=1, workers=0)
+
+
+class TestWorkerThreads:
+    """Realizations run on at most ``workers`` threads, and never on more threads than realizations."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """``max_workers`` of every thread pool started; the stand-in maps serially, starting no thread."""
+        started = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        return started
+
+    RUNS = {
+        "simulate": lambda s, t, count, workers: [
+            o.payoffs.tolist() for o in simulate(s, t, count, 9, workers=workers)
+        ],
+        "payback_slots": lambda s, t, count, workers: payback_slots(
+            s, t.plan(t.grand_bits), count, 9, workers=workers
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "workers, count, started", [(100_000, 3, [3]), (2, 5, [2]), (100_000, 1, [])], ids=str
+    )
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_threads_bounded_by_realizations(self, pools, run, workers, count, started):
+        scenario = bounded_scenario(0.3)
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        results = self.RUNS[run](scenario, table, count, workers)
+        assert pools == started
+        assert results == self.RUNS[run](scenario, table, count, 1)
 
 
 class TestValidation:
