@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economics import EconomicParams
+from .economics import EconomicParams, cost, utility
 from .players import PlayerSet
 
 # Newton on the capacity takes a handful of steps; reaching this cap
@@ -101,13 +101,12 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
         return _idle_plan(coalition, loads, "closed-form")
 
     xi = params.saturation
-    price = params.unit_capacity_cost
     beta = np.asarray(params.benefits)[active, None]
     log_bl = np.log(beta * loads[active])
     log_w = math.log(xi) + log_bl
     slot_geomean = np.exp(log_w.mean(axis=0))
     total = slot_geomean.sum()
-    capacity = (k / xi) * math.log(total / price)
+    capacity = (k / xi) * math.log(total / params.unit_capacity_cost)
     if capacity <= 0.0:
         return None
     shares_active = capacity / k + (log_bl - log_bl.mean(axis=0)) / xi
@@ -116,8 +115,8 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
 
     shares = np.zeros_like(loads)
     shares[active] = shares_active
-    revenue = (beta * loads[active] * -np.expm1(-xi * shares_active)).sum()
-    return AllocationPlan(coalition, capacity, shares, revenue - price * capacity, "closed-form")
+    objective = utility(beta, xi, loads[active], shares_active).sum() - cost(params, capacity)
+    return AllocationPlan(coalition, capacity, shares, objective, "closed-form")
 
 
 def _water_levels(ordered: np.ndarray, csum: np.ndarray, xi: float, capacity: float):
@@ -146,7 +145,6 @@ def optimal_plan_numeric(coalition, expected_loads, params):
         return _idle_plan(coalition, loads, "numeric")
 
     xi = params.saturation
-    price = params.unit_capacity_cost
     beta = np.asarray(params.benefits)[rows, None]
     bl = beta * loads[rows]
     with np.errstate(divide="ignore"):
@@ -159,7 +157,7 @@ def optimal_plan_numeric(coalition, expected_loads, params):
 
     # Marginal revenue of the first core equals sum_t max_i xi*beta*load (summed
     # in the log domain); below the unit capacity cost the optimum is to buy nothing.
-    log_price = math.log(price)
+    log_price = math.log(params.unit_capacity_cost)
     top = slot_best[live].max()
     if top + math.log(np.exp(slot_best[live] - top).sum()) <= log_price:
         return _idle_plan(coalition, loads, "numeric")
@@ -192,8 +190,8 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     shares_sub[:, live] = shares_live
     shares = np.zeros_like(loads)
     shares[rows] = shares_sub
-    revenue = (bl * -np.expm1(-xi * shares_sub)).sum()
-    return AllocationPlan(coalition, capacity, shares, revenue - price * capacity, "numeric")
+    objective = utility(beta, xi, loads[rows], shares_sub).sum() - cost(params, capacity)
+    return AllocationPlan(coalition, capacity, shares, objective, "numeric")
 
 
 def optimal_plan(coalition, expected_loads, params):

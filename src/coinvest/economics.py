@@ -1,4 +1,5 @@
-"""Cost and revenue primitives shared by the allocation and game layers.
+"""Cost and revenue primitives: the allocation, game and Monte Carlo
+layers price shares through ``utility`` and capacity through ``cost``.
 
 Installing capacity ``C`` (virtual cores) for an investment horizon of
 ``I`` hours costs ``d * C + d' * I * C``: a one-off purchase price plus
@@ -60,6 +61,8 @@ class EconomicParams:
         if self.unit_capacity_cost <= 0.0:
             raise ValueError("degenerate pricing: d + d' * I must be positive")
         ratio = self.investment_hours / self.slot_hours
+        if ratio > np.iinfo(np.intp).max:  # also catches an infinite ratio
+            raise ValueError(f"investment_hours / slot_hours = {ratio:g} slots exceeds the largest array index")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("investment_hours must be an integer number of slots")
         if round(ratio) < 1:
@@ -92,7 +95,7 @@ def cost(params: EconomicParams, capacity: float) -> float:
 
 
 def utility(benefit: float, saturation: float, load, share):
-    """Dollars collected in one slot; vectorises over load/share arrays."""
+    """Dollars collected in one slot; vectorises over benefit/load/share arrays."""
     load = np.asarray(load, dtype=float)
     share = np.asarray(share, dtype=float)
     if (load < 0.0).any() or (share < 0.0).any():

@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import AllocationPlan, optimal_plan
-from .economics import EconomicParams, cost
+from .economics import EconomicParams, cost, utility
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions, membership
-from .traffic import BoundedLoadModel, LoadMatrix, expected_load_matrix
+from .traffic import BoundedLoadModel, expected_load_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +75,12 @@ def build_value_table(expected_loads: np.ndarray, params: EconomicParams) -> Val
 
 
 def realized_value(plan: AllocationPlan, loads, params: EconomicParams) -> float:
-    """Coalition value under one demand realization, plan held fixed."""
-    mat = loads.values if isinstance(loads, LoadMatrix) else np.asarray(loads, dtype=float)
-    if mat.shape != plan.shares.shape:
+    """Coalition value at one realized (n_sp, horizon) load array, plan held fixed."""
+    loads = np.asarray(loads, dtype=float)
+    if loads.shape != plan.shares.shape:
         raise ValueError("realized loads must match the plan's share matrix shape")
     beta = np.asarray(params.benefits)[:, None]
-    revenue = (beta * mat * -np.expm1(-params.saturation * plan.shares)).sum()
+    revenue = utility(beta, params.saturation, loads, plan.shares).sum()
     return float(revenue - cost(params, plan.capacity))
 
 
@@ -287,7 +287,7 @@ def utility_ranges(plan: AllocationPlan, models: Sequence, params: EconomicParam
     means = expected_load_matrix(models, horizon)
     spreads = np.array([m.spread for m in models])[:, None]
     beta = np.asarray(params.benefits)[:, None]
-    sp_rows = beta * -np.expm1(-params.saturation * plan.shares) * 2.0 * spreads * means
+    sp_rows = utility(beta, params.saturation, 1.0, plan.shares) * 2.0 * spreads * means
     return np.vstack([np.zeros((1, horizon)), sp_rows])
 
 

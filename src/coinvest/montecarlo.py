@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import AllocationPlan
-from .economics import cost
+from .economics import cost, utility
 from .game import ValueTable, shapley
 from .scenario import Scenario
 from .traffic import LoadMatrix, sample_loads
@@ -78,15 +78,6 @@ def _check_counts(n_realizations: int, workers: int):
         raise ValueError("workers must be positive")
 
 
-def _revenue_weights(params, shares: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Revenue per request of each SP and slot, ``beta * (1 - exp(-saturation * shares))``."""
-    out = np.multiply(shares, -params.saturation, out=out)
-    np.expm1(out, out=out)
-    np.negative(out, out=out)
-    out *= np.asarray(params.benefits)[:, None]
-    return out
-
-
 def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float) -> Optional[int]:
     """First slot whose cumulative revenue covers ``installed``, or None."""
     surplus = np.cumsum(np.einsum("it,it->t", weights, loads))
@@ -121,10 +112,12 @@ def simulate(
     n = table.n_players
     horizon = scenario.horizon
     grand = table.grand_bits
+    beta = np.asarray(params.benefits)[:, None]
 
+    # revenue per request of each coalition, SP and slot
     weights = np.empty((len(table.plans), n - 1, horizon))
     for w, p in zip(weights, table.plans):
-        _revenue_weights(params, p.shares, out=w)
+        w[...] = utility(beta, params.saturation, 1.0, p.shares)
     costs = np.array([cost(params, p.capacity) for p in table.plans])
     nominal_collected = (weights[grand] * scenario.expected_loads()).sum(axis=1)
     expected_payoff = shapley(table)
@@ -174,7 +167,7 @@ def payback_slots(
     """
     _check_counts(n_realizations, workers)
     params = scenario.params
-    weights = _revenue_weights(params, plan.shares)
+    weights = utility(np.asarray(params.benefits)[:, None], params.saturation, 1.0, plan.shares)
     installed = cost(params, plan.capacity)
     horizon = scenario.horizon
 

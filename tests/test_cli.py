@@ -249,6 +249,13 @@ class TestConfigLoading:
         assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
         assert capsys.readouterr().err.startswith("error: economics: ")
 
+    @pytest.mark.parametrize("slot_hours", (1e-300, 5e-324))
+    def test_slot_count_beyond_an_index_names_economics(self, write_config, capsys, no_planning, slot_hours):
+        cfg = shipped_config("edge-bounded.json")
+        cfg["economics"]["slot_hours"] = slot_hours
+        assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: economics: investment_hours / slot_hours = ")
+
     def test_period_shorter_than_a_slot_names_periods(self, write_config, tmp_path, capsys, no_planning):
         out = str(tmp_path / "pb.csv")
         assert main(["payback", write_config(base_config()), "--out", out, "--periods", "1,1e-300"]) == 1

@@ -117,6 +117,12 @@ class TestEconomicParams:
         with pytest.raises(ValueError, match="at least one slot"):
             make_params(investment_hours=1.0, slot_hours=1e300)
 
+    @pytest.mark.parametrize("slot_hours", (1e-300, 5e-324))
+    def test_rejects_slot_count_beyond_an_index(self, slot_hours):
+        # 43 800 / 5e-324 overflows to infinity; 43 800 / 1e-300 is finite but no array index
+        with pytest.raises(ValueError, match="exceeds the largest array index"):
+            make_params(slot_hours=slot_hours)
+
     def test_rejects_free_capacity(self):
         with pytest.raises(ValueError):
             make_params(capacity_price=0.0, maintenance_price=0.0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from coinvest import (
     EconomicParams,
     PlayerSet,
@@ -95,13 +96,15 @@ class TestValueTable:
 
 
 class TestRealizedValue:
-    def test_at_expected_loads_equals_nominal(self):
+    @pytest.mark.parametrize("method", ("closed-form", "numeric"))
+    def test_at_expected_loads_equals_nominal(self, method):
         loads, params = small_scenario()
+        if method == "numeric":
+            loads[0, 0] = 0.0  # an fBm-style row: no demand at slot 0
         table = build_value_table(loads, params)
         plan = table.plan(table.grand_bits)
-        assert realized_value(plan, loads, params) == pytest.approx(
-            table.grand_value, rel=1e-12
-        )
+        assert plan.method == method
+        assert realized_value(plan, loads, params) == table.grand_value
 
     def test_zero_demand_burns_the_cost(self):
         loads, params = small_scenario()
@@ -118,14 +121,14 @@ class TestRealizedValue:
         plan = table.plan(table.grand_bits)
         rng = np.random.default_rng(7)
         realized = rng.uniform(0.0, 2.0, loads.shape) * loads
-        total = 0.0
-        for i in range(loads.shape[0]):
-            for t in range(loads.shape[1]):
-                total += params.benefits[i] * realized[i, t] * (
-                    1.0 - math.exp(-params.saturation * plan.shares[i, t])
-                )
-        total -= params.unit_capacity_cost * plan.capacity
+        total = reference.value(plan, realized, params)
         assert realized_value(plan, realized, params) == pytest.approx(total, rel=1e-12)
+
+    def test_negative_loads_rejected(self):
+        loads, params = small_scenario()
+        table = build_value_table(loads, params)
+        with pytest.raises(ValueError, match="nonnegative"):
+            realized_value(table.plan(table.grand_bits), -loads, params)
 
     def test_shape_mismatch_rejected(self):
         loads, params = small_scenario()

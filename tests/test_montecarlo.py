@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from coinvest import montecarlo
 from coinvest import (
     BoundedLoadModel,
@@ -21,7 +22,6 @@ from coinvest import (
     empirical_stability_frequency,
     payback_slots,
     profitability_probabilities,
-    realized_value,
     sample_loads,
     shapley,
     simulate,
@@ -172,7 +172,7 @@ class TestDeterminism:
         for omega, o in enumerate(outcomes):
             drawn = sample_loads(scenario.models, scenario.horizon, (11, omega))
             assert np.array_equal(o.loads.values, drawn.values)
-            by_hand = [realized_value(table.plan(s), o.loads, scenario.params) for s in range(len(table.plans))]
+            by_hand = reference.values(table.plans, o.loads.values, scenario.params)
             assert o.values == pytest.approx(by_hand, rel=1e-9)
 
     def test_seed_changes_results(self):
