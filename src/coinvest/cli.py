@@ -10,9 +10,10 @@ command checks its flags, computes, and returns a header, a generator
 of CSV text and a sidecar.  Only then does ``main`` write, streaming the
 text through a temp file renamed into place, so a failed run writes
 nothing.  ``stability``, ``simulate`` and ``payback`` yield one line per
-row; ``plan`` yields each SP's shares in slabs of ``_SLAB_SLOTS`` slots,
-one string per slab, formatting each distinct share bit pattern of a
-slab once, so memory stays flat at any horizon.  Exit codes:
+row; ``plan`` formats each distinct share bit pattern of a series (one
+coalition's shares for one SP) once and yields the series in slabs of
+``_SLAB_SLOTS`` rows, one string per slab, so its text takes a few times
+the memory of one share row.  Exit codes:
 0 success, 1 configuration problem, 2 numeric failure (results not
 finite and out of memory included), 3 command/model mismatch.
 
@@ -69,7 +70,7 @@ class CommandMismatch(RuntimeError):
     """The command does not apply to the configured demand model."""
 
 
-# Slots of one SP's shares that ``cmd_plan`` formats into one string.
+# Rows of one series (a coalition's shares for one SP) that ``cmd_plan`` joins into one string.
 _SLAB_SLOTS = 4096
 
 
@@ -353,21 +354,22 @@ def cmd_plan(args, scenario: Scenario):
     labels = [coalition.label(list(names)) for coalition in coalitions]
 
     def slabs():
+        slots = [f"{slot}," for slot in range(scenario.horizon)]  # after planning, shared by every series
         for coalition, label, plan in zip(coalitions, labels, plans):
             capacity = _fmt(plan.capacity)
             for player in coalition.members:
                 if player == 0:
                     continue  # the InP holds no shares
                 prefix = _record((label, capacity, names[player], ""))[:-2]
-                shares = plan.shares[player - 1]
-                for lo in range(0, len(shares), _SLAB_SLOTS):
-                    # keyed on bit patterns: 0.0 == -0.0, but they format as "0" and "-0"
-                    bits, inverse = np.unique(
-                        shares[lo : lo + _SLAB_SLOTS].view(np.int64), return_inverse=True
-                    )
-                    texts = [f"{v:.17g}\r\n" for v in bits.view(np.float64).tolist()]
-                    rows = enumerate(inverse.tolist(), lo)
-                    yield "".join([f"{prefix}{slot},{texts[k]}" for slot, k in rows])
+                # keyed on bit patterns: 0.0 == -0.0, but they format as "0" and "-0"
+                bits, inverse = np.unique(plan.shares[player - 1].view(np.int64), return_inverse=True)
+                texts = [f"{v:.17g}\r\n" for v in bits.view(np.float64).tolist()]
+                for lo in range(0, len(slots), _SLAB_SLOTS):
+                    slab = slots[lo : lo + _SLAB_SLOTS]
+                    fields = [prefix] * (3 * len(slab))  # prefix, "slot,", "share\r\n" per row
+                    fields[1::3] = slab
+                    fields[2::3] = map(texts.__getitem__, inverse[lo : lo + _SLAB_SLOTS].tolist())
+                    yield "".join(fields)
 
     coalition_meta = [
         {

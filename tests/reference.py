@@ -5,9 +5,11 @@ a share ``h`` at load ``l`` as ``beta * l * (1 - math.exp(-xi * h))``,
 the paper's utility written out, so it shares no arithmetic with
 ``economics.utility``.  Capacity is priced by ``economics.cost``, and
 loads come from the engine's samplers and expected-load rows: drawing
-is not pricing.
+is not pricing.  Shapley payoffs average marginal contributions over
+every join order, and settlement follows the ``montecarlo`` docstring.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -61,3 +63,35 @@ def payback_slot(plan, loads, params):
         if running >= installed:
             return t
     return None
+
+
+def shapley(values, n_players) -> list:
+    """Each player's mean marginal contribution over all ``n_players!`` join orders.
+
+    ``values[bits]`` is the value of the coalition whose members' bits are set.
+    """
+    totals = [0.0] * n_players
+    orders = list(itertools.permutations(range(n_players)))
+    for order in orders:
+        bits = 0
+        for player in order:
+            totals[player] += values[bits | 1 << player] - values[bits]
+            bits |= 1 << player
+    return [total / len(orders) for total in totals]
+
+
+def settlement(plans, loads, expected_loads, params, payment_mode) -> tuple:
+    """``(payoffs, payments, rewards)`` per player of one realization at ``loads``.
+
+    ``plans`` holds every coalition's plan by bitmask.  Payoffs are the
+    Shapley split of the coalition values at ``loads``.  Ex-post, each
+    player pays what it collected less its payoff; ex-ante, what it
+    would collect less its payoff at ``expected_loads``.  A reward is
+    the payoff plus the payment.
+    """
+    n_players = len(plans).bit_length() - 1
+    settled_at = loads if payment_mode == "ex-post" else expected_loads
+    collected = [0.0] + sp_revenues(plans[-1], settled_at, params)  # the InP collects nothing
+    payments = [c - p for c, p in zip(collected, shapley(values(plans, settled_at, params), n_players))]
+    payoffs = shapley(values(plans, loads, params), n_players)
+    return payoffs, payments, [p + q for p, q in zip(payoffs, payments)]

@@ -465,11 +465,19 @@ class TestTextRecords:
 
     @pytest.mark.parametrize(
         "kind, offset",
-        [(kind, offset) for kind in ("bounded", "fbm") for offset in (None, -1, 0, 1)],
-        ids=[f"{kind}{horizon}" for kind in ("", "fbm-") for horizon in ("1", "slab-1", "slab", "slab+1")],
+        [(kind, offset) for kind in ("bounded", "fbm") for offset in (None, -1, 0, 1, "many")],
+        ids=[
+            f"{kind}{horizon}"
+            for kind in ("", "fbm-")
+            for horizon in ("1", "slab-1", "slab", "slab+1", "many-slabs")
+        ],
     )
-    def test_plan_matches_the_per_row_writer(self, write_config, tmp_path, kind, offset):
-        slots = 1 if offset is None else cli._SLAB_SLOTS + offset
+    def test_plan_matches_the_per_row_writer(self, write_config, tmp_path, monkeypatch, kind, offset):
+        if offset == "many":  # four whole slabs and a partial one per series
+            monkeypatch.setattr(cli, "_SLAB_SLOTS", 5)
+            slots = 4 * cli._SLAB_SLOTS + 2
+        else:
+            slots = 1 if offset is None else cli._SLAB_SLOTS + offset
         cfg = self.quoted_config(slots)
         if kind == "fbm":  # slot 0 has zero load, so exact zeros mix with distinct numeric shares
             cfg["uncertainty"] = fbm_config()["uncertainty"]
@@ -487,8 +495,9 @@ class TestTextRecords:
     def test_plan_keys_shares_on_bit_patterns(self, write_config, tmp_path, monkeypatch):
         x = 0.1
         pattern = np.array([0.0, -0.0, x, np.nextafter(x, np.inf), 5e-324, -2.5e-310, 1 / 3, -0.0, 0.0])
-        slots = cli._SLAB_SLOTS + 3
-        row = np.resize(pattern, slots)  # the same values on both sides of the slab boundary
+        monkeypatch.setattr(cli, "_SLAB_SLOTS", 10)  # every slab holds the whole pattern
+        slots = 3 * cli._SLAB_SLOTS + 3
+        row = np.resize(pattern, slots)  # the same values in every slab of a series, boundaries included
         assert np.signbit(row[cli._SLAB_SLOTS - 1 : cli._SLAB_SLOTS + 1]).tolist() == [False, True]  # 0, -0
 
         def fake_plan(coalition, loads, params):

@@ -1,7 +1,5 @@
 """Simulation engine: settlement identities, determinism, summaries."""
 
-import itertools
-import math
 import sys
 import time
 
@@ -121,15 +119,7 @@ class TestSettlementIdentities:
         scenario = bounded_scenario(0.5)
         table = build_value_table(scenario.expected_loads(), scenario.params)
         outcome = simulate(scenario, table, 1, seed=9)[0]
-        n = table.n_players
-        acc = np.zeros(n)
-        for perm in itertools.permutations(range(n)):
-            bits = 0
-            for p in perm:
-                before = outcome.values[bits]
-                bits |= 1 << p
-                acc[p] += outcome.values[bits] - before
-        acc /= math.factorial(n)
+        acc = reference.shapley(outcome.values, table.n_players)
         assert np.allclose(outcome.payoffs, acc, rtol=1e-10, atol=1e-10)
 
     def test_efficiency_per_realization(self, noisy_run):

@@ -1,9 +1,10 @@
 """The engine's pricing against the slow reference in ``reference.py``.
 
 Twenty random small scenarios (1 to 3 SPs, 2 to 48 slots, bounded and
-fBm demand) are planned, simulated and paid back; every priced number
-must agree with the reference to 1e-9 relative, and payback slots
-exactly.
+fBm demand) are planned, simulated in both payment modes and paid back;
+every priced number must agree with the reference to 1e-9 relative,
+settlement to 1e-9 of the realization's largest settled |value|, and
+payback slots exactly.
 """
 
 import functools
@@ -25,6 +26,7 @@ from coinvest import (
     utility_ranges,
 )
 from coinvest.allocation import optimal_plan_closed_form, optimal_plan_numeric
+from coinvest.montecarlo import PAYMENT_MODES
 from coinvest.players import all_coalitions
 
 REL = 1e-9
@@ -88,6 +90,20 @@ def test_simulate_values_and_collected(seed):
     for o, loads in zip(outcomes, draws(scenario, seed)):
         assert o.values == pytest.approx(reference.values(table.plans, loads, params), rel=REL)
         assert o.collected == pytest.approx([0.0] + reference.sp_revenues(grand, loads, params), rel=REL)
+
+
+@pytest.mark.parametrize("payment_mode", PAYMENT_MODES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_simulate_settlement(seed, payment_mode):
+    scenario, table = planned(seed)
+    expected_loads = scenario.expected_loads()
+    outcomes = simulate(scenario, table, REALIZATIONS, seed=seed, payment_mode=payment_mode)
+    for o, loads in zip(outcomes, draws(scenario, seed)):
+        expected = reference.settlement(table.plans, loads, expected_loads, scenario.params, payment_mode)
+        # payments difference collected revenue and payoffs, so the scale is absolute
+        tol = REL * max(abs(x) for column in expected for x in column)
+        for got, want in zip((o.payoffs, o.payments, o.rewards), expected):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
 
 @pytest.mark.parametrize("seed", BOUNDED_SEEDS)
