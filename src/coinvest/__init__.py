@@ -14,81 +14,66 @@ indices (bit 0 set means the InP participates).  Load and share matrices
 carry one row per SP (no InP row: the InP never consumes capacity).
 """
 
-from .economics import EconomicParams, cost, utility
-from .traffic import (
-    RateProfile,
-    BoundedLoadModel,
-    FbmLoadModel,
-    LoadMatrix,
-    expected_load,
-    expected_load_matrix,
-    generate_fbm,
-    sample_loads,
-)
-from .allocation import AllocationPlan, optimal_plan, optimal_plan_closed_form, optimal_plan_numeric
-from .game import (
-    PlayerSet,
-    ValueTable,
-    build_value_table,
-    shapley,
-    realized_value,
-    marginal_contribution,
-    check_supermodularity,
-    check_core,
-    stability_value_hat,
-    stability_value_lp,
-    deviation_threshold,
-    utility_ranges,
-    stability_lower_bound,
-)
-from .scenario import Scenario
-from .montecarlo import (
-    RealizationOutcome,
-    SimulationSummary,
-    simulate,
-    payback_slots,
-    summarize,
-    profitability_probabilities,
-    empirical_stability_frequency,
-)
+import importlib
 
-__all__ = [
-    "EconomicParams",
-    "cost",
-    "utility",
-    "RateProfile",
-    "BoundedLoadModel",
-    "FbmLoadModel",
-    "LoadMatrix",
-    "expected_load",
-    "expected_load_matrix",
-    "generate_fbm",
-    "sample_loads",
-    "AllocationPlan",
-    "optimal_plan",
-    "optimal_plan_closed_form",
-    "optimal_plan_numeric",
-    "PlayerSet",
-    "ValueTable",
-    "build_value_table",
-    "shapley",
-    "realized_value",
-    "marginal_contribution",
-    "check_supermodularity",
-    "check_core",
-    "stability_value_hat",
-    "stability_value_lp",
-    "deviation_threshold",
-    "utility_ranges",
-    "stability_lower_bound",
-    "Scenario",
-    "RealizationOutcome",
-    "SimulationSummary",
-    "simulate",
-    "payback_slots",
-    "summarize",
-    "profitability_probabilities",
-    "empirical_stability_frequency",
-]
+# Each exported name and the module that defines it.  Names load on first
+# use (PEP 562), so ``import coinvest`` imports no numpy and the CLI can set
+# its BLAS defaults before numpy starts.
+_EXPORTS = {
+    "economics": ("EconomicParams", "cost", "utility"),
+    "traffic": (
+        "RateProfile",
+        "BoundedLoadModel",
+        "FbmLoadModel",
+        "LoadMatrix",
+        "expected_load",
+        "expected_load_matrix",
+        "generate_fbm",
+        "sample_loads",
+    ),
+    "allocation": ("AllocationPlan", "optimal_plan", "optimal_plan_closed_form", "optimal_plan_numeric"),
+    "game": (
+        "PlayerSet",
+        "ValueTable",
+        "build_value_table",
+        "shapley",
+        "realized_value",
+        "marginal_contribution",
+        "check_supermodularity",
+        "check_core",
+        "stability_value_hat",
+        "stability_value_lp",
+        "deviation_threshold",
+        "utility_ranges",
+        "stability_lower_bound",
+    ),
+    "scenario": ("Scenario",),
+    "montecarlo": (
+        "RealizationOutcome",
+        "SimulationSummary",
+        "simulate",
+        "payback_slots",
+        "summarize",
+        "profitability_probabilities",
+        "empirical_stability_frequency",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"

@@ -19,6 +19,12 @@ finite and out of memory included), 3 command/model mismatch.
 
 ``COINVEST_THREADS`` caps simulation workers, at most ``MAX_THREADS``;
 output is byte-identical at any setting.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, so a CLI
+process starts numpy without OpenBLAS's thread pool: coinvest's BLAS calls
+are too small to use it, and starting it costs each process tens of
+milliseconds.  ``import coinvest`` alone changes no BLAS setting.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+
+# One BLAS thread unless the user chose otherwise; set before numpy loads, since
+# OpenBLAS sizes its thread pool at load.  coinvest's only BLAS calls are
+# ``values @ shapley_matrix(n)`` (2**n x n, n <= 16) and the least-core simplex's
+# (n+1)-row products and solves (n <= 8), too small for a pool to pay for its start-up.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -389,16 +402,19 @@ def cmd_plan(args, scenario: Scenario):
     )
 
 
-def _parse_float_list(raw: str, flag: str):
+def _parse_float_list(raw: str, flag: str, label: str):
+    """Distinct finite numbers of ``raw``; ``label`` names one in messages, e.g. ``"{} years"``."""
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}")
     if not values:
         raise ConfigError(f"{flag}: expected a comma-separated list of numbers")
-    for v in values:
+    for k, v in enumerate(values):
         if not math.isfinite(v):
             raise ConfigError(f"{flag}: {v} is not a finite number")
+        if v in values[:k]:  # a repeat would write the same table keys twice
+            raise ConfigError(f"{flag}: {label.format(str(v).removesuffix('.0'))} is listed twice")
     return values
 
 
@@ -418,7 +434,7 @@ def cmd_stability(args, scenario: Scenario):
     if args.sweep is None:
         sweep = [scenario.models[0].spread]
     else:
-        sweep = _parse_float_list(args.sweep, "--sweep")
+        sweep = _parse_float_list(args.sweep, "--sweep", "spread {}")
         for s in sweep:
             if not 0.0 <= s <= 1.0:
                 raise ConfigError(f"--sweep: spread {s} outside [0, 1]")
@@ -505,7 +521,7 @@ def cmd_simulate(args, scenario: Scenario):
 
 
 def cmd_payback(args, scenario: Scenario):
-    periods = _parse_float_list(args.periods, "--periods")
+    periods = _parse_float_list(args.periods, "--periods", "{} years")
     if args.realizations < 1:
         raise ConfigError("--realizations: must be at least 1")
     subs = []

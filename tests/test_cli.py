@@ -654,6 +654,13 @@ class TestStability:
         assert main(["stability", cfg, "--out", out, "--sweep", "0.2,oops"]) == 1
         assert main(["stability", cfg, "--out", out, "--sweep", "1.7"]) == 1
 
+    @pytest.mark.parametrize("sweep", ["0.3,0.3", "0.1,0.3,0.30"])
+    def test_repeated_spread_is_refused(self, write_config, tmp_path, capsys, no_planning, sweep):
+        out = tmp_path / "stab.csv"
+        assert main(["stability", write_config(base_config()), "--out", str(out), "--sweep", sweep]) == 1
+        assert capsys.readouterr().err == "error: --sweep: spread 0.3 is listed twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
 
 class TestSimulate:
     def test_csv_contract_and_nominal_payoffs(self, write_config, tmp_path):
@@ -890,6 +897,14 @@ class TestPayback:
         assert main(["payback", path, "--out", out, "--periods", ""]) == 1
         assert main(["payback", path, "--out", out, "--periods", "1,nan"]) == 1
         assert main(["payback", path, "--out", out, "--periods", "1,-inf"]) == 1
+
+    @pytest.mark.parametrize("periods", ["1,1", "1,3,1.0"])
+    def test_repeated_period_is_refused(self, write_config, tmp_path, capsys, no_planning, periods):
+        out = tmp_path / "pb.csv"
+        args = ["payback", write_config(base_config()), "--out", str(out), "--periods", periods]
+        assert main(args + ["--realizations", "3"]) == 1
+        assert capsys.readouterr().err == "error: --periods: 1 years is listed twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_infinite_period_names_the_flag(self, tmp_path):
         cfg = tmp_path / "scenario.json"

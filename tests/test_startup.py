@@ -1,0 +1,65 @@
+"""Process start-up: lazy package exports and the CLI's BLAS thread default."""
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import coinvest
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(code, **env_overrides):
+    """stdout of ``code`` in a fresh interpreter, with no BLAS thread setting unless given."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+class TestLazyExports:
+    def test_import_loads_no_numpy(self):
+        assert run_python("import sys, coinvest; print('numpy' in sys.modules)") == "False"
+
+    def test_every_export_is_its_home_modules_object(self):
+        assert sorted(coinvest._HOME) == sorted(coinvest.__all__)
+        assert len(coinvest.__all__) == 36
+        for name, home in coinvest._HOME.items():
+            assert getattr(coinvest, name) is getattr(importlib.import_module(f"coinvest.{home}"), name), name
+
+    def test_dir_lists_every_export(self):
+        assert set(coinvest.__all__) <= set(dir(coinvest))
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from coinvest import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(coinvest.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            coinvest.no_such_export
+
+
+class TestBlasDefault:
+    PROBE = "import os, coinvest.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    THREADS = "import os, coinvest.cli; print(len(os.listdir('/proc/self/task')))"
+
+    def test_sets_one_thread_when_unset(self):
+        assert run_python(self.PROBE) == "1"
+
+    def test_keeps_the_users_openblas_setting(self):
+        assert run_python(self.PROBE, OPENBLAS_NUM_THREADS="3") == "3"
+
+    def test_sets_nothing_when_omp_is_set(self):
+        assert run_python(self.PROBE, OMP_NUM_THREADS="2") == "None"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task")
+    def test_cli_process_runs_one_thread(self):
+        if run_python(self.THREADS, OPENBLAS_NUM_THREADS="2") == "1":
+            pytest.skip("this BLAS starts no thread pool")
+        assert run_python(self.THREADS) == "1"
