@@ -17,8 +17,8 @@ the memory of one share row.  Exit codes:
 0 success, 1 configuration problem, 2 numeric failure (results not
 finite and out of memory included), 3 command/model mismatch.
 
-``COINVEST_THREADS`` caps simulation workers, at most ``MAX_THREADS``;
-output is byte-identical at any setting.
+Only ``simulate`` and ``payback`` take ``--seed``, ``--realizations`` and
+``COINVEST_THREADS`` (at most ``MAX_THREADS`` workers; same output at any count).
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, so a CLI
@@ -333,9 +333,7 @@ def _check_output_paths(args):
 
 
 def _workers() -> int:
-    raw = os.environ.get("COINVEST_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("COINVEST_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
@@ -475,8 +473,6 @@ def cmd_stability(args, scenario: Scenario):
 
 
 def cmd_simulate(args, scenario: Scenario):
-    if args.realizations < 1:
-        raise ConfigError("--realizations: must be at least 1")
     _check_fbm_horizon(scenario, "economics.investment_years")
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
@@ -522,8 +518,6 @@ def cmd_simulate(args, scenario: Scenario):
 
 def cmd_payback(args, scenario: Scenario):
     periods = _parse_float_list(args.periods, "--periods", "{} years")
-    if args.realizations < 1:
-        raise ConfigError("--realizations: must be at least 1")
     subs = []
     for y in periods:
         if y <= 0.0:
@@ -577,10 +571,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def draw_flags(p, realizations: int):  # only simulate and payback draw demand
+        p.add_argument("--seed", type=int, default=0, help="master seed for demand sampling")
+        p.add_argument("--realizations", type=int, default=realizations)
+
     common = _Parser(add_help=False)
     common.add_argument("config", help="scenario config (JSON)")
     common.add_argument("--out", required=True, help="output CSV path, not *.json (JSON sidecar next to it)")
-    common.add_argument("--seed", type=int, default=0, help="master seed for demand sampling")
     common.add_argument("--dump-config", metavar="PATH", help="write the normalized config here and continue")
 
     parser = _Parser(prog="coinvest", description="Coalitional co-investment analysis")
@@ -595,13 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo settlement")
-    p.add_argument("--realizations", type=int, default=1000)
+    draw_flags(p, 1000)
     p.add_argument("--payment-mode", choices=list(PAYMENT_MODES), default="ex-post")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("payback", parents=[common], help="payback distribution per investment length")
+    draw_flags(p, 200)
     p.add_argument("--periods", default="1,3,5,10", help="comma-separated investment lengths in years")
-    p.add_argument("--realizations", type=int, default=200)
     p.set_defaults(func=cmd_payback)
     return parser
 
@@ -610,9 +607,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed < 0:
-            raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
-        args.workers = _workers()
+        if "seed" in args:  # only simulate and payback take draw settings
+            if args.seed < 0:
+                raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
+            if args.realizations < 1:
+                raise ConfigError("--realizations: must be at least 1")
+            args.workers = _workers()
         _check_output_paths(args)
         scenario, normalized = load_config(args.config)
         header, rows, sidecar = args.func(args, scenario)

@@ -7,6 +7,8 @@ the paper's utility written out, so it shares no arithmetic with
 loads come from the engine's samplers and expected-load rows: drawing
 is not pricing.  Shapley payoffs average marginal contributions over
 every join order, and settlement follows the ``montecarlo`` docstring.
+``brute_force_plan`` plans a coalition without the engine's water-filling:
+it tries every active set of every slot and bisects on the capacity.
 """
 
 import itertools
@@ -95,3 +97,60 @@ def settlement(plans, loads, expected_loads, params, payment_mode) -> tuple:
     payments = [c - p for c, p in zip(collected, shapley(values(plans, settled_at, params), n_players))]
     payoffs = shapley(values(plans, loads, params), n_players)
     return payoffs, payments, [p + q for p, q in zip(payoffs, payments)]
+
+
+def brute_force_levels(log_w, xi, capacity):
+    """Per-slot log-multiplier found by trying every active set in turn."""
+    levels = []
+    for col in log_w.T:
+        finite = [i for i in range(col.size) if np.isfinite(col[i])]
+        found = None
+        for size in range(1, len(finite) + 1):
+            for subset in itertools.combinations(finite, size):
+                level = (math.fsum(col[list(subset)]) - xi * capacity) / size
+                tol = 1e-12 * max(1.0, abs(level))
+                if all(col[i] >= level - tol for i in subset) and all(
+                    col[i] <= level + tol for i in finite if i not in subset
+                ):
+                    found = level
+                    break
+            if found is not None:
+                break
+        levels.append(found)
+    return np.array(levels)
+
+
+def brute_force_plan(coalition, loads, params):
+    """``(capacity, shares)`` of ``coalition``: subset enumeration per slot,
+    plain bisection on the stationarity residual for the capacity.
+
+    Only member SPs' rows are solved; without the InP or without an SP the
+    coalition buys nothing and every share is zero.
+    """
+    shares = np.zeros_like(loads)
+    rows = coalition.sp_rows
+    if not coalition.includes_inp or rows.size == 0:
+        return 0.0, shares
+    xi = params.saturation
+    price = params.unit_capacity_cost
+    bl = np.asarray(params.benefits)[rows, None] * loads[rows]
+    with np.errstate(divide="ignore"):
+        log_w = np.log(xi * bl)
+    live = bl.max(axis=0) > 0.0
+    log_w = log_w[:, live]
+    if not live.any() or np.exp(log_w.max(axis=0)).sum() <= price:
+        return 0.0, shares
+
+    def residual(capacity):
+        return np.exp(brute_force_levels(log_w, xi, capacity)).sum() - price
+
+    lo, hi = 0.0, 1.0
+    while residual(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
+    capacity = 0.5 * (lo + hi)
+    levels = brute_force_levels(log_w, xi, capacity)
+    shares[np.ix_(rows, live)] = np.clip((log_w - levels) / xi, 0.0, None)
+    return capacity, shares

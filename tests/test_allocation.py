@@ -1,6 +1,5 @@
 """Capacity/share planning: closed form vs numeric water-filling."""
 
-import itertools
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from coinvest import (
     optimal_plan_closed_form,
     optimal_plan_numeric,
 )
+from reference import brute_force_plan
 
 
 def params_for(n_sp, price=1.0, upkeep=0.0, hours=1.0, slot=1.0, beta=1e-3, xi=0.03):
@@ -161,56 +161,6 @@ class TestNumeric:
             assert objective(trial, cap) <= base + 1e-7 * abs(base)
 
 
-def brute_force_levels(log_w, xi, capacity):
-    """Per-slot log-multiplier found by trying every active set in turn."""
-    levels = []
-    for col in log_w.T:
-        finite = [i for i in range(col.size) if np.isfinite(col[i])]
-        found = None
-        for size in range(1, len(finite) + 1):
-            for subset in itertools.combinations(finite, size):
-                level = (math.fsum(col[list(subset)]) - xi * capacity) / size
-                tol = 1e-12 * max(1.0, abs(level))
-                if all(col[i] >= level - tol for i in subset) and all(
-                    col[i] <= level + tol for i in finite if i not in subset
-                ):
-                    found = level
-                    break
-            if found is not None:
-                break
-        levels.append(found)
-    return np.array(levels)
-
-
-def brute_force_plan(loads, params):
-    """Grand-coalition capacity and shares: subset enumeration per slot,
-    plain bisection on the stationarity residual for the capacity."""
-    xi = params.saturation
-    price = params.unit_capacity_cost
-    bl = np.asarray(params.benefits)[:, None] * loads
-    with np.errstate(divide="ignore"):
-        log_w = np.log(xi * bl)
-    live = bl.max(axis=0) > 0.0
-    log_w = log_w[:, live]
-    if not live.any() or np.exp(log_w.max(axis=0)).sum() <= price:
-        return 0.0, np.zeros_like(loads)
-
-    def residual(capacity):
-        return np.exp(brute_force_levels(log_w, xi, capacity)).sum() - price
-
-    lo, hi = 0.0, 1.0
-    while residual(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
-    capacity = 0.5 * (lo + hi)
-    shares = np.zeros_like(loads)
-    levels = brute_force_levels(log_w, xi, capacity)
-    shares[:, live] = np.clip((log_w - levels) / xi, 0.0, None)
-    return capacity, shares
-
-
 def random_instance(rng):
     n_sp = int(rng.integers(1, 5))
     horizon = int(rng.integers(1, 7))
@@ -232,7 +182,7 @@ class TestExactWaterFilling:
         for _ in range(40):
             loads, params = random_instance(rng)
             plan = optimal_plan_numeric(grand(loads.shape[0]), loads, params)
-            capacity, shares = brute_force_plan(loads, params)
+            capacity, shares = brute_force_plan(grand(loads.shape[0]), loads, params)
             scale = max(1.0, capacity)
             assert plan.capacity == pytest.approx(capacity, rel=1e-9, abs=1e-9)
             assert np.allclose(plan.shares, shares, rtol=0.0, atol=1e-8 * scale)
@@ -247,15 +197,31 @@ class TestExactWaterFilling:
         assert plan.capacity == 0.0 and plan.objective == 0.0
         below = params_for(2, price=first_core * (1.0 - 1e-6))
         plan = optimal_plan_numeric(grand(2), loads, below)
-        capacity, shares = brute_force_plan(loads, below)
+        capacity, shares = brute_force_plan(grand(2), loads, below)
         assert 0.0 < plan.capacity < 1e-3
         assert plan.capacity == pytest.approx(capacity, rel=1e-6)
         assert np.allclose(plan.shares, shares, rtol=0.0, atol=1e-9)
 
+    def test_priced_out_identical_sps_buy_nothing(self):
+        # With three or more tied entries the water level at C = 0 averages equal logs, and
+        # the average can round above them; only the first-core check keeps such a
+        # coalition from buying dust.
+        rng = np.random.default_rng(16)
+        for _ in range(2000):
+            n_sp = int(rng.integers(3, 6))
+            loads = np.tile(rng.uniform(1e4, 3e6, int(rng.integers(1, 8))), (n_sp, 1))
+            beta, xi = float(rng.uniform(5e-4, 2e-3)), float(rng.uniform(0.01, 0.08))
+            first_core = xi * beta * loads[0].sum()
+            params = params_for(n_sp, price=first_core * float(rng.uniform(1.0, 3.0)), beta=beta, xi=xi)
+            for solver in (optimal_plan_numeric, optimal_plan):
+                plan = solver(grand(n_sp), loads, params)
+                assert plan.capacity == 0.0 and plan.objective == 0.0
+                assert not plan.shares.any() and not np.signbit(plan.shares).any()
+
     def test_single_sp_takes_the_whole_capacity(self):
         loads = np.array([[2e6, 0.0, 5e5, 1e6]])
         plan = optimal_plan_numeric(grand(1), loads, params_for(1, price=2.0))
-        capacity, _ = brute_force_plan(loads, params_for(1, price=2.0))
+        capacity, _ = brute_force_plan(grand(1), loads, params_for(1, price=2.0))
         assert plan.capacity == pytest.approx(capacity, rel=1e-12)
         assert np.array_equal(plan.shares[0], np.where(loads[0] > 0.0, plan.capacity, 0.0))
 

@@ -963,6 +963,35 @@ class TestSeed:
         assert capsys.readouterr().err.startswith("error: --seed: ")
 
 
+class TestDrawSettings:
+    """Only simulate and payback draw demand; plan and stability take no draw settings."""
+
+    @pytest.mark.parametrize("command", ["plan", "stability"])
+    @pytest.mark.parametrize("flag", ["--seed", "--realizations"])
+    def test_planning_commands_refuse_draw_flags(self, write_config, tmp_path, capsys, no_planning, command, flag):
+        out = tmp_path / "t.csv"
+        dump = tmp_path / "d.json"
+        args = [command, write_config(base_config()), "--out", str(out), "--dump-config", str(dump), flag, "1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["plan", "stability"])
+    def test_planning_commands_ignore_the_thread_env(self, write_config, tmp_path, monkeypatch, command):
+        path = write_config(base_config())
+        assert main([command, path, "--out", str(tmp_path / "ref.csv")]) == 0
+        for k, value in enumerate(("zero", "0", str(cli.MAX_THREADS + 1))):
+            monkeypatch.setenv("COINVEST_THREADS", value)
+            assert main([command, path, "--out", str(tmp_path / f"run{k}.csv")]) == 0
+            for ext in (".csv", ".json"):
+                assert (tmp_path / f"run{k}{ext}").read_bytes() == (tmp_path / f"ref{ext}").read_bytes()
+
+    def test_each_drawing_command_keeps_its_realization_default(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["simulate", "c.json", "--out", "s.csv"]).realizations == 1000
+        assert parser.parse_args(["payback", "c.json", "--out", "p.csv"]).realizations == 200
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "scenario.json"

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from coinvest import (
     check_supermodularity,
     cost,
     deviation_threshold,
+    expected_load_matrix,
     marginal_contribution,
     realized_value,
     shapley,
@@ -24,6 +27,8 @@ from coinvest import (
     stability_value_lp,
     utility_ranges,
 )
+from coinvest.cli import load_config
+from coinvest.economics import HOURS_PER_YEAR
 from coinvest.game import core_violations, coalition_payoff_sums, shapley_matrix
 from coinvest.players import membership
 from coinvest.traffic import BoundedLoadModel, FbmLoadModel, RateProfile
@@ -461,4 +466,21 @@ class TestStabilityLowerBound:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             stability_lower_bound(-0.1, np.zeros((2, 2)))
+
+    def test_never_falls_as_the_investment_period_grows(self):
+        # The paper's abstract: nu^LB is high "when the investment period is sufficiently long".
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "edge-bounded.json"
+        scenario, _ = load_config(str(config))
+        series = {0.3: [], 0.5: []}
+        for years in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0):
+            params = replace(scenario.params, investment_hours=years * HOURS_PER_YEAR)
+            table = build_value_table(expected_load_matrix(scenario.models, params.horizon), params)
+            delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
+            for spread, bounds in series.items():
+                models = tuple(replace(m, spread=spread) for m in scenario.models)
+                spans = utility_ranges(table.plan(table.grand_bits), models, params)
+                bounds.append(stability_lower_bound(delta, spans)[1])
+        for bounds in series.values():
+            assert all(a <= b for a, b in zip(bounds, bounds[1:])), bounds
+        assert series[0.5][0] < series[0.5][-1]
 

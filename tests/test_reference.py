@@ -1,7 +1,9 @@
 """The engine's pricing against the slow reference in ``reference.py``.
 
 Twenty random small scenarios (1 to 3 SPs, 2 to 48 slots, bounded and
-fBm demand) are planned, simulated in both payment modes and paid back;
+fBm demand) are planned, simulated in both payment modes and paid back.
+Every coalition's plan must match the brute-force planner to 1e-9 in
+capacity (relative and absolute) and 1e-8 x max(1, capacity) in shares;
 every priced number must agree with the reference to 1e-9 relative,
 settlement to 1e-9 of the realization's largest settled |value|, and
 payback slots exactly.
@@ -25,7 +27,7 @@ from coinvest import (
     simulate,
     utility_ranges,
 )
-from coinvest.allocation import optimal_plan_closed_form, optimal_plan_numeric
+from coinvest.allocation import optimal_plan, optimal_plan_closed_form, optimal_plan_numeric
 from coinvest.montecarlo import PAYMENT_MODES
 from coinvest.players import all_coalitions
 
@@ -69,6 +71,17 @@ def planned(seed: int):
 
 def draws(scenario, seed):
     return [sample_loads(scenario.models, scenario.horizon, (seed, omega)).values for omega in range(REALIZATIONS)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_plans_match_the_brute_force_planner(seed):
+    scenario, _ = planned(seed)
+    loads, params = scenario.expected_loads(), scenario.params
+    for coalition in all_coalitions(scenario.n_players):
+        plan = optimal_plan(coalition, loads, params)
+        capacity, shares = reference.brute_force_plan(coalition, loads, params)
+        assert plan.capacity == pytest.approx(capacity, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(plan.shares, shares, rtol=0.0, atol=1e-8 * max(1.0, capacity))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
