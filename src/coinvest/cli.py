@@ -211,8 +211,7 @@ def load_config(path: str):
         raise ConfigError("players: expected a nonempty list of SP descriptors")
     if len(players) > MAX_PLAYERS - 1:
         raise ConfigError(f"players: at most {MAX_PLAYERS - 1} SPs are supported, got {len(players)}")
-    slot_seconds = slot_hours * 3600.0
-    names, benefits, models, normalized_players = [], [], [], []
+    names, benefits, profiles, normalized_players = [], [], [], []
     for i, sp in enumerate(players):
         path = f"players[{i}]"
         _check_keys(sp, path, {"name", "benefit", "profile"})
@@ -227,10 +226,7 @@ def load_config(path: str):
         profile = _profile(_require(sp, "profile", path), f"{path}.profile")
         names.append(name)
         benefits.append(benefit)
-        if kind == "bounded":
-            models.append(BoundedLoadModel(profile, spread, slot_seconds))
-        else:
-            models.append(FbmLoadModel(profile, alpha, hurst, slot_seconds))
+        profiles.append(profile)
         normalized_players.append(
             {
                 "name": name,
@@ -252,6 +248,18 @@ def load_config(path: str):
             benefits=tuple(benefits),
             saturation=saturation,
         )
+    except ValueError as exc:
+        raise ConfigError(f"economics: {exc}") from exc
+    models = []
+    for i, profile in enumerate(profiles):  # after the economics, whose slot length they take
+        try:
+            if kind == "bounded":
+                models.append(BoundedLoadModel(profile, spread, params.slot_seconds))
+            else:
+                models.append(FbmLoadModel(profile, alpha, hurst, params.slot_seconds))
+        except ValueError as exc:
+            raise ConfigError(f"players[{i}]: {exc}") from exc
+    try:
         scenario = Scenario(sp_names=tuple(names), models=tuple(models), params=params)
     except ValueError as exc:
         raise ConfigError(f"economics: {exc}") from exc

@@ -67,6 +67,8 @@ class EconomicParams:
             raise ValueError("investment_hours must be an integer number of slots")
         if round(ratio) < 1:
             raise ValueError("investment_hours must span at least one slot of slot_hours")
+        if not math.isfinite(self.slot_seconds):
+            raise ValueError("slot_seconds must be finite")
 
     @property
     def unit_capacity_cost(self) -> float:

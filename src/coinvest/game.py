@@ -253,9 +253,12 @@ def deviation_threshold(table: ValueTable, sigma: float) -> float:
     ones that provably keeps every coalition constraint satisfied.
 
     ``sigma`` is a surplus level the expected payoff guarantees (either
-    the payoff-specific worst surplus or the least-core value).  For
-    nonpositive grand value the game is degenerate and the threshold is
-    zero.
+    the payoff-specific worst surplus or the least-core value).  With
+    grand value ``v`` and ``n`` players, each proper nonempty coalition
+    S of size k has ``d_S = k + (n - 2k) * (v_S + sigma) / v``, and the
+    threshold is ``v / n``, capped by ``sigma / max_S d_S`` when that
+    maximum is positive, and floored at zero.  For nonpositive grand
+    value the game is degenerate and the threshold is zero.
     """
     grand_value = table.grand_value
     n = table.n_players

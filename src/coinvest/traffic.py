@@ -16,7 +16,8 @@ profile two uncertainty models are supported:
   path.  ``t**H / sqrt(2*pi)`` is exactly ``E[max(0, f_t)]`` for a
   standard fBm, so the expected rate is the same for every ``alpha``.
 
-Loads are requests per slot: ``load = rate * slot_seconds``.
+Loads are requests per slot, ``load = rate * slot_seconds``; a
+``LoadMatrix`` is the record of one draw, and nothing re-checks it.
 
 fBm paths are cumulative sums of fractional Gaussian noise drawn exactly
 by Davies-Harte circulant embedding.  A draw weights the Hermitian half
@@ -24,8 +25,8 @@ of the spectrum (``m + 1`` complex entries for an embedding of ``2m``)
 and runs one real inverse FFT; the spectrum's square roots are memoised
 per ``(H, m)``, and each thread reuses its normal and half-spectrum
 buffers from one draw to the next.  Each model also keeps the
-deterministic rows of its last horizon, read-only: the bounded mean,
-or the fBm trend and smooth envelope term.
+deterministic rows of its last horizon, read-only: the bounded band's
+lower edge and width, or the fBm trend and smooth envelope term.
 
 Randomness contract: every sampler derives one independent substream
 per (seed, realization, player) through ``numpy.random.SeedSequence``
@@ -109,15 +110,30 @@ class BoundedLoadModel:
             raise ValueError("spread must lie in [0, 1]")
         if self.slot_seconds <= 0.0:
             raise ValueError("slot_seconds must be positive")
+        if not math.isfinite(self.slot_seconds):
+            raise ValueError("slot_seconds must be finite")
+        # Python floats: an overflow gives inf without a RuntimeWarning
+        peak = float(self.profile.rate(np.arange(self.profile.period)).max())
+        if not math.isfinite((1.0 + self.spread) * (peak * self.slot_seconds)):
+            raise ValueError("load band overflows: (1 + spread) * peak rate * slot_seconds is not finite")
 
     def expected_rate(self, t):
         """Expected request rate at slot(s) ``t``."""
         return self.profile.rate(t)
 
     def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
-        """One load row over ``slots`` slots, uniform in the spread band."""
-        (mean,) = _cached_rows(self, slots, lambda t: (expected_load(self, t),))
-        return rng.uniform((1.0 - self.spread) * mean, (1.0 + self.spread) * mean)
+        """One load row over ``slots`` slots: ``U * width + low``, rounded as ``rng.uniform`` does."""
+        low, width = _cached_rows(self, slots, self._rows)
+        load = rng.random(slots)
+        load *= width
+        load += low
+        return load
+
+    def _rows(self, t: np.ndarray) -> tuple:
+        """The band's lower edge ``(1 - spread) * mean`` and its width ``(1 + spread) * mean - low``."""
+        mean = expected_load(self, t)
+        low = (1.0 - self.spread) * mean
+        return low, (1.0 + self.spread) * mean - low
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,8 @@ class FbmLoadModel:
             raise ValueError("hurst must lie in (0, 1)")
         if self.slot_seconds <= 0.0:
             raise ValueError("slot_seconds must be positive")
+        if not math.isfinite(self.slot_seconds):
+            raise ValueError("slot_seconds must be finite")
 
     def expected_rate(self, t):
         """Expected request rate at slot(s) ``t``: trend times ``t**H / sqrt(2*pi)``."""
@@ -169,20 +187,11 @@ LoadModel = Union[BoundedLoadModel, FbmLoadModel]
 
 @dataclass(frozen=True, eq=False)
 class LoadMatrix:
-    """Per-SP, per-slot loads in requests.  Shape (n_sp, horizon).
-
-    The InP carries no row: it never consumes capacity.
+    """One draw's per-SP, per-slot loads in requests, shape (n_sp, horizon), kept
+    as drawn: nothing re-checks them.  The InP carries no row.
     """
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("loads must be a 2-D (n_sp, horizon) array")
-        if (v < 0.0).any():
-            raise ValueError("loads must be nonnegative")
-        object.__setattr__(self, "values", v)
 
 
 def _cached_rows(model: LoadModel, slots: int, build) -> tuple:

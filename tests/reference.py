@@ -7,6 +7,8 @@ the paper's utility written out, so it shares no arithmetic with
 loads come from the engine's samplers and expected-load rows: drawing
 is not pricing.  Shapley payoffs average marginal contributions over
 every join order, and settlement follows the ``montecarlo`` docstring.
+The stability chain, sigma-hat, delta-hat and the Hoeffding bound, walks
+the coalitions and players one by one.
 ``brute_force_plan`` plans a coalition without the engine's water-filling:
 it tries every active set of every slot and bisects on the capacity.
 """
@@ -80,6 +82,50 @@ def shapley(values, n_players) -> list:
             totals[player] += values[bits | 1 << player] - values[bits]
             bits |= 1 << player
     return [total / len(orders) for total in totals]
+
+
+def members(bits, n_players) -> list:
+    return [i for i in range(n_players) if bits >> i & 1]
+
+
+def sigma_hat(values, payoff) -> float:
+    """Worst surplus of ``payoff`` over the proper nonempty coalitions S:
+    ``min_S sum_{i in S} payoff_i - values[S]``."""
+    n_players = len(payoff)
+    return min(
+        sum(payoff[i] for i in members(bits, n_players)) - values[bits] for bits in range(1, (1 << n_players) - 1)
+    )
+
+
+def deviation_threshold(values, sigma, n_players) -> float:
+    """delta-hat at surplus level ``sigma``, coalition by coalition.
+
+    With grand value ``v``: zero when ``v <= 0``.  Otherwise each proper
+    nonempty S of size k has ``d_S = k + (n - 2k) * (values[S] + sigma) / v``,
+    and delta-hat is ``v / n``, capped by ``sigma / max_S d_S`` when that
+    maximum is positive, and floored at zero.
+    """
+    grand_value = values[(1 << n_players) - 1]
+    if grand_value <= 0.0:
+        return 0.0
+    worst = -math.inf
+    for bits in range(1, (1 << n_players) - 1):
+        size = len(members(bits, n_players))
+        worst = max(worst, size + (n_players - 2 * size) * (values[bits] + sigma) / grand_value)
+    bound = grand_value / n_players
+    if worst > 0.0:
+        bound = min(bound, sigma / worst)
+    return max(0.0, bound)
+
+
+def stability_lower_bound(delta, ranges) -> tuple:
+    """Hoeffding: per player ``max(0, 1 - 2 * exp(-2 * delta**2 / sum_t r_t**2))``,
+    one for a player whose ranges are all zero, and the product over players."""
+    probs = []
+    for row in ranges:
+        ssq = sum(r * r for r in row)
+        probs.append(max(0.0, 1.0 - 2.0 * math.exp(-2.0 * delta * delta / ssq)) if ssq > 0.0 else 1.0)
+    return probs, math.prod(probs)
 
 
 def settlement(plans, loads, expected_loads, params, payment_mode) -> tuple:

@@ -203,6 +203,21 @@ class TestConfigLoading:
         assert "Warning" not in err
 
     @pytest.mark.parametrize(
+        "command", ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
+    )
+    def test_overflowing_load_band_names_the_player(self, write_config, tmp_path, capsys, no_planning, command):
+        # 4e304 requests/s x 3600 s x (1 + spread) overflows the band's top
+        cfg = shipped_config("edge-bounded.json")
+        cfg["economics"]["investment_years"] = 24.0 / 8760.0
+        cfg["players"][0]["profile"]["base_rate"] = 4e304
+        name, *flags = command.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: players[0]: load band overflows") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "value", [5, "kind", [], {}, None, True, -1, 0, 1e308, [1], "x", 10**30], ids=repr
     )
     @pytest.mark.parametrize("name", ["edge-bounded.json", "edge-fbm.json"])
@@ -248,6 +263,13 @@ class TestConfigLoading:
         cfg["economics"]["slot_hours"] = 1e308
         assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
         assert capsys.readouterr().err.startswith("error: economics: ")
+
+    def test_slot_past_a_float_in_seconds_names_economics(self, write_config, capsys, no_planning):
+        # one slot of 1e305 hours is a valid horizon, but 3.6e308 seconds overflows
+        cfg = shipped_config("edge-bounded.json")
+        cfg["economics"].update(slot_hours=1e305, investment_years=1e305 / 8760.0)
+        assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == "error: economics: slot_seconds must be finite\n"
 
     @pytest.mark.parametrize("slot_hours", (1e-300, 5e-324))
     def test_slot_count_beyond_an_index_names_economics(self, write_config, capsys, no_planning, slot_hours):

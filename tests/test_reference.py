@@ -6,10 +6,19 @@ Every coalition's plan must match the brute-force planner to 1e-9 in
 capacity (relative and absolute) and 1e-8 x max(1, capacity) in shares;
 every priced number must agree with the reference to 1e-9 relative,
 settlement to 1e-9 of the realization's largest settled |value|, and
-payback slots exactly.
+payback slots exactly.  sigma-hat and delta-hat differ values and
+payoffs, so they agree to 1e-9 relative or 1e-9 of the largest |value|;
+Hoeffding probabilities agree to 1e-9 relative.  The ten bounded
+scenarios also run through ``cli.main`` as configs with one spread for
+every SP, and every number of ``stability``'s table and sidecar, and
+``simulate``'s ``delta``, must match the reference chain.
 """
 
+import csv
 import functools
+import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +31,17 @@ from coinvest import (
     RateProfile,
     Scenario,
     build_value_table,
+    deviation_threshold,
     payback_slots,
     sample_loads,
+    shapley,
     simulate,
+    stability_lower_bound,
+    stability_value_hat,
     utility_ranges,
 )
+from coinvest.cli import load_config, main
+from coinvest.economics import HOURS_PER_YEAR
 from coinvest.allocation import optimal_plan, optimal_plan_closed_form, optimal_plan_numeric
 from coinvest.montecarlo import PAYMENT_MODES
 from coinvest.players import all_coalitions
@@ -134,3 +149,113 @@ def test_payback_slots(seed):
     expected = [reference.payback_slot(grand, loads, scenario.params) for loads in draws(scenario, seed)]
     assert payback_slots(scenario, grand, REALIZATIONS, seed) == expected
     assert [o.payback_slot for o in simulate(scenario, table, REALIZATIONS, seed=seed)] == expected
+
+
+def value_scale(values) -> float:
+    """Absolute tolerance for numbers that difference coalition values."""
+    return REL * max(1.0, max(abs(v) for v in values))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sigma_hat_and_delta_hat(seed):
+    _, table = planned(seed)
+    values, payoff = table.values.tolist(), shapley(table)
+    sigma = stability_value_hat(table, payoff)
+    tol = value_scale(values)
+    assert sigma == pytest.approx(reference.sigma_hat(values, payoff.tolist()), rel=REL, abs=tol)
+    want = reference.deviation_threshold(values, sigma, table.n_players)
+    assert deviation_threshold(table, sigma) == pytest.approx(want, rel=REL, abs=tol)
+
+
+@pytest.mark.parametrize("seed", BOUNDED_SEEDS)
+def test_hoeffding_lower_bound(seed):
+    scenario, table = planned(seed)
+    ranges = utility_ranges(table.plan(table.grand_bits), scenario.models, scenario.params)
+    ssq = [sum(r * r for r in row) for row in ranges.tolist()]
+    # delta-hat, then the deltas that put each risky player's bound at one half
+    deltas = [deviation_threshold(table, stability_value_hat(table, shapley(table)))]
+    deltas += [math.sqrt(q * math.log(4.0) / 2.0) for q in ssq if q > 0.0]
+    for delta in deltas:
+        probs, joint = stability_lower_bound(delta, ranges)
+        want_probs, want_joint = reference.stability_lower_bound(delta, ranges.tolist())
+        assert probs.tolist() == pytest.approx(want_probs, rel=REL)
+        assert joint == pytest.approx(want_joint, rel=REL)
+
+
+def bounded_config(scenario: Scenario) -> dict:
+    """A config of the bounded ``scenario``, its first SP's spread for every SP."""
+    params = scenario.params
+    return {
+        "schema_version": 1,
+        "economics": {
+            "capacity_price": params.capacity_price,
+            "maintenance_price": params.maintenance_price,
+            "investment_years": params.investment_hours / HOURS_PER_YEAR,
+            "slot_hours": params.slot_hours,
+        },
+        "saturation": params.saturation,
+        "uncertainty": {"kind": "bounded", "spread": scenario.models[0].spread},
+        "players": [
+            {
+                "name": name,
+                "benefit": benefit,
+                "profile": {
+                    "base_rate": m.profile.base_rate,
+                    "period": m.profile.period,
+                    "components": [list(c) for c in m.profile.components],
+                },
+            }
+            for name, benefit, m in zip(scenario.sp_names, params.benefits, scenario.models)
+        ],
+    }
+
+
+@pytest.mark.parametrize("seed", BOUNDED_SEEDS)
+def test_stability_chain_through_the_cli(seed, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(bounded_config(random_scenario(seed))))
+    scenario, _ = load_config(str(path))
+    params, names, n_players = scenario.params, scenario.player_names, scenario.n_players
+    sweep = (1e-3, 1e-2, scenario.models[0].spread)
+
+    # the reference chain on the engine's plans
+    table = build_value_table(scenario.expected_loads(), params)
+    values = reference.values(table.plans, scenario.expected_loads(), params)
+    payoff = reference.shapley(values, n_players)
+    sigma = reference.sigma_hat(values, payoff)
+    delta = reference.deviation_threshold(values, sigma, n_players)
+    grand = table.plan(table.grand_bits)
+    bounds = [
+        reference.stability_lower_bound(
+            delta, reference.utility_ranges(grand, [replace(m, spread=s) for m in scenario.models], params)
+        )
+        for s in sweep
+    ]
+    tol = value_scale(values)
+
+    def value_close(got, want):
+        return got == pytest.approx(want, rel=REL, abs=tol)
+
+    out = tmp_path / "stability.csv"
+    assert main(["stability", str(path), "--out", str(out), "--sweep", ",".join(map(repr, sweep))]) == 0
+    side = json.loads(out.with_suffix(".json").read_text())
+    assert value_close(side["grand_value"], values[-1])
+    assert side["degenerate"] is bool(values[-1] <= 0.0)
+    assert value_close([side["expected_payoff"][name] for name in names], payoff)
+    assert value_close(side["sigma_hat"], sigma)
+    assert value_close(side["delta"], delta)
+    assert [entry["spread"] for entry in side["sweep"]] == list(sweep)
+    rows = []
+    for entry, (probs, joint) in zip(side["sweep"], bounds):
+        assert [entry["player_bounds"][name] for name in names] == pytest.approx(probs, rel=REL)
+        assert entry["nu_lb"] == pytest.approx(joint, rel=REL)
+        rows += [(entry["spread"], name, prob) for name, prob in zip(names, probs)]
+        rows.append((entry["spread"], "nu_lb", joint))
+    with open(out, newline="") as fh:
+        table_rows = list(csv.reader(fh))[1:]
+    assert [(float(s), name) for s, name, _ in table_rows] == [(s, name) for s, name, _ in rows]
+    assert [float(p) for _, _, p in table_rows] == pytest.approx([p for _, _, p in rows], rel=REL)
+
+    out = tmp_path / "simulate.csv"
+    assert main(["simulate", str(path), "--out", str(out), "--realizations", "1"]) == 0
+    assert value_close(json.loads(out.with_suffix(".json").read_text())["delta"], delta)

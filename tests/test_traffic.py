@@ -1,6 +1,7 @@
 """Demand models: rate profiles, bounded sampling, and fBm generation."""
 
 import math
+import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -24,6 +25,7 @@ from coinvest.traffic import (
     _fbm_paths,
     _fgn_autocov,
     _fgn_davies_harte,
+    _substream,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -122,6 +124,25 @@ class TestExpectedLoad:
             expected_load_matrix([BoundedLoadModel(RateProfile(1.0), 0.1, 1.0)], 0)
 
 
+class TestModelChecks:
+    """A demand model refuses what it cannot draw when it is built."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_slot_seconds(self, bad):
+        with pytest.raises(ValueError, match="slot_seconds must be finite"):
+            BoundedLoadModel(RateProfile(10.0), 0.3, bad)
+        with pytest.raises(ValueError, match="slot_seconds must be finite"):
+            FbmLoadModel(RateProfile(10.0), 0.5, 0.7, bad)
+
+    def test_rejects_a_band_whose_top_overflows(self):
+        # (1 + 0.3) * 4e304 * 3600 overflows; (1 + 0) * 4e304 * 3600 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="load band overflows"):
+                BoundedLoadModel(RateProfile(4e304), 0.3, 3600.0)
+            BoundedLoadModel(RateProfile(4e304), 0.0, 3600.0)
+
+
 class TestBoundedSampling:
     def make_models(self, spread):
         return [
@@ -163,6 +184,16 @@ class TestBoundedSampling:
         both = sample_loads(models, 24, 11).values
         first_alone = sample_loads(models[:1], 24, 11).values
         assert np.array_equal(both[:1], first_alone)
+
+    @pytest.mark.parametrize("horizon, streams", [(1, 200), (24, 200), (43_800, 20)])
+    @pytest.mark.parametrize("spread", [0.0, 0.3, 1.0])
+    def test_draws_equal_numpy_uniform_bit_for_bit(self, spread, horizon, streams):
+        model = BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0), (7.5, 5.25)), 24), spread, 3600.0)
+        mean = expected_load(model, np.arange(horizon))
+        for k in range(streams):
+            want = _substream(3, k).uniform((1.0 - spread) * mean, (1.0 + spread) * mean)
+            got = model.sample(horizon, _substream(3, k))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_sample_mean_converges(self):
         # one long-horizon draw gives many independent slot samples
@@ -322,8 +353,6 @@ class TestFbmSampling:
         assert np.allclose(loads, expected_load(model, slots), rtol=1e-12, atol=0.0)
 
     def test_alpha_one_is_pure_path(self):
-        from coinvest.traffic import _substream
-
         model = self.make_model(1.0)
         loads = sample_loads([model], 24, 5).values[0]
         assert loads[0] == 0.0  # path starts at the origin
@@ -397,9 +426,3 @@ class TestLoadMatrix:
     def test_shape_properties(self):
         m = LoadMatrix(np.ones((3, 7)))
         assert m.values.shape == (3, 7)
-
-    def test_rejects_negative_or_misshaped(self):
-        with pytest.raises(ValueError):
-            LoadMatrix(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            LoadMatrix(np.array([[1.0, -2.0]]))
