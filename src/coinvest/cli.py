@@ -3,13 +3,16 @@
 Subcommands: ``plan`` (capacity and shares), ``stability`` (analytic
 lower bounds), ``simulate`` (Monte Carlo settlement), ``payback``
 (payback distribution across investment lengths).  Tables go to the CSV
-named by ``--out``; machine-readable context goes to a JSON sidecar at
-the same path with extension ``.json``, so ``--out`` must not end in
-``.json``.  ``main`` checks the output paths and loads the config; each
-command checks its flags, computes, and returns a header, a generator
-of CSV text and a sidecar.  Only then does ``main`` write, streaming the
-text through a temp file renamed into place, so a failed run writes
-nothing.  ``stability``, ``simulate`` and ``payback`` yield one line per
+named by ``--out``; machine-readable context, ending with the normalized
+config the run read (``"config"``), goes to a JSON sidecar at the same
+path with extension ``.json``, so ``--out`` must not end in ``.json``.
+``main`` checks the output path and loads the config; each command checks
+its flags, computes, and returns a header, a generator of CSV text and a
+sidecar.  Only then does ``main`` write, in one commit: it serializes the
+sidecar, streams the table into a temp file beside ``--out``, writes the
+sidecar into a second, and renames both into place once both are written.
+So a failed run writes nothing and leaves the earlier pair of files as it
+was.  ``stability``, ``simulate`` and ``payback`` yield one line per
 row; ``plan`` formats each distinct share bit pattern of a series (one
 coalition's shares for one SP) once and yields the series in slabs of
 ``_SLAB_SLOTS`` rows, one string per slab, so its text takes a few times
@@ -30,8 +33,8 @@ milliseconds.  ``import coinvest`` alone changes no BLAS setting.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -62,7 +65,7 @@ from .game import (
 from .montecarlo import PAYMENT_MODES, payback_quantiles, payback_slots, simulate, summarize
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions
 from .scenario import Scenario
-from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
+from .traffic import MAX_FBM_SLOTS, SQRT_2PI, BoundedLoadModel, FbmLoadModel, RateProfile
 
 SCHEMA_VERSION = 1
 
@@ -263,6 +266,7 @@ def load_config(path: str):
         scenario = Scenario(sp_names=tuple(names), models=tuple(models), params=params)
     except ValueError as exc:
         raise ConfigError(f"economics: {exc}") from exc
+    _check_fbm_loads(scenario, "")
 
     normalized = {
         "schema_version": SCHEMA_VERSION,
@@ -279,42 +283,34 @@ def load_config(path: str):
     return scenario, normalized
 
 
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """Text file handle on a temp file next to ``path``, renamed into place on success."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinvest-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            yield fh
-        # mkstemp creates 0600; give the output the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, payload: dict):
-    with _atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_outputs(out: str, header, chunks, sidecar: dict):
-    """Stream the CSV text ``chunks`` under ``header`` to ``out``, then write its sidecar."""
+    """Write the CSV text ``chunks`` under ``header`` to ``out`` and ``sidecar`` beside it, in one commit.
+
+    Both files go to temp files in ``out``'s directory and are renamed into
+    place only once both are written; on any error every temp file is removed.
+    """
     try:  # before the table, so that results that are not finite write nothing
         text = json.dumps({"schema_version": SCHEMA_VERSION, **sidecar}, indent=2, allow_nan=False)
     except ValueError as exc:
         raise RuntimeError(f"results are not finite ({exc}); nothing was written") from exc
-    with _atomic_open(out) as fh:
-        fh.write(_record(header))
-        fh.writelines(chunks)
-    with _atomic_open(_sidecar_path(out)) as fh:
-        fh.write(text + "\n")
+    directory = os.path.dirname(os.path.abspath(out))
+    umask = os.umask(0)
+    os.umask(umask)
+    temps = []
+    try:
+        for lines in (itertools.chain([_record(header)], chunks), [text + "\n"]):
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinvest-", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.writelines(lines)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give the mode open() would
+        os.replace(temps[0], out)
+        os.replace(temps[1], _sidecar_path(out))
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def _sidecar_path(out: str) -> str:
@@ -322,22 +318,17 @@ def _sidecar_path(out: str) -> str:
     return root + ".json"
 
 
-def _check_output_paths(args):
-    """Refuse an --out or --dump-config that cannot be written or that another output overwrites."""
-    out, sidecar = args.out, _sidecar_path(args.out)
-    for flag, path in (("--out", out), ("--out", sidecar), ("--dump-config", args.dump_config)):
-        if not path:
-            continue
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise ConfigError(f"{flag}: {path}: directory {directory} does not exist")
+def _check_output_paths(out: str):
+    """Refuse an --out whose table or sidecar cannot be written, or whose sidecar would overwrite it."""
+    sidecar = _sidecar_path(out)
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out: {out}: directory {directory} does not exist")
+    for path in (out, sidecar):
         if os.path.isdir(path):
-            raise ConfigError(f"{flag}: {path} is a directory")
-    out, sidecar = (os.path.realpath(p) for p in (out, sidecar))
-    if out == sidecar:
-        raise ConfigError(f"--out: {args.out} ends in .json, so its JSON sidecar would overwrite it")
-    if args.dump_config and os.path.realpath(args.dump_config) in (out, sidecar):
-        raise ConfigError(f"--dump-config: {args.dump_config} is the --out table or its JSON sidecar")
+            raise ConfigError(f"--out: {path} is a directory")
+    if os.path.realpath(out) == os.path.realpath(sidecar):
+        raise ConfigError(f"--out: {out} ends in .json, so its JSON sidecar would overwrite it")
 
 
 def _workers() -> int:
@@ -408,6 +399,11 @@ def cmd_plan(args, scenario: Scenario):
     )
 
 
+def _shown(value: float) -> str:
+    """``value`` as a message names it: ``1`` for ``1.0``."""
+    return str(value).removesuffix(".0")
+
+
 def _parse_float_list(raw: str, flag: str, label: str):
     """Distinct finite numbers of ``raw``; ``label`` names one in messages, e.g. ``"{} years"``."""
     try:
@@ -420,7 +416,7 @@ def _parse_float_list(raw: str, flag: str, label: str):
         if not math.isfinite(v):
             raise ConfigError(f"{flag}: {v} is not a finite number")
         if v in values[:k]:  # a repeat would write the same table keys twice
-            raise ConfigError(f"{flag}: {label.format(str(v).removesuffix('.0'))} is listed twice")
+            raise ConfigError(f"{flag}: {label.format(_shown(v))} is listed twice")
     return values
 
 
@@ -430,6 +426,24 @@ def _check_fbm_horizon(scenario: Scenario, source: str):
         raise ConfigError(
             f"{source}: fBm horizon of {scenario.horizon} slots exceeds the ceiling of {MAX_FBM_SLOTS}"
         )
+
+
+def _check_fbm_loads(scenario: Scenario, source: str):
+    """Refuse an fBm scenario whose expected load overflows a float over its horizon.
+
+    Each SP's bound is its peak trend rate times ``(horizon - 1)**H / sqrt(2*pi)``
+    times the slot length, in Python floats: an overflow gives inf without a
+    RuntimeWarning.  ``source`` prefixes the message.
+    """
+    if scenario.kind != "fbm":
+        return
+    for i, m in enumerate(scenario.models):
+        peak = float(m.trend.rate(np.arange(m.trend.period)).max())
+        if not math.isfinite(peak * (scenario.horizon - 1) ** m.hurst / SQRT_2PI * m.slot_seconds):
+            raise ConfigError(
+                f"{source}players[{i}]: expected load overflows at {scenario.horizon} slots: "
+                "peak rate * (horizon - 1)**hurst / sqrt(2*pi) * slot_seconds is not finite"
+            )
 
 
 def cmd_stability(args, scenario: Scenario):
@@ -536,6 +550,7 @@ def cmd_payback(args, scenario: Scenario):
             raise ConfigError(f"--periods: {y} years: {exc}") from exc
         sub = Scenario(scenario.sp_names, scenario.models, params)
         _check_fbm_horizon(sub, f"--periods: {y} years")
+        _check_fbm_loads(sub, f"--periods: {_shown(y)} years: ")
         subs.append((y, sub))
 
     grand = PlayerSet.grand(scenario.n_players)
@@ -586,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("config", help="scenario config (JSON)")
     common.add_argument("--out", required=True, help="output CSV path, not *.json (JSON sidecar next to it)")
-    common.add_argument("--dump-config", metavar="PATH", help="write the normalized config here and continue")
 
     parser = _Parser(prog="coinvest", description="Coalitional co-investment analysis")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -621,12 +635,10 @@ def main(argv=None) -> int:
             if args.realizations < 1:
                 raise ConfigError("--realizations: must be at least 1")
             args.workers = _workers()
-        _check_output_paths(args)
+        _check_output_paths(args.out)
         scenario, normalized = load_config(args.config)
         header, rows, sidecar = args.func(args, scenario)
-        _write_outputs(args.out, header, rows, sidecar)
-        if args.dump_config:
-            _write_json(args.dump_config, normalized)
+        _write_outputs(args.out, header, rows, {**sidecar, "config": normalized})
         return EXIT_OK
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,6 +218,36 @@ class TestConfigLoading:
         assert err.startswith("error: players[0]: load band overflows") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command", ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
+    )
+    def test_overflowing_fbm_load_names_the_player(self, write_config, tmp_path, capsys, no_planning, command):
+        # 4e304 requests/s x 23**0.7 / sqrt(2*pi) x 3600 s overflows the expected load at 24 slots
+        cfg = shipped_config("edge-fbm.json")
+        cfg["economics"]["investment_years"] = 24.0 / 8760.0
+        cfg["players"][0]["profile"]["base_rate"] = 4e304
+        name, *flags = command.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: players[0]: expected load overflows") and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    def test_fbm_load_overflowing_over_a_period_names_the_period(self, write_config, tmp_path, capsys, no_planning):
+        # 4e303 requests/s fits 24 slots, but not the 8 760 of one year
+        cfg = shipped_config("edge-fbm.json")
+        cfg["economics"]["investment_years"] = 24.0 / 8760.0
+        cfg["players"][0]["profile"]["base_rate"] = 4e303
+        args = ["payback", write_config(cfg), "--out", str(tmp_path / "x.csv"), "--periods", "1", "--realizations", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --periods: 1 years: players[0]: expected load overflows")
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.mark.parametrize(
         "value", [5, "kind", [], {}, None, True, -1, 0, 1e308, [1], "x", 10**30], ids=repr
     )
     @pytest.mark.parametrize("name", ["edge-bounded.json", "edge-fbm.json"])
@@ -252,9 +282,8 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("version, shown", [(True, "true"), (1.0, "1.0"), ("1", '"1"')])
     def test_schema_version_must_be_the_integer_one(self, write_config, tmp_path, capsys, version, shown):
-        dump = tmp_path / "d.json"
         path = write_config(base_config(schema_version=version))
-        assert main(["plan", path, "--out", str(tmp_path / "x.csv"), "--dump-config", str(dump)]) == 1
+        assert main(["plan", path, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"error: schema_version: expected 1, got {shown}\n"
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
@@ -290,15 +319,17 @@ class TestConfigLoading:
         assert main(["optimize", write_config(base_config()), "--out", "x.csv"]) == 1
 
 
-class TestDumpConfig:
-    def test_dump_idempotent(self, write_config, tmp_path):
+class TestSidecarConfig:
+    """Every sidecar ends with the normalized config the run read."""
+
+    def test_sidecar_config_reruns_to_the_same_sidecar(self, write_config, tmp_path):
         path = write_config(base_config())
-        out = tmp_path / "plan.csv"
-        dump1 = tmp_path / "norm1.json"
-        dump2 = tmp_path / "norm2.json"
-        assert main(["plan", path, "--out", str(out), "--dump-config", str(dump1)]) == 0
-        assert main(["plan", str(dump1), "--out", str(out), "--dump-config", str(dump2)]) == 0
-        assert dump1.read_bytes() == dump2.read_bytes()
+        assert main(["plan", path, "--out", str(tmp_path / "a.csv")]) == 0
+        config = json.loads((tmp_path / "a.json").read_text())["config"]
+        rerun = write_config(config, "normalized.json")
+        assert main(["plan", rerun, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_config_loaded_once(self, write_config, tmp_path, monkeypatch):
         calls = []
@@ -309,10 +340,22 @@ class TestDumpConfig:
 
         monkeypatch.setattr(cli, "load_config", counting)
         path = write_config(base_config())
-        dump = tmp_path / "norm.json"
-        assert main(["plan", path, "--out", str(tmp_path / "plan.csv"), "--dump-config", str(dump)]) == 0
+        assert main(["plan", path, "--out", str(tmp_path / "plan.csv")]) == 0
         assert calls == [path]
-        assert json.loads(dump.read_text())["schema_version"] == 1
+        assert json.loads((tmp_path / "plan.json").read_text())["config"]["schema_version"] == 1
+
+    @pytest.mark.parametrize(
+        "command", ["plan", "stability", "simulate --realizations 2", "payback --periods 1 --realizations 2"]
+    )
+    def test_every_sidecar_ends_with_the_normalized_config(self, write_config, tmp_path, command):
+        cfg = base_config()
+        cfg["_note"] = "comments are dropped"
+        path = write_config(cfg)
+        name, *flags = command.split()
+        assert main([name, path, "--out", str(tmp_path / "t.csv"), *flags]) == 0
+        sidecar = json.loads((tmp_path / "t.json").read_text())
+        assert list(sidecar)[0] == "schema_version" and list(sidecar)[-1] == "config"
+        assert sidecar["config"] == load_config(path)[1]
 
 
 class TestOutputPaths:
@@ -324,33 +367,18 @@ class TestOutputPaths:
         assert capsys.readouterr().err.startswith("error: --out: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["stab.csv", "stab.json", "./stab.json"])
-    def test_dump_config_onto_an_output_is_refused(
-        self, write_config, tmp_path, capsys, monkeypatch, no_planning, target
-    ):
-        monkeypatch.chdir(tmp_path)
+    def test_failed_flag_check_writes_nothing(self, write_config, tmp_path, capsys):
         path = write_config(base_config())
-        assert main(["stability", path, "--out", "stab.csv", "--dump-config", target]) == 1
-        assert capsys.readouterr().err.startswith("error: --dump-config: ")
-        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
-
-    def test_failed_flag_check_writes_no_dump(self, write_config, tmp_path, capsys):
-        path = write_config(base_config())
-        out, dump = str(tmp_path / "s.csv"), str(tmp_path / "d.json")
-        assert main(["simulate", path, "--out", out, "--realizations", "0", "--dump-config", dump]) == 1
+        out = str(tmp_path / "s.csv")
+        assert main(["simulate", path, "--out", out, "--realizations", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: --realizations: ")
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
-    @pytest.mark.parametrize(
-        "flag, out, dump", [("--out", "nodir/x.csv", "d.json"), ("--dump-config", "s.csv", "nodir/d.json")]
-    )
-    def test_missing_directory_names_the_flag(
-        self, write_config, tmp_path, capsys, monkeypatch, no_planning, flag, out, dump
-    ):
+    def test_missing_directory_names_the_flag(self, write_config, tmp_path, capsys, monkeypatch, no_planning):
         monkeypatch.chdir(tmp_path)
         path = write_config(base_config())
-        assert main(["simulate", path, "--out", out, "--dump-config", dump]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert main(["simulate", path, "--out", "nodir/x.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: --out: ")
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
     @pytest.mark.parametrize("directory", ["s.csv", "s.json"])
@@ -382,8 +410,7 @@ class TestStreamingWriter:
             return real(*args)
 
         monkeypatch.setattr(cli, "optimal_plan", planner)
-        dump = tmp_path / "d.json"
-        assert main(["plan", path, "--out", str(out), "--all-coalitions", "--dump-config", str(dump)]) == 2
+        assert main(["plan", path, "--out", str(out), "--all-coalitions"]) == 2
         assert "third coalition failed" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -399,6 +426,31 @@ class TestStreamingWriter:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
+        "command, earlier, limit",
+        [
+            ("stability edge-bounded.json", "--sweep 0.2", 300),
+            ("simulate edge-bounded.json --realizations 1", "--seed 1", 1000),
+            ("payback edge-fbm.json --periods 1 --realizations 2", "--seed 1", 300),
+        ],
+    )
+    def test_failed_sidecar_write_keeps_the_earlier_pair(self, tmp_path, command, earlier, limit):
+        # A file-size limit between the table's size and the sidecar's fails the sidecar's write (EFBIG).
+        name, config, *flags = command.split()
+        out = tmp_path / "t.csv"
+        run = [sys.executable, "-m", "coinvest.cli", name, str(REPO / "configs" / config), "--out", str(out), *flags]
+        subprocess.run(run + earlier.split(), check=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["t.csv", "t.json"] and len(before["t.json"]) > limit
+
+        def cap_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        proc = subprocess.run(run, capture_output=True, text=True, preexec_fn=cap_file_size)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize(
         "command", ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
     )
     def test_non_finite_results_write_nothing(self, tmp_path, command):
@@ -409,8 +461,7 @@ class TestStreamingWriter:
         path.write_text(json.dumps(cfg))
         name, *flags = command.split()
         proc = subprocess.run(
-            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"),
-             "--dump-config", str(tmp_path / "d.json"), *flags],
+            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"), *flags],
             capture_output=True,
             text=True,
         )
@@ -434,8 +485,7 @@ class TestStreamingWriter:
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"),
-             "--dump-config", str(tmp_path / "d.json"), *flags],
+            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"), *flags],
             capture_output=True,
             text=True,
             preexec_fn=cap_address_space,
@@ -991,9 +1041,7 @@ class TestDrawSettings:
     @pytest.mark.parametrize("command", ["plan", "stability"])
     @pytest.mark.parametrize("flag", ["--seed", "--realizations"])
     def test_planning_commands_refuse_draw_flags(self, write_config, tmp_path, capsys, no_planning, command, flag):
-        out = tmp_path / "t.csv"
-        dump = tmp_path / "d.json"
-        args = [command, write_config(base_config()), "--out", str(out), "--dump-config", str(dump), flag, "1"]
+        args = [command, write_config(base_config()), "--out", str(tmp_path / "t.csv"), flag, "1"]
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]

@@ -12,12 +12,21 @@ Hoeffding probabilities agree to 1e-9 relative.  The ten bounded
 scenarios also run through ``cli.main`` as configs with one spread for
 every SP, and every number of ``stability``'s table and sidecar, and
 ``simulate``'s ``delta``, must match the reference chain.
+
+The paper's invariants are asserted on the reference's own numbers, its
+brute-force plans priced slot by slot: the Shapley payoffs sum to the
+grand value, every realization's payments sum to the installed cost and
+its rewards to the collected revenue, and wherever the value table is
+supermodular the Shapley payoff lies in the core.  nu^LB <= the empirical
+stability frequency needs many realizations, so it stays with AC05 in
+``test_acceptance.py``.
 """
 
 import csv
 import functools
 import json
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +35,7 @@ import pytest
 import reference
 from coinvest import (
     BoundedLoadModel,
+    cost,
     EconomicParams,
     FbmLoadModel,
     RateProfile,
@@ -84,19 +94,33 @@ def planned(seed: int):
     return scenario, build_value_table(scenario.expected_loads(), scenario.params)
 
 
+@functools.cache
+def reference_game(seed: int):
+    """``(scenario, plans, values)``: every coalition's brute-force plan, by
+    bitmask, and its value priced by the reference at expected loads."""
+    scenario = random_scenario(seed)
+    loads, params = scenario.expected_loads(), scenario.params
+    plans = [
+        types.SimpleNamespace(capacity=capacity, shares=shares)
+        for capacity, shares in (
+            reference.brute_force_plan(coalition, loads, params) for coalition in all_coalitions(scenario.n_players)
+        )
+    ]
+    return scenario, plans, reference.values(plans, loads, params)
+
+
 def draws(scenario, seed):
     return [sample_loads(scenario.models, scenario.horizon, (seed, omega)).values for omega in range(REALIZATIONS)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_plans_match_the_brute_force_planner(seed):
-    scenario, _ = planned(seed)
+    scenario, want, _ = reference_game(seed)
     loads, params = scenario.expected_loads(), scenario.params
-    for coalition in all_coalitions(scenario.n_players):
+    for coalition, expected in zip(all_coalitions(scenario.n_players), want, strict=True):
         plan = optimal_plan(coalition, loads, params)
-        capacity, shares = reference.brute_force_plan(coalition, loads, params)
-        assert plan.capacity == pytest.approx(capacity, rel=1e-9, abs=1e-9)
-        np.testing.assert_allclose(plan.shares, shares, rtol=0.0, atol=1e-8 * max(1.0, capacity))
+        assert plan.capacity == pytest.approx(expected.capacity, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(plan.shares, expected.shares, rtol=0.0, atol=1e-8 * max(1.0, expected.capacity))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -154,6 +178,43 @@ def test_payback_slots(seed):
 def value_scale(values) -> float:
     """Absolute tolerance for numbers that difference coalition values."""
     return REL * max(1.0, max(abs(v) for v in values))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_shapley_is_efficient(seed):
+    scenario, _, values = reference_game(seed)
+    payoff = reference.shapley(values, scenario.n_players)
+    assert math.fsum(payoff) == pytest.approx(values[-1], rel=0.0, abs=value_scale(values))
+
+
+@pytest.mark.parametrize("payment_mode", PAYMENT_MODES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_settlement_balances_the_budget(seed, payment_mode):
+    scenario, plans, _ = reference_game(seed)
+    params, grand = scenario.params, plans[-1]
+    for loads in draws(scenario, seed):
+        settled = reference.settlement(plans, loads, scenario.expected_loads(), params, payment_mode)
+        tol = REL * max(abs(x) for column in settled for x in column)
+        _, payments, rewards = settled
+        assert math.fsum(payments) == pytest.approx(cost(params, grand.capacity), rel=0.0, abs=tol)
+        revenue = math.fsum(reference.sp_revenues(grand, loads, params))
+        assert math.fsum(rewards) == pytest.approx(revenue, rel=0.0, abs=tol)
+
+
+def test_reference_shapley_in_the_core_of_supermodular_games():
+    supermodular_seeds = []
+    for seed in SEEDS:
+        scenario, _, values = reference_game(seed)
+        tol = value_scale(values)
+        coalitions = range(len(values))
+        if any(values[a | b] + values[a & b] < values[a] + values[b] - tol for a in coalitions for b in coalitions):
+            continue
+        supermodular_seeds.append(seed)
+        payoff = reference.shapley(values, scenario.n_players)
+        for bits in coalitions:
+            excess = math.fsum(payoff[i] for i in reference.members(bits, scenario.n_players)) - values[bits]
+            assert excess >= -tol, (seed, bits)
+    assert len(supermodular_seeds) >= 5  # 9 of the 20 games are; the core check must not run empty
 
 
 @pytest.mark.parametrize("seed", SEEDS)
