@@ -65,7 +65,7 @@ from .game import (
 from .montecarlo import PAYMENT_MODES, payback_quantiles, payback_slots, simulate, summarize
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions
 from .scenario import Scenario
-from .traffic import MAX_FBM_SLOTS, SQRT_2PI, BoundedLoadModel, FbmLoadModel, RateProfile
+from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
 
 SCHEMA_VERSION = 1
 
@@ -429,17 +429,11 @@ def _check_fbm_horizon(scenario: Scenario, source: str):
 
 
 def _check_fbm_loads(scenario: Scenario, source: str):
-    """Refuse an fBm scenario whose expected load overflows a float over its horizon.
-
-    Each SP's bound is its peak trend rate times ``(horizon - 1)**H / sqrt(2*pi)``
-    times the slot length, in Python floats: an overflow gives inf without a
-    RuntimeWarning.  ``source`` prefixes the message.
-    """
+    """Refuse an fBm scenario whose expected load overflows a float; ``source`` prefixes the message."""
     if scenario.kind != "fbm":
         return
     for i, m in enumerate(scenario.models):
-        peak = float(m.trend.rate(np.arange(m.trend.period)).max())
-        if not math.isfinite(peak * (scenario.horizon - 1) ** m.hurst / SQRT_2PI * m.slot_seconds):
+        if not math.isfinite(m.load_bound(scenario.horizon)):
             raise ConfigError(
                 f"{source}players[{i}]: expected load overflows at {scenario.horizon} slots: "
                 "peak rate * (horizon - 1)**hurst / sqrt(2*pi) * slot_seconds is not finite"
@@ -451,13 +445,19 @@ def cmd_stability(args, scenario: Scenario):
         raise CommandMismatch(
             "stability bounds require the bounded demand model; this config uses fBm"
         )
-    if args.sweep is None:
-        sweep = [scenario.models[0].spread]
-    else:
-        sweep = _parse_float_list(args.sweep, "--sweep", "spread {}")
-        for s in sweep:
+    sweep = [(scenario.models[0].spread, scenario.models)]
+    if args.sweep is not None:  # the swept models, built before planning: each refuses an overflowing band
+        sweep = []
+        for s in _parse_float_list(args.sweep, "--sweep", "spread {}"):
             if not 0.0 <= s <= 1.0:
-                raise ConfigError(f"--sweep: spread {s} outside [0, 1]")
+                raise ConfigError(f"--sweep: spread {_shown(s)} outside [0, 1]")
+            models = []
+            for i, m in enumerate(scenario.models):
+                try:
+                    models.append(replace(m, spread=s))
+                except ValueError as exc:
+                    raise ConfigError(f"--sweep: spread {_shown(s)}: players[{i}]: {exc}") from exc
+            sweep.append((s, models))
 
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
@@ -467,8 +467,7 @@ def cmd_stability(args, scenario: Scenario):
     names = scenario.player_names
 
     bounds = []
-    for s in sweep:
-        models = tuple(replace(m, spread=s) for m in scenario.models)
+    for s, models in sweep:
         spans = utility_ranges(grand_plan, models, scenario.params)
         bounds.append((s, *stability_lower_bound(delta, spans)))
 
@@ -543,14 +542,15 @@ def cmd_payback(args, scenario: Scenario):
     subs = []
     for y in periods:
         if y <= 0.0:
-            raise ConfigError(f"--periods: investment length {y} must be positive")
+            raise ConfigError(f"--periods: investment length {_shown(y)} must be positive")
+        source = f"--periods: {_shown(y)} years"
         try:
             params = replace(scenario.params, investment_hours=y * HOURS_PER_YEAR)
         except ValueError as exc:
-            raise ConfigError(f"--periods: {y} years: {exc}") from exc
+            raise ConfigError(f"{source}: {exc}") from exc
         sub = Scenario(scenario.sp_names, scenario.models, params)
-        _check_fbm_horizon(sub, f"--periods: {y} years")
-        _check_fbm_loads(sub, f"--periods: {_shown(y)} years: ")
+        _check_fbm_horizon(sub, source)
+        _check_fbm_loads(sub, f"{source}: ")
         subs.append((y, sub))
 
     grand = PlayerSet.grand(scenario.n_players)

@@ -17,16 +17,20 @@ profile two uncertainty models are supported:
   standard fBm, so the expected rate is the same for every ``alpha``.
 
 Loads are requests per slot, ``load = rate * slot_seconds``; a
-``LoadMatrix`` is the record of one draw, and nothing re-checks it.
+``LoadMatrix`` is the record of one draw, and nothing re-checks it.  The
+demand formulas live here alone: a ``RateProfile`` keeps the ``peak`` of
+the period it evaluates when built, which the bounded band's overflow
+check and ``FbmLoadModel.load_bound`` read.
 
-fBm paths are cumulative sums of fractional Gaussian noise drawn exactly
-by Davies-Harte circulant embedding.  A draw weights the Hermitian half
-of the spectrum (``m + 1`` complex entries for an embedding of ``2m``)
-and runs one real inverse FFT; the spectrum's square roots are memoised
-per ``(H, m)``, and each thread reuses its normal and half-spectrum
-buffers from one draw to the next.  Each model also keeps the
-deterministic rows of its last horizon, read-only: the bounded band's
-lower edge and width, or the fBm trend and smooth envelope term.
+Every fBm draw is one path: fractional Gaussian noise drawn exactly by
+Davies-Harte circulant embedding, cumulated by ``generate_fbm``.  A draw
+weights the Hermitian half of the spectrum (``m + 1`` complex entries
+for an embedding of ``2m``) and runs one real inverse FFT; the
+spectrum's square roots are memoised per ``(H, m)``, and each thread
+reuses its normal and half-spectrum buffers from one draw to the next.
+Each model also keeps the deterministic rows of its last horizon,
+read-only: the bounded band's lower edge and width, or the fBm trend and
+smooth envelope term.
 
 Randomness contract: every sampler derives one independent substream
 per (seed, realization, player) through ``numpy.random.SeedSequence``
@@ -40,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -60,13 +64,14 @@ class RateProfile:
     rate(t) = base_rate + sum_k amplitude_k * sin(2*pi*k*(t - phase_k) / period)
 
     ``components`` holds ``(amplitude, phase)`` pairs for harmonics
-    k = 1, 2, ...  The profile must be finite and nonnegative at every
-    slot of one full period; construction fails otherwise.
+    k = 1, 2, ...  Construction fails unless the profile is finite and
+    nonnegative at every slot of one full period, whose top rate it keeps as ``peak``.
     """
 
     base_rate: float
     components: tuple = ()
     period: int = 24
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.base_rate < math.inf:
@@ -87,6 +92,7 @@ class RateProfile:
                 f"rate profile dips below zero at slot {int(bad[0])} "
                 f"({rates[bad[0]]:.6g} requests/s)"
             )
+        object.__setattr__(self, "peak", float(rates.max()))
 
     def rate(self, t):
         """Expected rate at slot(s) ``t`` (scalar or array)."""
@@ -113,8 +119,7 @@ class BoundedLoadModel:
         if not math.isfinite(self.slot_seconds):
             raise ValueError("slot_seconds must be finite")
         # Python floats: an overflow gives inf without a RuntimeWarning
-        peak = float(self.profile.rate(np.arange(self.profile.period)).max())
-        if not math.isfinite((1.0 + self.spread) * (peak * self.slot_seconds)):
+        if not math.isfinite((1.0 + self.spread) * (self.profile.peak * self.slot_seconds)):
             raise ValueError("load band overflows: (1 + spread) * peak rate * slot_seconds is not finite")
 
     def expected_rate(self, t):
@@ -161,6 +166,11 @@ class FbmLoadModel:
         env = self.trend.rate(t_arr) * np.power(t_arr, self.hurst) / SQRT_2PI
         return env if env.shape else float(env)
 
+    def load_bound(self, slots: int) -> float:
+        """``peak * (slots - 1)**H / sqrt(2*pi) * slot_seconds`` bounds the expected load over
+        ``slots`` slots; in Python floats, so an overflow gives inf without a RuntimeWarning."""
+        return self.trend.peak * (slots - 1) ** self.hurst / SQRT_2PI * self.slot_seconds
+
     def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
         """One load row over ``slots`` slots from one fBm path.
 
@@ -168,7 +178,7 @@ class FbmLoadModel:
         evaluated in place on the fresh path.
         """
         trend, smooth = _cached_rows(self, slots, self._rows)
-        load = _fbm_paths(self.hurst, slots, rng, 1)[0]
+        load = generate_fbm(self.hurst, slots, rng)
         np.maximum(load, 0.0, out=load)
         load *= self.alpha
         load += smooth
@@ -286,52 +296,40 @@ def _circulant_roots(hurst: float, m: int) -> np.ndarray:
     return roots
 
 
-# Per-thread draw buffers, reused while the draw shape stays the same.
+# Per-thread draw buffers, reused while the embedding size stays the same.
 _draw_local = threading.local()
 
 
-def _draw_buffers(paths: int, m: int):
-    """This thread's normals ``(paths, 2m)`` and Hermitian half ``(paths, m + 1)``.
+def _draw_buffers(m: int):
+    """This thread's ``2m`` normals and Hermitian half of ``m + 1`` entries.
 
     The imaginary parts of the half's first and last entries are never
     written, so they stay zero.
     """
-    if getattr(_draw_local, "shape", None) != (paths, m):
-        _draw_local.z = np.empty((paths, 2 * m))
-        _draw_local.half = np.zeros((paths, m + 1), dtype=complex)
-        _draw_local.shape = (paths, m)
+    if getattr(_draw_local, "m", None) != m:
+        _draw_local.z = np.empty(2 * m)
+        _draw_local.half = np.zeros(m + 1, dtype=complex)
+        _draw_local.m = m
     return _draw_local.z, _draw_local.half
 
 
-def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:
+def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact fGn via circulant embedding (Davies-Harte), O(n log n).
 
-    ``2m`` standard normals per path weight the spectrum's Hermitian
-    half ``w_k = r_k * (z_k + i * z_{2m-k})`` (real at ``k = 0, m``).
-    One real inverse FFT of length ``2m`` of its conjugate equals the
-    real part of the full complex FFT of the Hermitian-extended ``w``.
+    ``2m`` standard normals weight the spectrum's Hermitian half
+    ``w_k = r_k * (z_k + i * z_{2m-k})`` (real at ``k = 0, m``).  One
+    real inverse FFT of length ``2m`` of its conjugate equals the real
+    part of the full complex FFT of the Hermitian-extended ``w``.
     """
     m = 1 << max(1, (n - 1).bit_length())
     roots = _circulant_roots(float(hurst), m)
-    z, half = _draw_buffers(paths, m)
+    z, half = _draw_buffers(m)
     rng.standard_normal(out=z)
-    np.multiply(z[:, : m + 1], roots, out=half.real)
-    imag = half.imag[:, 1:m]
-    np.multiply(z[:, :m:-1], roots[1:m], out=imag)
+    np.multiply(z[: m + 1], roots, out=half.real)
+    imag = half.imag[1:m]
+    np.multiply(z[:m:-1], roots[1:m], out=imag)
     np.negative(imag, out=imag)
-    return np.fft.irfft(half, n=2 * m, axis=1, norm="forward")[:, :n]
-
-
-def _fbm_paths(hurst: float, n: int, rng: np.random.Generator, paths: int) -> np.ndarray:
-    """``paths`` standard fBm paths over slots 0..n-1 (f_0 = 0 exactly)."""
-    if n < 1:
-        raise ValueError("need at least one slot")
-    if n > MAX_FBM_SLOTS:
-        raise ValueError(f"fBm path of {n} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
-    out = np.zeros((paths, n))
-    if n > 1:
-        np.cumsum(_fgn_davies_harte(hurst, n - 1, rng, paths), axis=1, out=out[:, 1:])
-    return out
+    return np.fft.irfft(half, n=2 * m, norm="forward")[:n]
 
 
 def generate_fbm(hurst: float, n: int, seed) -> np.ndarray:
@@ -342,8 +340,15 @@ def generate_fbm(hurst: float, n: int, seed) -> np.ndarray:
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("need at least one slot")
+    if n > MAX_FBM_SLOTS:
+        raise ValueError(f"fBm path of {n} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
     rng = seed if isinstance(seed, np.random.Generator) else _substream(seed)
-    return _fbm_paths(hurst, n, rng, 1)[0]
+    out = np.zeros(n)
+    if n > 1:
+        np.cumsum(_fgn_davies_harte(hurst, n - 1, rng), out=out[1:])
+    return out
 
 
 def sample_loads(models: Sequence[LoadModel], horizon: int, seed) -> LoadMatrix:

@@ -41,7 +41,7 @@ from coinvest import (
     utility_ranges,
 )
 from coinvest.cli import main as cli_main
-from coinvest.traffic import _fbm_paths
+from coinvest.traffic import generate_fbm
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -297,7 +297,7 @@ def test_ac07_fbm_load_mean_matches_envelope():
     slots = (1, 10, 100)
     for hurst in (0.3, 0.5, 0.7):
         rng = np.random.default_rng((707, int(hurst * 10)))
-        paths = _fbm_paths(hurst, 101, rng, 100_000)
+        paths = np.stack([generate_fbm(hurst, 101, rng) for _ in range(100_000)])
         loads = 100.0 * np.maximum(paths, 0.0)  # unit slot duration
         for t in slots:
             sample = loads[:, t]

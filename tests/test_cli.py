@@ -217,6 +217,18 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: players[0]: load band overflows") and "Traceback" not in err
 
+    def test_swept_band_overflow_names_the_spread_and_player(self, write_config, tmp_path, capsys, no_planning):
+        # 3e304 requests/s x 3600 s x (1 + 0.3) fits; x (1 + 1) overflows the band's top
+        cfg = shipped_config("edge-bounded.json")
+        cfg["economics"]["investment_years"] = 24.0 / 8760.0
+        cfg["players"][0]["profile"] = {"base_rate": 3e304, "period": 24, "components": []}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["stability", write_config(cfg), "--out", str(tmp_path / "x.csv"), "--sweep", "0.3,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep: spread 1: players[0]: load band overflows")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
     @pytest.mark.parametrize(
         "command", ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
     )
@@ -726,6 +738,11 @@ class TestStability:
         assert main(["stability", cfg, "--out", out, "--sweep", "0.2,oops"]) == 1
         assert main(["stability", cfg, "--out", out, "--sweep", "1.7"]) == 1
 
+    def test_out_of_range_spread_is_named_as_a_number(self, write_config, tmp_path, capsys, no_planning):
+        out = tmp_path / "stab.csv"
+        assert main(["stability", write_config(base_config()), "--out", str(out), "--sweep", "0.5,2.0"]) == 1
+        assert capsys.readouterr().err == "error: --sweep: spread 2 outside [0, 1]\n"
+
     @pytest.mark.parametrize("sweep", ["0.3,0.3", "0.1,0.3,0.30"])
     def test_repeated_spread_is_refused(self, write_config, tmp_path, capsys, no_planning, sweep):
         out = tmp_path / "stab.csv"
@@ -1014,7 +1031,7 @@ class TestFbmCeiling:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --periods: 300.0 years: ") and "ceiling" in err
+        assert err.startswith("error: --periods: 300 years: ") and "ceiling" in err
 
     def test_plan_still_accepts_long_fbm_horizons(self, write_config, tmp_path, capsys, monkeypatch):
         # plan draws nothing, so it goes on to the planner; stop it there

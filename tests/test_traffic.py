@@ -22,7 +22,6 @@ from coinvest import traffic
 from coinvest.traffic import (
     MAX_FBM_SLOTS,
     _circulant_roots,
-    _fbm_paths,
     _fgn_autocov,
     _fgn_davies_harte,
     _substream,
@@ -45,6 +44,16 @@ def full_fft_fgn(hurst, n, rng, paths=1):
     w[:, 1:m] = scale * (z[:, 1:m] + 1j * z[:, m + 1:][:, ::-1])
     w[:, m + 1:] = np.conj(w[:, 1:m])[:, ::-1]
     return np.fft.fft(w, axis=1).real[:, :n]
+
+
+def random_profile(rng):
+    """A profile of up to three harmonics that each swing at most 30% of a random base rate."""
+    base = float(rng.uniform(10.0, 1000.0))
+    components = tuple(
+        (float(rng.uniform(-0.3, 0.3)) * base, float(rng.uniform(-50.0, 50.0)))
+        for _ in range(int(rng.integers(0, 4)))
+    )
+    return RateProfile(base, components, int(rng.integers(1, 49)))
 
 
 class TestRateProfile:
@@ -91,6 +100,18 @@ class TestRateProfile:
             RateProfile(10.0, ((bad, 0.0),))
         with pytest.raises(ValueError, match="finite"):
             RateProfile(10.0, ((1.0, bad),))
+
+    def test_peak_is_the_period_maximum(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            profile = random_profile(rng)
+            assert profile.peak == profile.rate(np.arange(profile.period)).max()
+
+    def test_peak_stays_out_of_equality_and_repr(self):
+        profile = RateProfile(10.0, ((2.0, 1.0),), 24)
+        assert profile == RateProfile(10.0, ((2.0, 1.0),), 24)
+        assert "peak" not in repr(profile)
+        assert replace(profile, base_rate=20.0).peak == pytest.approx(profile.peak + 10.0, rel=1e-15)
 
 
 class TestExpectedLoad:
@@ -141,6 +162,32 @@ class TestModelChecks:
             with pytest.raises(ValueError, match="load band overflows"):
                 BoundedLoadModel(RateProfile(4e304), 0.3, 3600.0)
             BoundedLoadModel(RateProfile(4e304), 0.0, 3600.0)
+
+
+class TestFbmLoadBound:
+    @pytest.mark.parametrize("slots", [1, 2, 3, 24, 1000, 8760])
+    def test_bounds_the_expected_load(self, slots):
+        rng = np.random.default_rng(slots)
+        for _ in range(40):
+            alpha, hurst, slot_seconds = rng.uniform(), rng.uniform(0.01, 0.99), rng.uniform(1.0, 3600.0)
+            model = FbmLoadModel(random_profile(rng), float(alpha), float(hurst), float(slot_seconds))
+            # past the first period the sine's argument 2*pi*k*(t - phase)/period carries a rounding
+            # error of about t*k ulps, so a rate there may exceed the period's peak by that much
+            assert expected_load_matrix([model], slots).max() <= model.load_bound(slots) * (1.0 + 1e-10)
+
+    def test_a_flat_profile_attains_the_bound_at_the_last_slot(self):
+        model = FbmLoadModel(RateProfile(250.0), 0.4, 0.7, 3600.0)
+        for slots in (2, 24, 8760):
+            assert model.load_bound(slots) == pytest.approx(expected_load(model, slots - 1), rel=1e-14)
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        # 4e303 requests/s x (slots - 1)**0.7 / sqrt(2*pi) x 3600 s fits 24 slots, but not 8 760
+        model = FbmLoadModel(RateProfile(4e303), 0.5, 0.7, 3600.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isfinite(model.load_bound(24))
+            assert model.load_bound(8760) == math.inf
+            assert replace(model, trend=RateProfile(4e304)).load_bound(24) == math.inf
 
 
 class TestBoundedSampling:
@@ -219,7 +266,7 @@ class TestFbmGeneration:
 
     def test_brownian_increments_uncorrelated(self):
         rng = np.random.default_rng(21)
-        path = _fbm_paths(0.5, 100_001, rng, 1)[0]
+        path = generate_fbm(0.5, 100_001, rng)
         inc = np.diff(path)
         n = inc.size
         r1 = np.corrcoef(inc[:-1], inc[1:])[0, 1]
@@ -229,7 +276,7 @@ class TestFbmGeneration:
 
     def test_variance_matches_covariance_formula(self):
         rng = np.random.default_rng(8)
-        paths = _fbm_paths(0.7, 17, rng, 10_000)
+        paths = np.stack([generate_fbm(0.7, 17, rng) for _ in range(10_000)])
         for t in (4, 16):
             target = float(t) ** 1.4
             sample = paths[:, t].var()
@@ -239,7 +286,7 @@ class TestFbmGeneration:
     def test_cross_covariance_matches_formula(self):
         rng = np.random.default_rng(13)
         h = 0.65
-        paths = _fbm_paths(h, 33, rng, 20_000)
+        paths = np.stack([generate_fbm(h, 33, rng) for _ in range(20_000)])
         s, t = 8, 32
         target = 0.5 * (s ** (2 * h) + t ** (2 * h) - (t - s) ** (2 * h))
         prod = paths[:, s] * paths[:, t]
@@ -278,7 +325,8 @@ class TestFbmGeneration:
         h = 0.75
         n = 10
         gamma = _fgn_autocov(h, np.arange(n))
-        dh = _fgn_davies_harte(h, n, np.random.default_rng(31), 30_000)
+        rng = np.random.default_rng(31)
+        dh = np.stack([_fgn_davies_harte(h, n, rng) for _ in range(30_000)])
         for lag in (1, 4):
             prod = dh[:, 0] * dh[:, lag]
             se = prod.std() / math.sqrt(dh.shape[0])
@@ -304,21 +352,22 @@ class TestFbmGeneration:
     @pytest.mark.parametrize("n", (2, 3, 100, 8760, 43800))
     @pytest.mark.parametrize("hurst", (0.01, 0.3, 0.5, 0.7, 0.99))
     def test_half_spectrum_draw_matches_full_fft_oracle(self, hurst, n):
-        got = _fgn_davies_harte(hurst, n, np.random.default_rng(n), 1)
-        want = full_fft_fgn(hurst, n, np.random.default_rng(n))
+        got = _fgn_davies_harte(hurst, n, np.random.default_rng(n))
+        want = full_fft_fgn(hurst, n, np.random.default_rng(n))[0]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_paths_consume_the_stream_in_order(self):
-        got = _fgn_davies_harte(0.7, 100, np.random.default_rng(3), 3)
+        rng = np.random.default_rng(3)
+        got = np.stack([_fgn_davies_harte(0.7, 100, rng) for _ in range(3)])
         want = full_fft_fgn(0.7, 100, np.random.default_rng(3), paths=3)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_returned_paths_survive_the_next_draw(self):
         rng = np.random.default_rng(6)
-        noise = _fgn_davies_harte(0.7, 100, rng, 1)
+        noise = _fgn_davies_harte(0.7, 100, rng)
         path = generate_fbm(0.7, 101, 1)
         kept = noise.copy(), path.copy()
-        _fgn_davies_harte(0.7, 100, rng, 1)
+        _fgn_davies_harte(0.7, 100, rng)
         generate_fbm(0.7, 101, 2)
         assert np.array_equal(noise, kept[0])
         assert np.array_equal(path, kept[1])
@@ -328,7 +377,7 @@ class TestFbmGeneration:
         monkeypatch.setattr(traffic, "_fgn_autocov", lambda hurst, lags: np.where(lags == 1, 2.0, lags == 0))
         _circulant_roots.cache_clear()
         with pytest.raises(RuntimeError, match=r"hurst=0\.8, m=8"):
-            _fbm_paths(0.8, 9, np.random.default_rng(4), 1)
+            generate_fbm(0.8, 9, np.random.default_rng(4))
         assert _circulant_roots.cache_info().currsize == 0
 
     def test_rejects_bad_hurst(self):
@@ -357,7 +406,7 @@ class TestFbmSampling:
         loads = sample_loads([model], 24, 5).values[0]
         assert loads[0] == 0.0  # path starts at the origin
         # reconstruct from the same substream to confirm the formula
-        path = _fbm_paths(0.7, 24, _substream(5, 0), 1)[0]
+        path = generate_fbm(0.7, 24, _substream(5, 0))
         slots = np.arange(24)
         expect = model.trend.rate(slots) * np.maximum(path, 0.0) * 60.0
         assert np.array_equal(loads, expect)
