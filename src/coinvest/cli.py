@@ -6,12 +6,17 @@ lower bounds), ``simulate`` (Monte Carlo settlement), ``payback``
 named by ``--out``; machine-readable context, ending with the normalized
 config the run read (``"config"``), goes to a JSON sidecar at the same
 path with extension ``.json``, so ``--out`` must not end in ``.json``.
-``main`` checks the output path and loads the config; each command checks
-its flags, computes, and returns a header, a generator of CSV text and a
-sidecar.  Only then does ``main`` write, in one commit: it serializes the
-sidecar, streams the table into a temp file beside ``--out``, writes the
-sidecar into a second, and renames both into place once both are written.
-So a failed run writes nothing and leaves the earlier pair of files as it
+``main`` checks the output path first: it is not empty, its directory
+exists, and neither file is a directory or resolves to the other file or
+to the config.  Then it loads the config, whose numeric sections
+``load_config`` parses from one field table each (``_ECONOMICS``, and
+``_DEMAND`` per ``uncertainty.kind``), the same tables that build the
+demand models and the normalized config.  Each command checks its flags,
+computes, and returns a header, a generator of CSV text and a sidecar.
+Only then does ``main`` write, in one commit: it serializes the sidecar,
+streams the table into a temp file beside ``--out``, writes the sidecar
+into a second, and renames both into place once both are written.  So a
+failed run writes nothing and leaves the earlier pair of files as it
 was.  ``stability``, ``simulate`` and ``payback`` yield one line per
 row; ``plan`` formats each distinct share bit pattern of a series (one
 coalition's shares for one SP) once and yields the series in slabs of
@@ -62,7 +67,7 @@ from .game import (
     stability_value_hat,
     utility_ranges,
 )
-from .montecarlo import PAYMENT_MODES, payback_quantiles, payback_slots, simulate, summarize
+from .montecarlo import PAYMENT_MODES, QUANTILES, payback_quantiles, payback_slots, simulate, summarize
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions
 from .scenario import Scenario
 from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
@@ -124,7 +129,7 @@ def _check_keys(obj, path: str, allowed):
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _number(obj: dict, key: str, path: str, minimum=None, maximum=None, above=None):
+def _number(obj: dict, key: str, path: str, minimum=None, maximum=None, above=None, below=None):
     value = _require(obj, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
@@ -137,12 +142,36 @@ def _number(obj: dict, key: str, path: str, minimum=None, maximum=None, above=No
         raise ConfigError(f"{path}.{key}: must be at most {maximum}")
     if above is not None and value <= above:
         raise ConfigError(f"{path}.{key}: must be greater than {above}")
+    if below is not None and value >= below:
+        raise ConfigError(f"{path}.{key}: must be below {below}")
     return value
 
 
-def _profile(obj, path: str) -> RateProfile:
-    _check_keys(obj, path, {"base_rate", "period", "components"})
-    base = _number(obj, "base_rate", path, minimum=0.0)
+# The numeric fields of a config section, in their normalized order, with their ``_number`` bounds.
+_ECONOMICS = {
+    "capacity_price": {"minimum": 0.0},
+    "maintenance_price": {"minimum": 0.0},
+    "investment_years": {"above": 0.0},
+    "slot_hours": {"above": 0.0},
+}
+# Each ``uncertainty.kind``: its model, built as ``model(profile, **fields, slot_seconds=...)``, and its
+# fields.  hurst's bound is the integer 1, so that its refusal reads "must be below 1".
+_DEMAND = {
+    "bounded": (BoundedLoadModel, {"spread": {"minimum": 0.0, "maximum": 1.0}}),
+    "fbm": (FbmLoadModel, {"alpha": {"minimum": 0.0, "maximum": 1.0}, "hurst": {"above": 0.0, "below": 1}}),
+}
+
+
+def _section(obj, path: str, fields: dict, *others) -> dict:
+    """The numbers of ``obj`` that ``fields`` names, checked and in its order; keys outside
+    ``fields`` and ``others`` are refused first."""
+    _check_keys(obj, path, {*fields, *others})
+    return {key: _number(obj, key, path, **bounds) for key, bounds in fields.items()}
+
+
+def _profile(obj, path: str):
+    """``(RateProfile, normalized profile)`` of the profile ``obj``."""
+    normalized = _section(obj, path, {"base_rate": {"minimum": 0.0}}, "period", "components")
     period = _require(obj, "period", path)
     if isinstance(period, bool) or not isinstance(period, int):
         raise ConfigError(f"{path}.period: expected an integer number of slots")
@@ -161,9 +190,10 @@ def _profile(obj, path: str) -> RateProfile:
             raise ConfigError(f"{path}.components[{k}]: expected an [amplitude, phase] number pair")
         if not all(math.isfinite(v) for v in comp):
             raise ConfigError(f"{path}.components[{k}]: amplitude and phase must be finite")
-        pairs.append((float(comp[0]), float(comp[1])))
+        pairs.append([float(comp[0]), float(comp[1])])
+    normalized.update(period=period, components=pairs)
     try:
-        return RateProfile(base_rate=base, components=tuple(pairs), period=period)
+        return RateProfile(normalized["base_rate"], pairs, period), normalized
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -185,36 +215,22 @@ def load_config(path: str):
     if type(version) is not int or version != SCHEMA_VERSION:  # True == 1, and 1.0 == 1
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {json.dumps(version)}")
 
-    econ = _require(cfg, "economics", "config")
-    _check_keys(econ, "economics", {"capacity_price", "maintenance_price", "investment_years", "slot_hours"})
-    capacity_price = _number(econ, "capacity_price", "economics", minimum=0.0)
-    maintenance_price = _number(econ, "maintenance_price", "economics", minimum=0.0)
-    investment_years = _number(econ, "investment_years", "economics", above=0.0)
-    slot_hours = _number(econ, "slot_hours", "economics", above=0.0)
+    economics = _section(_require(cfg, "economics", "config"), "economics", _ECONOMICS)
     saturation = _number(cfg, "saturation", "config", above=0.0)
 
     unc = _require(cfg, "uncertainty", "config")
     kind = _require(unc, "kind", "uncertainty")
-    if kind == "bounded":
-        _check_keys(unc, "uncertainty", {"kind", "spread"})
-        spread = _number(unc, "spread", "uncertainty", minimum=0.0, maximum=1.0)
-        normalized_unc = {"kind": "bounded", "spread": spread}
-    elif kind == "fbm":
-        _check_keys(unc, "uncertainty", {"kind", "alpha", "hurst"})
-        alpha = _number(unc, "alpha", "uncertainty", minimum=0.0, maximum=1.0)
-        hurst = _number(unc, "hurst", "uncertainty", above=0.0)
-        if hurst >= 1.0:
-            raise ConfigError("uncertainty.hurst: must be below 1")
-        normalized_unc = {"kind": "fbm", "alpha": alpha, "hurst": hurst}
-    else:
-        raise ConfigError(f"uncertainty.kind: expected 'bounded' or 'fbm', got {kind!r}")
+    if not isinstance(kind, str) or kind not in _DEMAND:  # a list or an object is no table key
+        raise ConfigError(f"uncertainty.kind: expected {' or '.join(map(repr, _DEMAND))}, got {kind!r}")
+    model, fields = _DEMAND[kind]
+    demand = _section(unc, "uncertainty", fields, "kind")
 
     players = _require(cfg, "players", "config")
     if not isinstance(players, list) or not players:
         raise ConfigError("players: expected a nonempty list of SP descriptors")
     if len(players) > MAX_PLAYERS - 1:
         raise ConfigError(f"players: at most {MAX_PLAYERS - 1} SPs are supported, got {len(players)}")
-    names, benefits, profiles, normalized_players = [], [], [], []
+    names, profiles, normalized_players = [], [], []
     for i, sp in enumerate(players):
         path = f"players[{i}]"
         _check_keys(sp, path, {"name", "benefit", "profile"})
@@ -226,29 +242,16 @@ def load_config(path: str):
         if name in names:
             raise ConfigError(f"{path}.name: duplicate SP name {name!r}")
         benefit = _number(sp, "benefit", path, above=0.0)
-        profile = _profile(_require(sp, "profile", path), f"{path}.profile")
+        profile, normalized_profile = _profile(_require(sp, "profile", path), f"{path}.profile")
         names.append(name)
-        benefits.append(benefit)
         profiles.append(profile)
-        normalized_players.append(
-            {
-                "name": name,
-                "benefit": benefit,
-                "profile": {
-                    "base_rate": profile.base_rate,
-                    "period": profile.period,
-                    "components": [list(c) for c in profile.components],
-                },
-            }
-        )
+        normalized_players.append({"name": name, "benefit": benefit, "profile": normalized_profile})
 
     try:
         params = EconomicParams(
-            capacity_price=capacity_price,
-            maintenance_price=maintenance_price,
-            investment_hours=investment_years * HOURS_PER_YEAR,
-            slot_hours=slot_hours,
-            benefits=tuple(benefits),
+            **{key: value for key, value in economics.items() if key != "investment_years"},
+            investment_hours=economics["investment_years"] * HOURS_PER_YEAR,
+            benefits=tuple(sp["benefit"] for sp in normalized_players),
             saturation=saturation,
         )
     except ValueError as exc:
@@ -256,10 +259,7 @@ def load_config(path: str):
     models = []
     for i, profile in enumerate(profiles):  # after the economics, whose slot length they take
         try:
-            if kind == "bounded":
-                models.append(BoundedLoadModel(profile, spread, params.slot_seconds))
-            else:
-                models.append(FbmLoadModel(profile, alpha, hurst, params.slot_seconds))
+            models.append(model(profile, **demand, slot_seconds=params.slot_seconds))
         except ValueError as exc:
             raise ConfigError(f"players[{i}]: {exc}") from exc
     try:
@@ -267,17 +267,11 @@ def load_config(path: str):
     except ValueError as exc:
         raise ConfigError(f"economics: {exc}") from exc
     _check_fbm_loads(scenario, "")
-
     normalized = {
         "schema_version": SCHEMA_VERSION,
-        "economics": {
-            "capacity_price": capacity_price,
-            "maintenance_price": maintenance_price,
-            "investment_years": investment_years,
-            "slot_hours": slot_hours,
-        },
+        "economics": economics,
         "saturation": saturation,
-        "uncertainty": normalized_unc,
+        "uncertainty": {"kind": kind, **demand},
         "players": normalized_players,
     }
     return scenario, normalized
@@ -318,8 +312,10 @@ def _sidecar_path(out: str) -> str:
     return root + ".json"
 
 
-def _check_output_paths(out: str):
-    """Refuse an --out whose table or sidecar cannot be written, or whose sidecar would overwrite it."""
+def _check_output_paths(out: str, config: str):
+    """Refuse an --out whose table or sidecar cannot be written, or would overwrite the other or ``config``."""
+    if not out:
+        raise ConfigError("--out: expected a file path, got an empty string")
     sidecar = _sidecar_path(out)
     directory = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(directory):
@@ -329,6 +325,9 @@ def _check_output_paths(out: str):
             raise ConfigError(f"--out: {path} is a directory")
     if os.path.realpath(out) == os.path.realpath(sidecar):
         raise ConfigError(f"--out: {out} ends in .json, so its JSON sidecar would overwrite it")
+    for path in (out, sidecar):
+        if os.path.realpath(path) == os.path.realpath(config):
+            raise ConfigError(f"--out: {path} would overwrite the config {config}")
 
 
 def _workers() -> int:
@@ -352,7 +351,7 @@ def _quantiles(values):
     """Quantile dict of a summary row, or None when it has no values."""
     if values is None:
         return None
-    return {k: float(v) for k, v in zip(("min", "p25", "p50", "p75", "max"), values)}
+    return {label: float(v) for label, v in zip(QUANTILES, values)}
 
 
 def cmd_plan(args, scenario: Scenario):
@@ -635,7 +634,7 @@ def main(argv=None) -> int:
             if args.realizations < 1:
                 raise ConfigError("--realizations: must be at least 1")
             args.workers = _workers()
-        _check_output_paths(args.out)
+        _check_output_paths(args.out, args.config)
         scenario, normalized = load_config(args.config)
         header, rows, sidecar = args.func(args, scenario)
         _write_outputs(args.out, header, rows, {**sidecar, "config": normalized})

@@ -68,7 +68,10 @@ class SimulationSummary:
     payback_quantiles: Optional[np.ndarray]
     payback_censored: int
 
-QUANTILE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+# The quantiles every summary reports, each under the label the CLI's sidecar gives it.
+QUANTILES = {"min": 0.0, "p25": 0.25, "p50": 0.5, "p75": 0.75, "max": 1.0}
+QUANTILE_GRID = tuple(QUANTILES.values())
 
 
 def _check_counts(n_realizations: int, workers: int):

@@ -18,9 +18,9 @@ profile two uncertainty models are supported:
 
 Loads are requests per slot, ``load = rate * slot_seconds``; a
 ``LoadMatrix`` is the record of one draw, and nothing re-checks it.  The
-demand formulas live here alone: a ``RateProfile`` keeps the ``peak`` of
-the period it evaluates when built, which the bounded band's overflow
-check and ``FbmLoadModel.load_bound`` read.
+demand formulas live here alone: ``RateProfile.rate_bound`` bounds the
+rate at every slot, and the bounded band's overflow check and
+``FbmLoadModel.load_bound`` read it.
 
 Every fBm draw is one path: fractional Gaussian noise drawn exactly by
 Davies-Harte circulant embedding, cumulated by ``generate_fbm``.  A draw
@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -65,13 +65,12 @@ class RateProfile:
 
     ``components`` holds ``(amplitude, phase)`` pairs for harmonics
     k = 1, 2, ...  Construction fails unless the profile is finite and
-    nonnegative at every slot of one full period, whose top rate it keeps as ``peak``.
+    nonnegative at every slot of one full period.
     """
 
     base_rate: float
     components: tuple = ()
     period: int = 24
-    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.base_rate < math.inf:
@@ -92,7 +91,20 @@ class RateProfile:
                 f"rate profile dips below zero at slot {int(bad[0])} "
                 f"({rates[bad[0]]:.6g} requests/s)"
             )
-        object.__setattr__(self, "peak", float(rates.max()))
+
+    @property
+    def rate_bound(self) -> float:
+        """``base_rate + sum_k |amplitude_k|``, added in ``rate``'s order: no slot's rate exceeds it.
+
+        ``|np.sin| <= 1`` and rounding is monotone, so each rounded term is at
+        most its ``|amplitude|`` and each rounded sum at most this one's.  The
+        top rate over one period is no bound: past the first period the sine's
+        argument rounds with an error of about ``t * k`` ulps.
+        """
+        bound = self.base_rate
+        for amp, _ in self.components:  # not ``sum``: from Python 3.12 it compensates its rounding
+            bound += abs(amp)
+        return bound
 
     def rate(self, t):
         """Expected rate at slot(s) ``t`` (scalar or array)."""
@@ -119,7 +131,7 @@ class BoundedLoadModel:
         if not math.isfinite(self.slot_seconds):
             raise ValueError("slot_seconds must be finite")
         # Python floats: an overflow gives inf without a RuntimeWarning
-        if not math.isfinite((1.0 + self.spread) * (self.profile.peak * self.slot_seconds)):
+        if not math.isfinite((1.0 + self.spread) * (self.profile.rate_bound * self.slot_seconds)):
             raise ValueError("load band overflows: (1 + spread) * peak rate * slot_seconds is not finite")
 
     def expected_rate(self, t):
@@ -167,9 +179,14 @@ class FbmLoadModel:
         return env if env.shape else float(env)
 
     def load_bound(self, slots: int) -> float:
-        """``peak * (slots - 1)**H / sqrt(2*pi) * slot_seconds`` bounds the expected load over
-        ``slots`` slots; in Python floats, so an overflow gives inf without a RuntimeWarning."""
-        return self.trend.peak * (slots - 1) ** self.hurst / SQRT_2PI * self.slot_seconds
+        """``rate_bound * (slots - 1)**H / sqrt(2*pi) * slot_seconds`` bounds the expected load over
+        ``slots`` slots; in Python floats, so an overflow gives inf without a RuntimeWarning.
+
+        The power is numpy's, as in ``expected_rate``: it can differ from ``math.pow`` by an ulp,
+        and it does not fall as ``t`` grows.
+        """
+        envelope = float(np.power([slots - 1.0], self.hurst)[0])
+        return self.trend.rate_bound * envelope / SQRT_2PI * self.slot_seconds
 
     def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
         """One load row over ``slots`` slots from one fBm path.

@@ -22,7 +22,7 @@ from coinvest import cli
 from coinvest.allocation import AllocationError, AllocationPlan, optimal_plan
 from coinvest.cli import ConfigError, load_config, main
 from coinvest.players import all_coalitions
-from coinvest.traffic import MAX_FBM_SLOTS
+from coinvest.traffic import MAX_FBM_SLOTS, RateProfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -135,6 +135,48 @@ class TestConfigLoading:
         assert main(["stability", write_config(cfg), "--out", "x.csv"]) == 1
         assert "uncertainty.spread" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "uncertainty, message",
+        [
+            ({"kind": "fbm", "alpha": 0.5, "hurst": 1}, "uncertainty.hurst: must be below 1"),
+            ({"kind": "fbm", "alpha": 0.5, "hurst": 1.5}, "uncertainty.hurst: must be below 1"),
+            ({"kind": "fbm", "alpha": 0.5, "hurst": 0}, "uncertainty.hurst: must be greater than 0.0"),
+            ({"kind": "fbm", "alpha": 2, "hurst": 2}, "uncertainty.alpha: must be at most 1.0"),
+            ({"kind": "fbm", "alpha": 0.5, "spread": 0.3}, "uncertainty.spread: unknown field"),
+            ({"kind": "bounded"}, "uncertainty.spread: missing required field"),
+            ({"kind": [], "spread": 0.3}, "uncertainty.kind: expected 'bounded' or 'fbm', got []"),
+            ({"kind": {}, "x": 1}, "uncertainty.kind: expected 'bounded' or 'fbm', got {}"),
+            ({"kind": "normal"}, "uncertainty.kind: expected 'bounded' or 'fbm', got 'normal'"),
+        ],
+        ids=repr,
+    )
+    def test_uncertainty_refusals_name_the_field(self, write_config, uncertainty, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(base_config(uncertainty=uncertainty)))
+        assert str(exc.value) == message
+
+    def test_first_fault_in_check_order_is_reported(self, write_config):
+        # economics before saturation before uncertainty before players; keys before numbers
+        cfg = base_config(saturation=0, uncertainty={"kind": []}, players=[])
+        cfg["economics"].update(capacity_price=-1, slot_hours=0)
+        with pytest.raises(ConfigError, match=r"^economics\.capacity_price: must be at least 0\.0$"):
+            load_config(write_config(cfg))
+        cfg["economics"].update(capacity_price=1, discount_rate=0.05)
+        with pytest.raises(ConfigError, match=r"^economics\.discount_rate: unknown field$"):
+            load_config(write_config(cfg))
+
+    def test_normalized_config_keeps_the_schema_order(self, write_config):
+        cfg = base_config()
+        cfg["economics"] = dict(reversed(cfg["economics"].items()))
+        cfg["uncertainty"] = {"spread": 0.3, "kind": "bounded"}
+        cfg["players"][0]["profile"] = dict(reversed(cfg["players"][0]["profile"].items()))
+        _, normalized = load_config(write_config(cfg))
+        assert list(normalized) == ["schema_version", "economics", "saturation", "uncertainty", "players"]
+        assert list(normalized["economics"]) == ["capacity_price", "maintenance_price", "investment_years", "slot_hours"]
+        assert list(normalized["uncertainty"]) == ["kind", "spread"]
+        assert list(normalized["players"][0]) == ["name", "benefit", "profile"]
+        assert list(normalized["players"][0]["profile"]) == ["base_rate", "period", "components"]
+
     def test_unknown_key_rejected(self, write_config, capsys):
         cfg = base_config()
         cfg["economics"]["discount_rate"] = 0.05
@@ -216,6 +258,29 @@ class TestConfigLoading:
             assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: players[0]: load band overflows") and "Traceback" not in err
+
+    def test_band_overflowing_past_the_first_period_names_the_player(self, write_config, tmp_path, capsys, no_planning):
+        # Past the first period the sine's argument rounds with an error of about t ulps, so over 2**21
+        # slots this profile's top rate is 5e-10 relative above its top over slots 0..2.  Scaled so that
+        # the period's top load fits a float and the horizon's does not, the band is refused by name.
+        phase = 0.8093601412916109
+        unit = RateProfile(1.0, ((1.0, phase),), 3)
+        period_top, top = unit.rate(np.arange(3)).max(), unit.rate(np.arange(1 << 21)).max()
+        assert top > period_top * (1.0 + 5e-10)
+        rate = sys.float_info.max / 3600.0 / ((period_top + top) / 2.0)
+        profile = RateProfile(rate, ((rate, phase),), 3)
+        with np.errstate(over="ignore"):
+            assert math.isfinite(profile.rate(np.arange(3)).max() * 3600.0)
+            assert profile.rate(np.arange(1 << 21)).max() * 3600.0 == math.inf
+        cfg = shipped_config("edge-bounded.json")
+        cfg["economics"]["investment_years"] = (1 << 21) / 8760.0
+        cfg["uncertainty"]["spread"] = 0.0
+        cfg["players"][0]["profile"] = {"base_rate": rate, "period": 3, "components": [[rate, phase]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["plan", write_config(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: players[0]: load band overflows")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
     def test_swept_band_overflow_names_the_spread_and_player(self, write_config, tmp_path, capsys, no_planning):
         # 3e304 requests/s x 3600 s x (1 + 0.3) fits; x (1 + 1) overflows the band's top
@@ -392,6 +457,46 @@ class TestOutputPaths:
         assert main(["simulate", path, "--out", "nodir/x.csv"]) == 1
         assert capsys.readouterr().err.startswith("error: --out: ")
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.fixture
+    def no_loading(self, monkeypatch):
+        """Fail the test if the config is loaded."""
+
+        def refuse(path):
+            raise AssertionError("the config was loaded before --out was checked")
+
+        monkeypatch.setattr(cli, "load_config", refuse)
+
+    @pytest.mark.parametrize(
+        "config_name, out_name, link",
+        [
+            ("scen.json", "scen.csv", None),  # the sidecar is the config
+            ("scen.csv", "scen.csv", None),  # the table is the config
+            ("scen.json", "link.csv", "link.json"),  # the sidecar is a link to the config
+        ],
+    )
+    def test_out_that_would_overwrite_the_config_is_refused(
+        self, write_config, tmp_path, capsys, no_loading, config_name, out_name, link
+    ):
+        path = write_config(base_config(), config_name)
+        before = pathlib.Path(path).read_bytes()
+        if link:
+            os.symlink(path, tmp_path / link)
+        assert main(["stability", path, "--out", str(tmp_path / out_name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and "would overwrite the config" in err
+        assert pathlib.Path(path).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == sorted(filter(None, [config_name, link]))
+
+    def test_empty_out_is_refused(self, write_config, tmp_path, capsys, monkeypatch, no_loading):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        path = write_config(base_config())
+        assert main(["stability", path, "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out: expected a file path, got an empty string\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json", "work"]
+        assert os.listdir(work) == []
 
     @pytest.mark.parametrize("directory", ["s.csv", "s.json"])
     def test_out_or_sidecar_naming_a_directory_is_refused(

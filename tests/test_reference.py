@@ -17,7 +17,9 @@ The paper's invariants are asserted on the reference's own numbers, its
 brute-force plans priced slot by slot: the Shapley payoffs sum to the
 grand value, every realization's payments sum to the installed cost and
 its rewards to the collected revenue, and wherever the value table is
-supermodular the Shapley payoff lies in the core.  nu^LB <= the empirical
+supermodular the Shapley payoff lies in the core.  In every draw whose
+deviations all stay below delta-hat, the realized Shapley payoff and the
+ex-ante position lie in the realized game's core.  nu^LB <= the empirical
 stability frequency needs many realizations, so it stays with AC05 in
 ``test_acceptance.py``.
 """
@@ -215,6 +217,43 @@ def test_reference_shapley_in_the_core_of_supermodular_games():
             excess = math.fsum(payoff[i] for i in reference.members(bits, scenario.n_players)) - values[bits]
             assert excess >= -tol, (seed, bits)
     assert len(supermodular_seeds) >= 5  # 9 of the 20 games are; the core check must not run empty
+
+
+STABLE_DRAWS = 12
+
+
+def test_deviations_below_delta_hat_keep_both_positions_in_the_realized_core():
+    """delta-hat's promise, realization by realization, on the reference's own numbers.
+
+    Whenever every player's deviation (its revenue under the grand plan
+    less its expected revenue) is below delta-hat, two positions lie in
+    the core of the realized game, the brute-force plans priced at the
+    drawn loads: the realized Shapley payoff, and the ex-ante position
+    (expected Shapley payoff plus deviation), what a player nets when it
+    pays its ex-ante payment and keeps what it collects.
+    """
+    checked = 0
+    for seed in SEEDS:
+        scenario, plans, values = reference_game(seed)
+        n_players, params = scenario.n_players, scenario.params
+        payoff = reference.shapley(values, n_players)
+        delta = reference.deviation_threshold(values, reference.sigma_hat(values, payoff), n_players)
+        expected_revenue = reference.sp_revenues(plans[-1], scenario.expected_loads(), params)
+        for omega in range(STABLE_DRAWS):
+            loads = sample_loads(scenario.models, scenario.horizon, (seed, omega)).values
+            revenue = reference.sp_revenues(plans[-1], loads, params)
+            deviations = [0.0] + [r - e for r, e in zip(revenue, expected_revenue)]
+            if not all(abs(d) < delta for d in deviations):
+                continue
+            checked += 1
+            realized = reference.values(plans, loads, params)
+            tol = value_scale(realized)
+            position = [p + d for p, d in zip(payoff, deviations)]
+            for x in (reference.shapley(realized, n_players), position):
+                for bits in range(1, len(realized)):
+                    excess = math.fsum(x[i] for i in reference.members(bits, n_players)) - realized[bits]
+                    assert excess >= -tol, (seed, omega, bits)
+    assert checked >= 30  # 52 of the 240 draws are; the core check must not run empty
 
 
 @pytest.mark.parametrize("seed", SEEDS)

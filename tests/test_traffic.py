@@ -101,17 +101,25 @@ class TestRateProfile:
         with pytest.raises(ValueError, match="finite"):
             RateProfile(10.0, ((1.0, bad),))
 
-    def test_peak_is_the_period_maximum(self):
+    def test_rate_bound_is_base_plus_the_amplitudes(self):
+        assert RateProfile(10.0, ((2.0, 1.0), (-3.0, 5.0)), 24).rate_bound == 15.0
+        assert RateProfile(4e307, ((-1.5e308, 0.0),), 1).rate_bound == math.inf  # sin(0) = 0 at slot 0
+
+    def test_rate_bound_bounds_every_slot(self):
         rng = np.random.default_rng(17)
+        slots = np.arange(100_000)
         for _ in range(50):
             profile = random_profile(rng)
-            assert profile.peak == profile.rate(np.arange(profile.period)).max()
+            assert profile.rate(slots).max() <= profile.rate_bound
 
-    def test_peak_stays_out_of_equality_and_repr(self):
-        profile = RateProfile(10.0, ((2.0, 1.0),), 24)
-        assert profile == RateProfile(10.0, ((2.0, 1.0),), 24)
-        assert "peak" not in repr(profile)
-        assert replace(profile, base_rate=20.0).peak == pytest.approx(profile.peak + 10.0, rel=1e-15)
+    def test_rate_bound_holds_where_the_period_peak_does_not(self):
+        # past the first period the sine's argument rounds with an error of about t*k ulps, so the
+        # top rate over slots 0..2 is 6.2e-9 relative below the top rate over 2**21 slots
+        profile = RateProfile(1.0, ((0.0, 0.0),) * 12 + ((1.0, 2.056625953442084),), 3)
+        period_peak = profile.rate(np.arange(3)).max()
+        top = profile.rate(np.arange(1 << 21)).max()
+        assert top > period_peak * (1.0 + 6e-9)
+        assert top <= profile.rate_bound == 2.0
 
 
 class TestExpectedLoad:
@@ -171,14 +179,14 @@ class TestFbmLoadBound:
         for _ in range(40):
             alpha, hurst, slot_seconds = rng.uniform(), rng.uniform(0.01, 0.99), rng.uniform(1.0, 3600.0)
             model = FbmLoadModel(random_profile(rng), float(alpha), float(hurst), float(slot_seconds))
-            # past the first period the sine's argument 2*pi*k*(t - phase)/period carries a rounding
-            # error of about t*k ulps, so a rate there may exceed the period's peak by that much
-            assert expected_load_matrix([model], slots).max() <= model.load_bound(slots) * (1.0 + 1e-10)
+            assert expected_load_matrix([model], slots).max() <= model.load_bound(slots)
+            flat = replace(model, trend=RateProfile(model.trend.base_rate))  # attains its rate bound
+            assert expected_load_matrix([flat], slots).max() <= flat.load_bound(slots)
 
     def test_a_flat_profile_attains_the_bound_at_the_last_slot(self):
         model = FbmLoadModel(RateProfile(250.0), 0.4, 0.7, 3600.0)
         for slots in (2, 24, 8760):
-            assert model.load_bound(slots) == pytest.approx(expected_load(model, slots - 1), rel=1e-14)
+            assert model.load_bound(slots) == expected_load(model, slots - 1)
 
     def test_overflow_gives_inf_without_a_warning(self):
         # 4e303 requests/s x (slots - 1)**0.7 / sqrt(2*pi) x 3600 s fits 24 slots, but not 8 760
