@@ -11,7 +11,12 @@ exists, and neither file is a directory or resolves to the other file or
 to the config.  Then it loads the config, whose numeric sections
 ``load_config`` parses from one field table each (``_ECONOMICS``, and
 ``_DEMAND`` per ``uncertainty.kind``), the same tables that build the
-demand models and the normalized config.  Each command checks its flags,
+demand models and the normalized config.  The rules on built values stay
+with the library classes that own them (an fBm expected load that
+overflows at the horizon is ``Scenario``'s refusal); ``_built`` calls a
+constructor and prefixes its refusal with the field or flag the value came
+from (``economics``, ``players[i]``, ``--sweep: spread <s>``,
+``--periods: <y> years``).  Each command checks its flags,
 computes, and returns a header, a generator of CSV text and a sidecar.
 Only then does ``main`` write, in one commit: it serializes the sidecar,
 streams the table into a temp file beside ``--out``, writes the sidecar
@@ -161,12 +166,28 @@ _DEMAND = {
     "fbm": (FbmLoadModel, {"alpha": {"minimum": 0.0, "maximum": 1.0}, "hurst": {"above": 0.0, "below": 1}}),
 }
 
+# Names an SP may not take, because the tables already use them as labels; "+" joins coalition labels.
+_RESERVED_NAMES = {
+    "InP": "the infrastructure provider",
+    "none": "the empty coalition's label",
+    "nu_lb": "stability's joint-bound row",
+}
+
 
 def _section(obj, path: str, fields: dict, *others) -> dict:
     """The numbers of ``obj`` that ``fields`` names, checked and in its order; keys outside
     ``fields`` and ``others`` are refused first."""
     _check_keys(obj, path, {*fields, *others})
     return {key: _number(obj, key, path, **bounds) for key, bounds in fields.items()}
+
+
+def _built(prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a library constructor; its ``ValueError`` becomes a ``ConfigError``
+    that ``prefix`` leads, naming the field or flag the refused value came from."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _profile(obj, path: str):
@@ -192,10 +213,7 @@ def _profile(obj, path: str):
             raise ConfigError(f"{path}.components[{k}]: amplitude and phase must be finite")
         pairs.append([float(comp[0]), float(comp[1])])
     normalized.update(period=period, components=pairs)
-    try:
-        return RateProfile(normalized["base_rate"], pairs, period), normalized
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _built(f"{path}: ", RateProfile, normalized["base_rate"], pairs, period), normalized
 
 
 def load_config(path: str):
@@ -237,8 +255,10 @@ def load_config(path: str):
         name = _require(sp, "name", path)
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{path}.name: expected a nonempty string")
-        if name == "InP":
-            raise ConfigError(f"{path}.name: 'InP' is reserved for the infrastructure provider")
+        if name in _RESERVED_NAMES:
+            raise ConfigError(f"{path}.name: {name!r} is reserved for {_RESERVED_NAMES[name]}")
+        if "+" in name:
+            raise ConfigError(f"{path}.name: {name!r} contains '+', which joins the names in coalition labels")
         if name in names:
             raise ConfigError(f"{path}.name: duplicate SP name {name!r}")
         benefit = _number(sp, "benefit", path, above=0.0)
@@ -247,26 +267,20 @@ def load_config(path: str):
         profiles.append(profile)
         normalized_players.append({"name": name, "benefit": benefit, "profile": normalized_profile})
 
-    try:
-        params = EconomicParams(
-            **{key: value for key, value in economics.items() if key != "investment_years"},
-            investment_hours=economics["investment_years"] * HOURS_PER_YEAR,
-            benefits=tuple(sp["benefit"] for sp in normalized_players),
-            saturation=saturation,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"economics: {exc}") from exc
-    models = []
-    for i, profile in enumerate(profiles):  # after the economics, whose slot length they take
-        try:
-            models.append(model(profile, **demand, slot_seconds=params.slot_seconds))
-        except ValueError as exc:
-            raise ConfigError(f"players[{i}]: {exc}") from exc
-    try:
-        scenario = Scenario(sp_names=tuple(names), models=tuple(models), params=params)
-    except ValueError as exc:
-        raise ConfigError(f"economics: {exc}") from exc
-    _check_fbm_loads(scenario, "")
+    params = _built(
+        "economics: ",
+        EconomicParams,
+        **{key: value for key, value in economics.items() if key != "investment_years"},
+        investment_hours=economics["investment_years"] * HOURS_PER_YEAR,
+        benefits=tuple(sp["benefit"] for sp in normalized_players),
+        saturation=saturation,
+    )
+    models = [  # after the economics, whose slot length they take
+        _built(f"players[{i}]: ", model, profile, **demand, slot_seconds=params.slot_seconds)
+        for i, profile in enumerate(profiles)
+    ]
+    # the parser rules out every other refusal; an fBm load that overflows names its SP
+    scenario = _built("", Scenario, sp_names=tuple(names), models=tuple(models), params=params)
     normalized = {
         "schema_version": SCHEMA_VERSION,
         "economics": economics,
@@ -419,24 +433,10 @@ def _parse_float_list(raw: str, flag: str, label: str):
     return values
 
 
-def _check_fbm_horizon(scenario: Scenario, source: str):
-    """Refuse an fBm horizon the sampler cannot draw, before any planning."""
-    if scenario.kind == "fbm" and scenario.horizon > MAX_FBM_SLOTS:
-        raise ConfigError(
-            f"{source}: fBm horizon of {scenario.horizon} slots exceeds the ceiling of {MAX_FBM_SLOTS}"
-        )
-
-
-def _check_fbm_loads(scenario: Scenario, source: str):
-    """Refuse an fBm scenario whose expected load overflows a float; ``source`` prefixes the message."""
-    if scenario.kind != "fbm":
-        return
-    for i, m in enumerate(scenario.models):
-        if not math.isfinite(m.load_bound(scenario.horizon)):
-            raise ConfigError(
-                f"{source}players[{i}]: expected load overflows at {scenario.horizon} slots: "
-                "peak rate * (horizon - 1)**hurst / sqrt(2*pi) * slot_seconds is not finite"
-            )
+def _check_fbm_horizon(scenario: Scenario, horizon: int, source: str):
+    """Refuse an fBm ``horizon`` the sampler cannot draw, before any planning."""
+    if scenario.kind == "fbm" and horizon > MAX_FBM_SLOTS:
+        raise ConfigError(f"{source}: fBm horizon of {horizon} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
 
 
 def cmd_stability(args, scenario: Scenario):
@@ -450,12 +450,10 @@ def cmd_stability(args, scenario: Scenario):
         for s in _parse_float_list(args.sweep, "--sweep", "spread {}"):
             if not 0.0 <= s <= 1.0:
                 raise ConfigError(f"--sweep: spread {_shown(s)} outside [0, 1]")
-            models = []
-            for i, m in enumerate(scenario.models):
-                try:
-                    models.append(replace(m, spread=s))
-                except ValueError as exc:
-                    raise ConfigError(f"--sweep: spread {_shown(s)}: players[{i}]: {exc}") from exc
+            models = [
+                _built(f"--sweep: spread {_shown(s)}: players[{i}]: ", replace, m, spread=s)
+                for i, m in enumerate(scenario.models)
+            ]
             sweep.append((s, models))
 
     table = build_value_table(scenario.expected_loads(), scenario.params)
@@ -493,7 +491,7 @@ def cmd_stability(args, scenario: Scenario):
 
 
 def cmd_simulate(args, scenario: Scenario):
-    _check_fbm_horizon(scenario, "economics.investment_years")
+    _check_fbm_horizon(scenario, scenario.horizon, "economics.investment_years")
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
     delta = deviation_threshold(table, stability_value_hat(table, payoff))
@@ -543,14 +541,9 @@ def cmd_payback(args, scenario: Scenario):
         if y <= 0.0:
             raise ConfigError(f"--periods: investment length {_shown(y)} must be positive")
         source = f"--periods: {_shown(y)} years"
-        try:
-            params = replace(scenario.params, investment_hours=y * HOURS_PER_YEAR)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-        sub = Scenario(scenario.sp_names, scenario.models, params)
-        _check_fbm_horizon(sub, source)
-        _check_fbm_loads(sub, f"{source}: ")
-        subs.append((y, sub))
+        params = _built(f"{source}: ", replace, scenario.params, investment_hours=y * HOURS_PER_YEAR)
+        _check_fbm_horizon(scenario, params.horizon, source)  # the ceiling before the load bound
+        subs.append((y, _built(f"{source}: ", replace, scenario, params=params)))
 
     grand = PlayerSet.grand(scenario.n_players)
     paybacks = []

@@ -1,7 +1,15 @@
-"""One co-investment scenario: SPs, their demand models, market constants."""
+"""One co-investment scenario: SPs, their demand models, market constants.
+
+A ``Scenario`` holds the one horizon its models are drawn over, so it owns
+the rules that need both: every model's slot length is the economic one,
+and an fBm model's expected load (``FbmLoadModel.load_bound``) is a finite
+float over the horizon.  ``dataclasses.replace`` copies are checked again.
+Refusals name an SP as ``players[i]``, its index in ``sp_names``.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +43,12 @@ class Scenario:
             raise ValueError(f"unsupported demand model {kind.__name__}")
         for i, m in enumerate(self.models):
             if abs(m.slot_seconds - self.params.slot_seconds) > 1e-6 * self.params.slot_seconds:
-                raise ValueError(f"model {i} slot length disagrees with the economic slot length")
+                raise ValueError(f"players[{i}]: slot length disagrees with the economic slot length")
+            if kind is FbmLoadModel and not math.isfinite(m.load_bound(self.horizon)):
+                raise ValueError(
+                    f"players[{i}]: expected load overflows at {self.horizon} slots: "
+                    "peak rate * (horizon - 1)**hurst / sqrt(2*pi) * slot_seconds is not finite"
+                )
 
     @property
     def n_sp(self) -> int:

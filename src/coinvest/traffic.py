@@ -20,7 +20,9 @@ Loads are requests per slot, ``load = rate * slot_seconds``; a
 ``LoadMatrix`` is the record of one draw, and nothing re-checks it.  The
 demand formulas live here alone: ``RateProfile.rate_bound`` bounds the
 rate at every slot, and the bounded band's overflow check and
-``FbmLoadModel.load_bound`` read it.
+``FbmLoadModel.load_bound`` read it.  A bounded model checks its band when
+it is built; the fBm bound grows with the horizon, so ``Scenario``, which
+holds the horizon, checks it.
 
 Every fBm draw is one path: fractional Gaussian noise drawn exactly by
 Davies-Harte circulant embedding, cumulated by ``generate_fbm``.  A draw

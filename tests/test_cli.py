@@ -201,6 +201,27 @@ class TestConfigLoading:
         assert main(["plan", write_config(cfg), "--out", "x.csv"]) == 1
         assert "reserved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, names, bad",
+        [
+            ("stability", ["nu_lb", "west"], 0),  # a second nu_lb row per spread beside the joint bound
+            ("plan --all-coalitions", ["a", "b", "a+b"], 2),  # {InP, a, b} and {InP, a+b} share one label
+            ("plan --all-coalitions", ["east", "none"], 1),  # the empty coalition's label, twice in the sidecar
+            ("plan", ["east", "+"], 1),
+        ],
+    )
+    def test_names_that_clash_with_table_labels_are_refused(
+        self, write_config, tmp_path, capsys, command, names, bad
+    ):
+        cfg = base_config()
+        sp = cfg["players"][0]
+        cfg["players"] = [{**sp, "name": name} for name in names]
+        name, *flags = command.split()
+        assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: players[{bad}].name: {names[bad]!r} ")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
     def test_negative_amplitude_profile_rejected(self, write_config, capsys):
         cfg = base_config()
         cfg["players"][0]["profile"]["components"] = [[999999.0, 0.0]]
@@ -1137,6 +1158,18 @@ class TestFbmCeiling:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --periods: 300 years: ") and "ceiling" in err
+
+    def test_ceiling_is_reported_before_the_load_overflow(self, write_config, tmp_path, capsys, no_planning):
+        # 4e303 requests/s fits the config's 24 slots; 300 years pass both the ceiling and a float
+        cfg = fbm_config()
+        cfg["economics"]["investment_years"] = 24.0 / 8760.0
+        cfg["players"][0]["profile"]["base_rate"] = 4e303
+        args = ["payback", write_config(cfg), "--out", str(tmp_path / "pb.csv"), "--periods", "300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*args, "--realizations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --periods: 300 years: fBm horizon of 2628000 slots exceeds the ceiling")
 
     def test_plan_still_accepts_long_fbm_horizons(self, write_config, tmp_path, capsys, monkeypatch):
         # plan draws nothing, so it goes on to the planner; stop it there
