@@ -26,7 +26,6 @@ _EXPORTS = {
         "BoundedLoadModel",
         "FbmLoadModel",
         "LoadMatrix",
-        "expected_load",
         "expected_load_matrix",
         "generate_fbm",
         "sample_loads",

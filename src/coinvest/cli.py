@@ -12,13 +12,13 @@ to the config.  Then it loads the config, whose numeric sections
 ``load_config`` parses from one field table each (``_ECONOMICS``, and
 ``_DEMAND`` per ``uncertainty.kind``), the same tables that build the
 demand models and the normalized config.  The rules on built values stay
-with the library classes that own them (an fBm expected load that
-overflows at the horizon is ``Scenario``'s refusal); ``_built`` calls a
-constructor and prefixes its refusal with the field or flag the value came
-from (``economics``, ``players[i]``, ``--sweep: spread <s>``,
-``--periods: <y> years``).  Each command checks its flags,
-computes, and returns a header, a generator of CSV text and a sidecar.
-Only then does ``main`` write, in one commit: it serializes the sidecar,
+with the library classes that own them (a load or revenue that overflows
+over the horizon is ``Scenario``'s refusal, naming ``players[i]``);
+``_built`` calls a constructor and prefixes its refusal with the field or
+flag the value came from (``players[i].profile``, ``economics``,
+``--sweep: spread <s>``, ``--periods: <y> years``).  Each command checks
+its flags, computes, and returns a header, a generator of CSV text and a
+sidecar.  Only then does ``main`` write, in one commit: it serializes the sidecar,
 streams the table into a temp file beside ``--out``, writes the sidecar
 into a second, and renames both into place once both are written.  So a
 failed run writes nothing and leaves the earlier pair of files as it
@@ -159,8 +159,8 @@ _ECONOMICS = {
     "investment_years": {"above": 0.0},
     "slot_hours": {"above": 0.0},
 }
-# Each ``uncertainty.kind``: its model, built as ``model(profile, **fields, slot_seconds=...)``, and its
-# fields.  hurst's bound is the integer 1, so that its refusal reads "must be below 1".
+# Each ``uncertainty.kind``: its model, built as ``model(profile, **fields)``, and its fields.
+# hurst's bound is the integer 1, so that its refusal reads "must be below 1".
 _DEMAND = {
     "bounded": (BoundedLoadModel, {"spread": {"minimum": 0.0, "maximum": 1.0}}),
     "fbm": (FbmLoadModel, {"alpha": {"minimum": 0.0, "maximum": 1.0}, "hurst": {"above": 0.0, "below": 1}}),
@@ -248,7 +248,7 @@ def load_config(path: str):
         raise ConfigError("players: expected a nonempty list of SP descriptors")
     if len(players) > MAX_PLAYERS - 1:
         raise ConfigError(f"players: at most {MAX_PLAYERS - 1} SPs are supported, got {len(players)}")
-    names, profiles, normalized_players = [], [], []
+    names, models, normalized_players = [], [], []
     for i, sp in enumerate(players):
         path = f"players[{i}]"
         _check_keys(sp, path, {"name", "benefit", "profile"})
@@ -264,7 +264,7 @@ def load_config(path: str):
         benefit = _number(sp, "benefit", path, above=0.0)
         profile, normalized_profile = _profile(_require(sp, "profile", path), f"{path}.profile")
         names.append(name)
-        profiles.append(profile)
+        models.append(model(profile, **demand))  # the parser rules out every refusal of the model
         normalized_players.append({"name": name, "benefit": benefit, "profile": normalized_profile})
 
     params = _built(
@@ -275,11 +275,7 @@ def load_config(path: str):
         benefits=tuple(sp["benefit"] for sp in normalized_players),
         saturation=saturation,
     )
-    models = [  # after the economics, whose slot length they take
-        _built(f"players[{i}]: ", model, profile, **demand, slot_seconds=params.slot_seconds)
-        for i, profile in enumerate(profiles)
-    ]
-    # the parser rules out every other refusal; an fBm load that overflows names its SP
+    # the parser rules out every other refusal; a load or revenue that overflows names its SP
     scenario = _built("", Scenario, sp_names=tuple(names), models=tuple(models), params=params)
     normalized = {
         "schema_version": SCHEMA_VERSION,
@@ -445,16 +441,14 @@ def cmd_stability(args, scenario: Scenario):
             "stability bounds require the bounded demand model; this config uses fBm"
         )
     sweep = [(scenario.models[0].spread, scenario.models)]
-    if args.sweep is not None:  # the swept models, built before planning: each refuses an overflowing band
+    if args.sweep is not None:  # the swept scenarios, built before planning: each refuses an overflowing load
         sweep = []
         for s in _parse_float_list(args.sweep, "--sweep", "spread {}"):
             if not 0.0 <= s <= 1.0:
                 raise ConfigError(f"--sweep: spread {_shown(s)} outside [0, 1]")
-            models = [
-                _built(f"--sweep: spread {_shown(s)}: players[{i}]: ", replace, m, spread=s)
-                for i, m in enumerate(scenario.models)
-            ]
-            sweep.append((s, models))
+            models = [replace(m, spread=s) for m in scenario.models]
+            swept = _built(f"--sweep: spread {_shown(s)}: ", replace, scenario, models=models)
+            sweep.append((s, swept.models))
 
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)

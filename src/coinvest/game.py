@@ -287,7 +287,7 @@ def utility_ranges(plan: AllocationPlan, models: Sequence, params: EconomicParam
                 "require the bounded demand model"
             )
     horizon = plan.shares.shape[1]
-    means = expected_load_matrix(models, horizon)
+    means = expected_load_matrix(models, horizon, params.slot_seconds)
     spreads = np.array([m.spread for m in models])[:, None]
     beta = np.asarray(params.benefits)[:, None]
     sp_rows = utility(beta, params.saturation, 1.0, plan.shares) * 2.0 * spreads * means

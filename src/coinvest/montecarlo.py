@@ -129,7 +129,7 @@ def simulate(
         fixed_payments = np.concatenate(([0.0], nominal_collected)) - expected_payoff
 
     def settle(omega: int) -> RealizationOutcome:
-        loads = sample_loads(scenario.models, horizon, (seed, omega))
+        loads = sample_loads(scenario.models, horizon, params.slot_seconds, (seed, omega))
         collected_sp = np.einsum("sit,it->si", weights, loads.values)
         values = collected_sp.sum(axis=1) - costs
         payoffs = shapley(values, n)
@@ -175,7 +175,8 @@ def payback_slots(
     horizon = scenario.horizon
 
     def settle(omega: int) -> Optional[int]:
-        return _payback_slot(weights, sample_loads(scenario.models, horizon, (seed, omega)).values, installed)
+        loads = sample_loads(scenario.models, horizon, params.slot_seconds, (seed, omega))
+        return _payback_slot(weights, loads.values, installed)
 
     return _map_realizations(settle, n_realizations, workers)
 

@@ -1,10 +1,12 @@
 """One co-investment scenario: SPs, their demand models, market constants.
 
-A ``Scenario`` holds the one horizon its models are drawn over, so it owns
-the rules that need both: every model's slot length is the economic one,
-and an fBm model's expected load (``FbmLoadModel.load_bound``) is a finite
-float over the horizon.  ``dataclasses.replace`` copies are checked again.
-Refusals name an SP as ``players[i]``, its index in ``sp_names``.
+A ``Scenario`` holds the one horizon and the one slot length
+(``params.slot_seconds``) its models are drawn over, so it owns the rules
+that need both.  Every SP's ``load_bound`` over the horizon is a finite
+float, refused with its model's ``OVERFLOW`` text.  Then the revenue bound
+``max(1, saturation) * sum_i benefit_i * horizon * load_bound_i`` stays a
+finite float, added SP by SP.  ``dataclasses.replace`` copies are checked
+again.  Refusals name an SP as ``players[i]``, its index in ``sp_names``.
 """
 
 from __future__ import annotations
@@ -41,13 +43,19 @@ class Scenario:
         kind = kinds.pop()
         if kind not in (BoundedLoadModel, FbmLoadModel):
             raise ValueError(f"unsupported demand model {kind.__name__}")
-        for i, m in enumerate(self.models):
-            if abs(m.slot_seconds - self.params.slot_seconds) > 1e-6 * self.params.slot_seconds:
-                raise ValueError(f"players[{i}]: slot length disagrees with the economic slot length")
-            if kind is FbmLoadModel and not math.isfinite(m.load_bound(self.horizon)):
+        bounds = [m.load_bound(self.horizon, self.params.slot_seconds) for m in self.models]
+        for i, (m, bound) in enumerate(zip(self.models, bounds)):
+            if not math.isfinite(bound):
+                raise ValueError(f"players[{i}]: {m.OVERFLOW.format(slots=self.horizon)}")
+        # Python floats: an overflow gives inf without a RuntimeWarning.  Every factor after
+        # ``bound * benefit`` is at least 1, so no partial product overflows unless the whole does.
+        scale, revenue = max(1.0, self.params.saturation), 0.0
+        for i, (bound, benefit) in enumerate(zip(bounds, self.params.benefits)):
+            revenue += bound * benefit * self.horizon
+            if not math.isfinite(scale * revenue):
                 raise ValueError(
-                    f"players[{i}]: expected load overflows at {self.horizon} slots: "
-                    "peak rate * (horizon - 1)**hurst / sqrt(2*pi) * slot_seconds is not finite"
+                    f"players[{i}]: revenue overflows at {self.horizon} slots: max(1, saturation) * "
+                    "sum of benefit * horizon * load bound over players[0..i] is not finite"
                 )
 
     @property
@@ -71,4 +79,4 @@ class Scenario:
         return ("InP",) + self.sp_names
 
     def expected_loads(self) -> np.ndarray:
-        return expected_load_matrix(self.models, self.horizon)
+        return expected_load_matrix(self.models, self.horizon, self.params.slot_seconds)

@@ -16,13 +16,13 @@ profile two uncertainty models are supported:
   path.  ``t**H / sqrt(2*pi)`` is exactly ``E[max(0, f_t)]`` for a
   standard fBm, so the expected rate is the same for every ``alpha``.
 
-Loads are requests per slot, ``load = rate * slot_seconds``; a
+A model describes rates only.  Loads are requests per slot, ``rate *
+slot_seconds``, with the one slot length passed in where they are made; a
 ``LoadMatrix`` is the record of one draw, and nothing re-checks it.  The
 demand formulas live here alone: ``RateProfile.rate_bound`` bounds the
-rate at every slot, and the bounded band's overflow check and
-``FbmLoadModel.load_bound`` read it.  A bounded model checks its band when
-it is built; the fBm bound grows with the horizon, so ``Scenario``, which
-holds the horizon, checks it.
+rate at every slot, and each model's ``load_bound`` reads it.  ``Scenario``,
+which holds the horizon and the slot length, refuses a bound that is not
+finite with the model's ``OVERFLOW`` text.
 
 Every fBm draw is one path: fractional Gaussian noise drawn exactly by
 Davies-Harte circulant embedding, cumulated by ``generate_fbm``.  A draw
@@ -30,9 +30,9 @@ weights the Hermitian half of the spectrum (``m + 1`` complex entries
 for an embedding of ``2m``) and runs one real inverse FFT; the
 spectrum's square roots are memoised per ``(H, m)``, and each thread
 reuses its normal and half-spectrum buffers from one draw to the next.
-Each model also keeps the deterministic rows of its last horizon,
-read-only: the bounded band's lower edge and width, or the fBm trend and
-smooth envelope term.
+Each model also keeps the deterministic rows of its last horizon and
+slot length, read-only: the bounded band's lower edge and width, or the
+fBm trend and smooth envelope term.
 
 Randomness contract: every sampler derives one independent substream
 per (seed, realization, player) through ``numpy.random.SeedSequence``
@@ -123,34 +123,34 @@ class BoundedLoadModel:
 
     profile: RateProfile
     spread: float
-    slot_seconds: float
+
+    # ``Scenario``'s refusal when ``load_bound`` is not finite
+    OVERFLOW = "load band overflows: (1 + spread) * peak rate * slot_seconds is not finite"
 
     def __post_init__(self):
         if not 0.0 <= self.spread <= 1.0:
             raise ValueError("spread must lie in [0, 1]")
-        if self.slot_seconds <= 0.0:
-            raise ValueError("slot_seconds must be positive")
-        if not math.isfinite(self.slot_seconds):
-            raise ValueError("slot_seconds must be finite")
-        # Python floats: an overflow gives inf without a RuntimeWarning
-        if not math.isfinite((1.0 + self.spread) * (self.profile.rate_bound * self.slot_seconds)):
-            raise ValueError("load band overflows: (1 + spread) * peak rate * slot_seconds is not finite")
 
     def expected_rate(self, t):
         """Expected request rate at slot(s) ``t``."""
         return self.profile.rate(t)
 
-    def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+    def load_bound(self, slots: int, slot_seconds: float) -> float:
+        """``(1 + spread) * rate_bound * slot_seconds``, the band's top at every slot of any horizon;
+        in Python floats, so an overflow gives inf without a RuntimeWarning."""
+        return (1.0 + self.spread) * (self.profile.rate_bound * slot_seconds)
+
+    def sample(self, slots: int, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
         """One load row over ``slots`` slots: ``U * width + low``, rounded as ``rng.uniform`` does."""
-        low, width = _cached_rows(self, slots, self._rows)
+        low, width = _cached_rows(self, slots, slot_seconds, self._rows)
         load = rng.random(slots)
         load *= width
         load += low
         return load
 
-    def _rows(self, t: np.ndarray) -> tuple:
+    def _rows(self, t: np.ndarray, slot_seconds: float) -> tuple:
         """The band's lower edge ``(1 - spread) * mean`` and its width ``(1 + spread) * mean - low``."""
-        mean = expected_load(self, t)
+        mean = self.expected_rate(t) * slot_seconds
         low = (1.0 - self.spread) * mean
         return low, (1.0 + self.spread) * mean - low
 
@@ -162,17 +162,18 @@ class FbmLoadModel:
     trend: RateProfile
     alpha: float
     hurst: float
-    slot_seconds: float
+
+    # ``Scenario``'s refusal when ``load_bound`` is not finite
+    OVERFLOW = (
+        "expected load overflows at {slots} slots: "
+        "peak rate * (horizon - 1)**hurst / sqrt(2*pi) * slot_seconds is not finite"
+    )
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must lie in (0, 1)")
-        if self.slot_seconds <= 0.0:
-            raise ValueError("slot_seconds must be positive")
-        if not math.isfinite(self.slot_seconds):
-            raise ValueError("slot_seconds must be finite")
 
     def expected_rate(self, t):
         """Expected request rate at slot(s) ``t``: trend times ``t**H / sqrt(2*pi)``."""
@@ -180,7 +181,7 @@ class FbmLoadModel:
         env = self.trend.rate(t_arr) * np.power(t_arr, self.hurst) / SQRT_2PI
         return env if env.shape else float(env)
 
-    def load_bound(self, slots: int) -> float:
+    def load_bound(self, slots: int, slot_seconds: float) -> float:
         """``rate_bound * (slots - 1)**H / sqrt(2*pi) * slot_seconds`` bounds the expected load over
         ``slots`` slots; in Python floats, so an overflow gives inf without a RuntimeWarning.
 
@@ -188,24 +189,24 @@ class FbmLoadModel:
         and it does not fall as ``t`` grows.
         """
         envelope = float(np.power([slots - 1.0], self.hurst)[0])
-        return self.trend.rate_bound * envelope / SQRT_2PI * self.slot_seconds
+        return self.trend.rate_bound * envelope / SQRT_2PI * slot_seconds
 
-    def sample(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, slots: int, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
         """One load row over ``slots`` slots from one fBm path.
 
         ``trend * ((1 - alpha) * envelope + alpha * max(0, path)) * slot_seconds``,
         evaluated in place on the fresh path.
         """
-        trend, smooth = _cached_rows(self, slots, self._rows)
+        trend, smooth = _cached_rows(self, slots, slot_seconds, self._rows)
         load = generate_fbm(self.hurst, slots, rng)
         np.maximum(load, 0.0, out=load)
         load *= self.alpha
         load += smooth
         load *= trend
-        load *= self.slot_seconds
+        load *= slot_seconds
         return load
 
-    def _rows(self, t: np.ndarray) -> tuple:
+    def _rows(self, t: np.ndarray, slot_seconds: float) -> tuple:
         """The trend rate and the smooth part ``(1 - alpha) * t**H / sqrt(2*pi)``."""
         envelope = np.power(t.astype(float), self.hurst) / SQRT_2PI
         return self.trend.rate(t), (1.0 - self.alpha) * envelope
@@ -223,34 +224,31 @@ class LoadMatrix:
     values: np.ndarray
 
 
-def _cached_rows(model: LoadModel, slots: int, build) -> tuple:
-    """``build(np.arange(slots))``, memoised on ``model`` for its last ``slots``.
+def _cached_rows(model: LoadModel, slots: int, slot_seconds: float, build) -> tuple:
+    """``build(np.arange(slots), slot_seconds)``, memoised on ``model`` for its last
+    ``(slots, slot_seconds)``.
 
     Every draw of a model over one horizon reuses the same deterministic
     rows, so they are computed once and frozen read-only.  One entry per
     model keeps the memory at a few rows per SP.
     """
+    key = (slots, slot_seconds)
     hit = model.__dict__.get("_rows_cache")
-    if hit is not None and hit[0] == slots:
+    if hit is not None and hit[0] == key:
         return hit[1]
-    rows = build(np.arange(slots))
+    rows = build(np.arange(slots), slot_seconds)
     for row in rows:
         row.flags.writeable = False
-    object.__setattr__(model, "_rows_cache", (slots, rows))
+    object.__setattr__(model, "_rows_cache", (key, rows))
     return rows
 
 
-def expected_load(model: LoadModel, t):
-    """Expected load (requests) of ``model`` at slot(s) ``t``."""
-    return model.expected_rate(t) * model.slot_seconds
-
-
-def expected_load_matrix(models: Sequence[LoadModel], horizon: int) -> np.ndarray:
-    """Stack expected loads into an (n_sp, horizon) array."""
+def expected_load_matrix(models: Sequence[LoadModel], horizon: int, slot_seconds: float) -> np.ndarray:
+    """Expected loads (requests) of ``models`` over slots of ``slot_seconds``, an (n_sp, horizon) array."""
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
     slots = np.arange(horizon)
-    return np.vstack([expected_load(m, slots) for m in models])
+    return np.vstack([m.expected_rate(slots) * slot_seconds for m in models])
 
 
 def _seed_key(seed) -> tuple:
@@ -370,12 +368,13 @@ def generate_fbm(hurst: float, n: int, seed) -> np.ndarray:
     return out
 
 
-def sample_loads(models: Sequence[LoadModel], horizon: int, seed) -> LoadMatrix:
-    """One joint load realization, one row per model.
+def sample_loads(models: Sequence[LoadModel], horizon: int, slot_seconds: float, seed) -> LoadMatrix:
+    """One joint load realization over slots of ``slot_seconds``, one row per model.
 
     Model ``i`` consumes the substream keyed ``(*seed, i)``, so the
     matrix is identical regardless of evaluation order.
     """
     if not models:
         raise ValueError("need at least one load model")
-    return LoadMatrix(np.vstack([m.sample(horizon, _substream(seed, i)) for i, m in enumerate(models)]))
+    rows = [m.sample(horizon, slot_seconds, _substream(seed, i)) for i, m in enumerate(models)]
+    return LoadMatrix(np.vstack(rows))

@@ -54,7 +54,8 @@ def utility_ranges(plan, models, params) -> list:
     Row 0 is the InP's, all zero.
     """
     horizon = plan.shares.shape[1]
-    widths = [[2.0 * m.spread * mean for mean in row] for m, row in zip(models, expected_load_matrix(models, horizon).tolist())]
+    means = expected_load_matrix(models, horizon, params.slot_seconds).tolist()
+    widths = [[2.0 * m.spread * mean for mean in row] for m, row in zip(models, means)]
     return [[0.0] * horizon] + utilities(params, widths, plan.shares)
 
 

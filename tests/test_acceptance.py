@@ -132,7 +132,7 @@ def _band_scenario(spread):
         RateProfile(50000.0, ((10000.0, 3.0),), 24),
         RateProfile(35000.0, ((7000.0, 9.0),), 24),
     )
-    models = tuple(BoundedLoadModel(p, spread, 3600.0) for p in profiles)
+    models = tuple(BoundedLoadModel(p, spread) for p in profiles)
     return Scenario(("east", "west"), models, params)
 
 
@@ -178,14 +178,14 @@ def fbm_runs():
         RateProfile(70.0, ((14.0, 11.0),), 24),
     )
     ref = Scenario(
-        ("north", "south"), tuple(FbmLoadModel(t, 1.0, 0.7, 3600.0) for t in trends), params
+        ("north", "south"), tuple(FbmLoadModel(t, 1.0, 0.7) for t in trends), params
     )
     table = build_value_table(ref.expected_loads(), params)
     payoff = shapley(table)
     delta = deviation_threshold(table, stability_value_hat(table, payoff))
     runs = []
     for alpha in (0.001, 0.25, 0.5, 0.75, 1.0):
-        models = tuple(FbmLoadModel(t, alpha, 0.7, 3600.0) for t in trends)
+        models = tuple(FbmLoadModel(t, alpha, 0.7) for t in trends)
         scenario = Scenario(("north", "south"), models, params)
         outcomes = simulate(scenario, table, 100, 901)
         runs.append((alpha, outcomes))
@@ -305,9 +305,9 @@ def test_ac07_fbm_load_mean_matches_envelope():
             se = float(sample.std(ddof=1)) / math.sqrt(sample.shape[0])
             assert abs(float(sample.mean()) - target) <= 3.0 * se, (hurst, t)
     # public-API cross-check with a one-hour slot duration
-    model = FbmLoadModel(RateProfile(100.0, (), 24), 1.0, 0.5, 3600.0)
+    model = FbmLoadModel(RateProfile(100.0, (), 24), 1.0, 0.5)
     draws = np.stack(
-        [sample_loads([model], 101, (7073, k)).values[0] for k in range(3000)]
+        [sample_loads([model], 101, 3600.0, (7073, k)).values[0] for k in range(3000)]
     )
     for t in slots:
         sample = draws[:, t]
@@ -403,8 +403,8 @@ def test_ac11_bound_separates_even_from_lopsided_coalitions():
 
     def joint_bounds(idx):
         params = EconomicParams(80.0, 0.2, float(horizon), 1.0, (6e-6,) * len(idx), 0.03)
-        models = tuple(BoundedLoadModel(profiles[i], 0.001, 3600.0) for i in idx)
-        table = build_value_table(expected_load_matrix(models, horizon), params)
+        models = tuple(BoundedLoadModel(profiles[i], 0.001) for i in idx)
+        table = build_value_table(expected_load_matrix(models, horizon, params.slot_seconds), params)
         payoff = shapley(table)
         delta = deviation_threshold(table, stability_value_hat(table, payoff))
         plan = table.plan(table.grand_bits)

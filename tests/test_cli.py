@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
 from coinvest.allocation import AllocationError, AllocationPlan, optimal_plan
 from coinvest.cli import ConfigError, load_config, main
-from coinvest.players import all_coalitions
+from coinvest.players import PlayerSet, all_coalitions
 from coinvest.traffic import MAX_FBM_SLOTS, RateProfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -530,6 +531,58 @@ class TestOutputPaths:
         assert sorted(os.listdir(tmp_path)) == sorted(["scenario.json", directory])
 
 
+class TestRevenueBound:
+    """Each config whose revenue bound overflows is refused by ``Scenario`` before planning: exit 1,
+    nothing written, no warning."""
+
+    COMMANDS = ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
+
+    def refuse(self, cfg, command, tmp_path, capsys, write_config):
+        name, *flags = command.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 1
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("config", ["edge-bounded.json", "edge-fbm.json"])
+    def test_huge_benefit(self, write_config, tmp_path, capsys, no_planning, config, command):
+        cfg = shipped_config(config)
+        cfg["players"][0]["benefit"] = 1e300
+        err = self.refuse(cfg, command, tmp_path, capsys, write_config)
+        assert err == (
+            "error: players[0]: revenue overflows at 43800 slots: max(1, saturation) * "
+            "sum of benefit * horizon * load bound over players[0..i] is not finite\n"
+        )
+
+    def test_longer_period(self, write_config, tmp_path, capsys, no_planning):
+        # a band top of 1.9e307 requests per slot fits five years of revenue, not 300
+        cfg = shipped_config("edge-bounded.json")
+        cfg["players"][0]["profile"]["base_rate"] = 4e303
+        err = self.refuse(cfg, "payback --periods 300 --realizations 2", tmp_path, capsys, write_config)
+        assert err.startswith("error: --periods: 300 years: players[0]: revenue overflows at 2628000 slots: ")
+
+    @pytest.mark.parametrize(
+        "config, base_rate", [("edge-bounded.json", 1e300), ("edge-fbm.json", None)], ids=["bounded", "fbm"]
+    )
+    def test_huge_saturation(self, write_config, tmp_path, capsys, no_planning, config, base_rate):
+        cfg = shipped_config(config)
+        cfg["saturation"] = 1e300
+        if base_rate is not None:
+            cfg["players"][0]["profile"]["base_rate"] = base_rate
+        err = self.refuse(cfg, "plan", tmp_path, capsys, write_config)
+        assert err.startswith("error: players[0]: revenue overflows at 43800 slots: ")
+
+    def test_swept_spread(self, write_config, tmp_path, capsys, no_planning):
+        # 7e299 requests/s x 3600 s x 43 800 slots x (1 + spread) fits at spread 0.3, not at 1
+        cfg = shipped_config("edge-bounded.json")
+        cfg["players"][0]["benefit"] = 1.0
+        cfg["players"][0]["profile"]["base_rate"] = 7e299
+        err = self.refuse(cfg, "stability --sweep 0.3,1", tmp_path, capsys, write_config)
+        assert err.startswith("error: --sweep: spread 1: players[0]: revenue overflows at 43800 slots: ")
+
+
 class TestStreamingWriter:
     """A failed command or writer leaves earlier outputs alone and no temp file behind."""
 
@@ -588,25 +641,13 @@ class TestStreamingWriter:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize(
-        "command", ["plan", "stability", "simulate --realizations 5", "payback --periods 1 --realizations 5"]
-    )
-    def test_non_finite_results_write_nothing(self, tmp_path, command):
-        # In a subprocess: numpy's overflow warnings are errors inside the suite.
-        cfg = json.loads((REPO / "configs" / "edge-bounded.json").read_text())
-        cfg["players"][0]["benefit"] = 1e300
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(cfg))
-        name, *flags = command.split()
-        proc = subprocess.run(
-            [sys.executable, "-m", "coinvest.cli", name, str(path), "--out", str(tmp_path / "x.csv"), *flags],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert "error: results are not finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert sorted(os.listdir(tmp_path)) == ["huge.json"]
+    def test_non_finite_results_write_nothing(self, write_config, tmp_path, capsys, monkeypatch):
+        # Scenario refuses the configs whose revenue overflows (TestRevenueBound), so a command's
+        # results stand in for a run that still ends with a number that is not finite
+        monkeypatch.setattr(cli, "cmd_plan", lambda args, scenario: (["x"], iter(["1\r\n"]), {"v": math.nan}))
+        assert main(["plan", write_config(base_config()), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: results are not finite")
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
     @pytest.mark.parametrize(
         "command", ["plan 1e6", "simulate 5 --realizations 100000", "payback 5 --periods 100000"]
@@ -781,16 +822,15 @@ class TestPlan:
         assert grand["expected_value"] > 0.0
         assert grand["cost"] > 0.0
 
-    def test_huge_saturation_plans_without_overflow(self, write_config, tmp_path):
-        # exp of the first core's log marginal revenue overflows at this saturation
-        cfg = shipped_config("edge-fbm.json")
-        cfg["saturation"] = 1e300
-        out = tmp_path / "plan.csv"
-        assert main(["plan", write_config(cfg), "--out", str(out)]) == 0
-        (grand,) = json.loads((tmp_path / "plan.json").read_text())["coalitions"]
-        assert grand["method"] == "numeric"
-        assert grand["capacity_vcores"] == pytest.approx(6.965862711954428e-298, rel=1e-9)
-        assert grand["expected_value"] == pytest.approx(401804802.7105423, rel=1e-9)
+    def test_huge_saturation_plans_without_overflow(self):
+        # exp of the first core's log marginal revenue overflows at this saturation.  The CLI refuses
+        # the config (TestRevenueBound), so the solver plans the config's expected loads directly.
+        scenario, _ = load_config(str(REPO / "configs" / "edge-fbm.json"))
+        params = replace(scenario.params, saturation=1e300)
+        grand = optimal_plan(PlayerSet.grand(scenario.n_players), scenario.expected_loads(), params)
+        assert grand.method == "numeric"
+        assert grand.capacity == pytest.approx(6.965862711954428e-298, rel=1e-9)
+        assert grand.objective == pytest.approx(401804802.7105423, rel=1e-9)
 
     def test_share_columns_match_library(self, write_config, tmp_path):
         path = write_config(base_config())

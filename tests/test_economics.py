@@ -123,6 +123,11 @@ class TestEconomicParams:
         with pytest.raises(ValueError, match="exceeds the largest array index"):
             make_params(slot_hours=slot_hours)
 
+    def test_rejects_a_slot_past_a_float_in_seconds(self):
+        # one slot of 1e305 hours is a valid horizon, but 3.6e308 seconds overflows
+        with pytest.raises(ValueError, match="^slot_seconds must be finite$"):
+            make_params(investment_hours=1e305, slot_hours=1e305)
+
     def test_rejects_free_capacity(self):
         with pytest.raises(ValueError):
             make_params(capacity_price=0.0, maintenance_price=0.0)

@@ -384,6 +384,8 @@ class TestDeviationThreshold:
 
 
 class TestUtilityRanges:
+    SECOND = 1.0 / 3600.0  # slot_hours of a one-second slot
+
     def make_plan(self, shares):
         shares = np.asarray(shares, dtype=float)
         return type(
@@ -391,15 +393,15 @@ class TestUtilityRanges:
         )()
 
     def test_zero_spread_zero_range(self):
-        params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 0.03)
-        model = BoundedLoadModel(RateProfile(100.0), 0.0, 1.0)
+        params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 0.03)
+        model = BoundedLoadModel(RateProfile(100.0), 0.0)
         plan = self.make_plan([[10.0]])
         assert np.array_equal(utility_ranges(plan, [model], params), np.zeros((2, 1)))
 
     def test_provider_has_no_range(self):
         # SP width = beta * (1 - e^{-xi h}) * 2 * spread * mean
-        params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 0.03)
-        model = BoundedLoadModel(RateProfile(100.0), 0.9, 1.0)
+        params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 0.03)
+        model = BoundedLoadModel(RateProfile(100.0), 0.9)
         plan = self.make_plan([[10.0]])
         spans = utility_ranges(plan, [model], params)
         assert spans[0, 0] == 0.0
@@ -407,16 +409,16 @@ class TestUtilityRanges:
 
     def test_saturated_share_spans_band_width(self):
         # swing factor 1 - e^{-xi h} saturates to 1; width = 2*0.5*100
-        params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 1000.0)
-        model = BoundedLoadModel(RateProfile(100.0), 0.5, 1.0)
+        params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 1000.0)
+        model = BoundedLoadModel(RateProfile(100.0), 0.5)
         plan = self.make_plan([[10.0]])
         assert utility_ranges(plan, [model], params)[1, 0] == pytest.approx(100.0, rel=1e-12)
 
     def test_matrix_variant_stacks_players(self):
-        params = EconomicParams(1.0, 0.0, 2.0, 1.0, (1.0, 2.0), 0.5)
+        params = EconomicParams(1.0, 0.0, 2.0 * self.SECOND, self.SECOND, (1.0, 2.0), 0.5)
         models = [
-            BoundedLoadModel(RateProfile(100.0), 0.5, 1.0),
-            BoundedLoadModel(RateProfile(50.0), 0.2, 1.0),
+            BoundedLoadModel(RateProfile(100.0), 0.5),
+            BoundedLoadModel(RateProfile(50.0), 0.2),
         ]
         plan = self.make_plan([[10.0, 5.0], [1.0, 2.0]])
         spans = utility_ranges(plan, models, params)
@@ -433,8 +435,8 @@ class TestUtilityRanges:
         assert np.allclose(spans, expect, rtol=1e-12, atol=0.0)
 
     def test_unbounded_model_rejected(self):
-        params = EconomicParams(1.0, 0.0, 1.0, 1.0, (1.0,), 0.03)
-        fbm = FbmLoadModel(RateProfile(100.0), 0.5, 0.7, 1.0)
+        params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 0.03)
+        fbm = FbmLoadModel(RateProfile(100.0), 0.5, 0.7)
         plan = self.make_plan([[10.0]])
         with pytest.raises(TypeError):
             utility_ranges(plan, [fbm], params)
@@ -474,7 +476,8 @@ class TestStabilityLowerBound:
         series = {0.3: [], 0.5: []}
         for years in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0):
             params = replace(scenario.params, investment_hours=years * HOURS_PER_YEAR)
-            table = build_value_table(expected_load_matrix(scenario.models, params.horizon), params)
+            means = expected_load_matrix(scenario.models, params.horizon, params.slot_seconds)
+            table = build_value_table(means, params)
             delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
             for spread, bounds in series.items():
                 models = tuple(replace(m, spread=spread) for m in scenario.models)

@@ -34,7 +34,7 @@ def bounded_scenario(spread, horizon=24, base=(50_000.0, 35_000.0)):
         RateProfile(base[0], ((base[0] / 5.0, 3.0),), 24),
         RateProfile(base[1], ((base[1] / 5.0, 9.0),), 24),
     )
-    models = tuple(BoundedLoadModel(p, spread, 3600.0) for p in profiles)
+    models = tuple(BoundedLoadModel(p, spread) for p in profiles)
     return Scenario(("east", "west"), models, params)
 
 
@@ -44,7 +44,7 @@ def fbm_scenario(horizon=48):
         RateProfile(5_000.0, ((1_000.0, 3.0),), 24),
         RateProfile(3_500.0, ((700.0, 9.0),), 24),
     )
-    models = tuple(FbmLoadModel(p, 0.8, 0.7, 3600.0) for p in profiles)
+    models = tuple(FbmLoadModel(p, 0.8, 0.7) for p in profiles)
     return Scenario(("east", "west"), models, params)
 
 
@@ -130,8 +130,8 @@ class TestSettlementIdentities:
     def test_null_player_earns_nothing(self):
         params = EconomicParams(60.0, 0.5, 24.0, 1.0, (6e-6, 6e-6), 0.03)
         models = (
-            BoundedLoadModel(RateProfile(50_000.0), 0.5, 3600.0),
-            BoundedLoadModel(RateProfile(0.0), 0.5, 3600.0),
+            BoundedLoadModel(RateProfile(50_000.0), 0.5),
+            BoundedLoadModel(RateProfile(0.0), 0.5),
         )
         scenario = Scenario(("busy", "idle"), models, params)
         table = build_value_table(scenario.expected_loads(), scenario.params)
@@ -160,7 +160,7 @@ class TestDeterminism:
         outcomes = simulate(scenario, table, 515, seed=11, workers=workers)
         assert [o.index for o in outcomes] == list(range(515))
         for omega, o in enumerate(outcomes):
-            drawn = sample_loads(scenario.models, scenario.horizon, (11, omega))
+            drawn = sample_loads(scenario.models, scenario.horizon, scenario.params.slot_seconds, (11, omega))
             assert np.array_equal(o.loads.values, drawn.values)
             by_hand = reference.values(table.plans, o.loads.values, scenario.params)
             assert o.values == pytest.approx(by_hand, rel=1e-9)
@@ -222,7 +222,7 @@ class TestSummaries:
         # single slot, full spread: demand can land low enough that the
         # one-slot revenue misses the installed cost
         params = EconomicParams(60.0, 0.5, 1.0, 1.0, (6e-6,), 0.03)
-        models = (BoundedLoadModel(RateProfile(150_000.0), 1.0, 3600.0),)
+        models = (BoundedLoadModel(RateProfile(150_000.0), 1.0),)
         scenario = Scenario(("solo",), models, params)
         table = build_value_table(scenario.expected_loads(), scenario.params)
         plan = table.plan(table.grand_bits)
@@ -246,7 +246,7 @@ class TestSummaries:
     def test_zero_cost_pays_back_immediately(self):
         # price so high that nothing is installed: cost 0 is covered at slot 0
         params = EconomicParams(1e9, 1e6, 4.0, 1.0, (6e-6,), 0.03)
-        models = (BoundedLoadModel(RateProfile(100.0), 0.2, 3600.0),)
+        models = (BoundedLoadModel(RateProfile(100.0), 0.2),)
         scenario = Scenario(("tiny",), models, params)
         table = build_value_table(scenario.expected_loads(), scenario.params)
         assert table.plan(table.grand_bits).capacity == 0.0

@@ -80,9 +80,9 @@ def random_scenario(seed: int) -> Scenario:
         for base in rng.uniform(5e3, 6e4, n_sp)
     ]
     if seed % 2 == 0:
-        models = [BoundedLoadModel(p, rng.uniform(0.0, 1.0), 3600.0) for p in profiles]
+        models = [BoundedLoadModel(p, rng.uniform(0.0, 1.0)) for p in profiles]
     else:
-        models = [FbmLoadModel(p, rng.uniform(0.0, 1.0), rng.uniform(0.55, 0.95), 3600.0) for p in profiles]
+        models = [FbmLoadModel(p, rng.uniform(0.0, 1.0), rng.uniform(0.55, 0.95)) for p in profiles]
     return Scenario(tuple(f"sp{i}" for i in range(n_sp)), models, params)
 
 
@@ -112,7 +112,8 @@ def reference_game(seed: int):
 
 
 def draws(scenario, seed):
-    return [sample_loads(scenario.models, scenario.horizon, (seed, omega)).values for omega in range(REALIZATIONS)]
+    horizon, slot_seconds = scenario.horizon, scenario.params.slot_seconds
+    return [sample_loads(scenario.models, horizon, slot_seconds, (seed, omega)).values for omega in range(REALIZATIONS)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -240,7 +241,7 @@ def test_deviations_below_delta_hat_keep_both_positions_in_the_realized_core():
         delta = reference.deviation_threshold(values, reference.sigma_hat(values, payoff), n_players)
         expected_revenue = reference.sp_revenues(plans[-1], scenario.expected_loads(), params)
         for omega in range(STABLE_DRAWS):
-            loads = sample_loads(scenario.models, scenario.horizon, (seed, omega)).values
+            loads = sample_loads(scenario.models, scenario.horizon, params.slot_seconds, (seed, omega)).values
             revenue = reference.sp_revenues(plans[-1], loads, params)
             deviations = [0.0] + [r - e for r, e in zip(revenue, expected_revenue)]
             if not all(abs(d) < delta for d in deviations):

@@ -28,7 +28,7 @@ class TestLazyExports:
 
     def test_every_export_is_its_home_modules_object(self):
         assert sorted(coinvest._HOME) == sorted(coinvest.__all__)
-        assert len(coinvest.__all__) == 36
+        assert len(coinvest.__all__) == 35
         for name, home in coinvest._HOME.items():
             assert getattr(coinvest, name) is getattr(importlib.import_module(f"coinvest.{home}"), name), name
 

@@ -13,7 +13,6 @@ from coinvest import (
     FbmLoadModel,
     LoadMatrix,
     RateProfile,
-    expected_load,
     expected_load_matrix,
     generate_fbm,
     sample_loads,
@@ -124,52 +123,33 @@ class TestRateProfile:
 
 class TestExpectedLoad:
     def test_bounded_load_is_rate_times_slot(self):
-        model = BoundedLoadModel(RateProfile(2000.0), 0.3, 3600.0)
-        assert expected_load(model, 5) == pytest.approx(7.2e6, rel=1e-14)
+        model = BoundedLoadModel(RateProfile(2000.0), 0.3)
+        assert expected_load_matrix([model], 6, 3600.0)[0, 5] == pytest.approx(7.2e6, rel=1e-14)
 
     def test_fbm_load_zero_at_origin(self):
-        model = FbmLoadModel(RateProfile(123.0), 0.5, 0.7, 3600.0)
-        assert expected_load(model, 0) == 0.0
+        model = FbmLoadModel(RateProfile(123.0), 0.5, 0.7)
+        assert expected_load_matrix([model], 1, 3600.0)[0, 0] == 0.0
 
     def test_fbm_load_frozen_value(self):
         # 100 * 4^0.5 / sqrt(2*pi) * 1  = 79.78845608028654
-        model = FbmLoadModel(RateProfile(100.0), 0.5, 0.5, 1.0)
+        model = FbmLoadModel(RateProfile(100.0), 0.5, 0.5)
         expect = 200.0 / SQRT_2PI
         assert expect == pytest.approx(79.78845608028654, rel=1e-14)
-        assert expected_load(model, 4) == pytest.approx(expect, rel=1e-12)
+        assert expected_load_matrix([model], 5, 1.0)[0, 4] == pytest.approx(expect, rel=1e-12)
 
     def test_matrix_stacks_models(self):
         models = [
-            BoundedLoadModel(RateProfile(100.0), 0.2, 60.0),
-            BoundedLoadModel(RateProfile(200.0, ((50.0, 2.0),), 12), 0.2, 60.0),
+            BoundedLoadModel(RateProfile(100.0), 0.2),
+            BoundedLoadModel(RateProfile(200.0, ((50.0, 2.0),), 12), 0.2),
         ]
-        mat = expected_load_matrix(models, 12)
+        mat = expected_load_matrix(models, 12, 60.0)
         assert mat.shape == (2, 12)
         assert mat[0, 0] == pytest.approx(6000.0, rel=1e-14)
-        assert mat[1, 7] == pytest.approx(expected_load(models[1], 7), rel=1e-15)
+        assert mat[1, 7] == pytest.approx(models[1].expected_rate(7) * 60.0, rel=1e-15)
 
     def test_matrix_rejects_empty_horizon(self):
         with pytest.raises(ValueError):
-            expected_load_matrix([BoundedLoadModel(RateProfile(1.0), 0.1, 1.0)], 0)
-
-
-class TestModelChecks:
-    """A demand model refuses what it cannot draw when it is built."""
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_slot_seconds(self, bad):
-        with pytest.raises(ValueError, match="slot_seconds must be finite"):
-            BoundedLoadModel(RateProfile(10.0), 0.3, bad)
-        with pytest.raises(ValueError, match="slot_seconds must be finite"):
-            FbmLoadModel(RateProfile(10.0), 0.5, 0.7, bad)
-
-    def test_rejects_a_band_whose_top_overflows(self):
-        # (1 + 0.3) * 4e304 * 3600 overflows; (1 + 0) * 4e304 * 3600 does not
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="load band overflows"):
-                BoundedLoadModel(RateProfile(4e304), 0.3, 3600.0)
-            BoundedLoadModel(RateProfile(4e304), 0.0, 3600.0)
+            expected_load_matrix([BoundedLoadModel(RateProfile(1.0), 0.1)], 0, 1.0)
 
 
 class TestFbmLoadBound:
@@ -178,83 +158,84 @@ class TestFbmLoadBound:
         rng = np.random.default_rng(slots)
         for _ in range(40):
             alpha, hurst, slot_seconds = rng.uniform(), rng.uniform(0.01, 0.99), rng.uniform(1.0, 3600.0)
-            model = FbmLoadModel(random_profile(rng), float(alpha), float(hurst), float(slot_seconds))
-            assert expected_load_matrix([model], slots).max() <= model.load_bound(slots)
+            model = FbmLoadModel(random_profile(rng), float(alpha), float(hurst))
+            slot_seconds = float(slot_seconds)
+            assert expected_load_matrix([model], slots, slot_seconds).max() <= model.load_bound(slots, slot_seconds)
             flat = replace(model, trend=RateProfile(model.trend.base_rate))  # attains its rate bound
-            assert expected_load_matrix([flat], slots).max() <= flat.load_bound(slots)
+            assert expected_load_matrix([flat], slots, slot_seconds).max() <= flat.load_bound(slots, slot_seconds)
 
     def test_a_flat_profile_attains_the_bound_at_the_last_slot(self):
-        model = FbmLoadModel(RateProfile(250.0), 0.4, 0.7, 3600.0)
+        model = FbmLoadModel(RateProfile(250.0), 0.4, 0.7)
         for slots in (2, 24, 8760):
-            assert model.load_bound(slots) == expected_load(model, slots - 1)
+            assert model.load_bound(slots, 3600.0) == model.expected_rate(slots - 1) * 3600.0
 
     def test_overflow_gives_inf_without_a_warning(self):
         # 4e303 requests/s x (slots - 1)**0.7 / sqrt(2*pi) x 3600 s fits 24 slots, but not 8 760
-        model = FbmLoadModel(RateProfile(4e303), 0.5, 0.7, 3600.0)
+        model = FbmLoadModel(RateProfile(4e303), 0.5, 0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert math.isfinite(model.load_bound(24))
-            assert model.load_bound(8760) == math.inf
-            assert replace(model, trend=RateProfile(4e304)).load_bound(24) == math.inf
+            assert math.isfinite(model.load_bound(24, 3600.0))
+            assert model.load_bound(8760, 3600.0) == math.inf
+            assert replace(model, trend=RateProfile(4e304)).load_bound(24, 3600.0) == math.inf
 
 
 class TestBoundedSampling:
     def make_models(self, spread):
         return [
-            BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0),), 24), spread, 3600.0),
-            BoundedLoadModel(RateProfile(55.0), spread, 3600.0),
+            BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0),), 24), spread),
+            BoundedLoadModel(RateProfile(55.0), spread),
         ]
 
     def test_zero_spread_is_exactly_the_mean(self):
         models = self.make_models(0.0)
-        loads = sample_loads(models, 24, 7)
-        assert np.array_equal(loads.values, expected_load_matrix(models, 24))
+        loads = sample_loads(models, 24, 3600.0, 7)
+        assert np.array_equal(loads.values, expected_load_matrix(models, 24, 3600.0))
 
     def test_full_spread_stays_in_doubled_band(self):
         models = self.make_models(1.0)
-        mean = expected_load_matrix(models, 24)
+        mean = expected_load_matrix(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, 24, seed)
+            loads = sample_loads(models, 24, 3600.0, seed)
             assert (loads.values >= 0.0).all()
             assert (loads.values <= 2.0 * mean + 1e-9).all()
 
     def test_band_containment_mid_spread(self):
         models = self.make_models(0.35)
-        mean = expected_load_matrix(models, 24)
+        mean = expected_load_matrix(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, 24, seed).values
+            loads = sample_loads(models, 24, 3600.0, seed).values
             assert (loads >= 0.65 * mean - 1e-9).all()
             assert (loads <= 1.35 * mean + 1e-9).all()
 
     def test_deterministic_per_seed(self):
         models = self.make_models(0.5)
-        a = sample_loads(models, 24, 42).values
-        b = sample_loads(models, 24, 42).values
-        c = sample_loads(models, 24, 43).values
+        a = sample_loads(models, 24, 3600.0, 42).values
+        b = sample_loads(models, 24, 3600.0, 42).values
+        c = sample_loads(models, 24, 3600.0, 43).values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rows_do_not_depend_on_other_players(self):
         models = self.make_models(0.5)
-        both = sample_loads(models, 24, 11).values
-        first_alone = sample_loads(models[:1], 24, 11).values
+        both = sample_loads(models, 24, 3600.0, 11).values
+        first_alone = sample_loads(models[:1], 24, 3600.0, 11).values
         assert np.array_equal(both[:1], first_alone)
 
     @pytest.mark.parametrize("horizon, streams", [(1, 200), (24, 200), (43_800, 20)])
     @pytest.mark.parametrize("spread", [0.0, 0.3, 1.0])
     def test_draws_equal_numpy_uniform_bit_for_bit(self, spread, horizon, streams):
-        model = BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0), (7.5, 5.25)), 24), spread, 3600.0)
-        mean = expected_load(model, np.arange(horizon))
+        model = BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0), (7.5, 5.25)), 24), spread)
+        mean = expected_load_matrix([model], horizon, 3600.0)[0]
         for k in range(streams):
             want = _substream(3, k).uniform((1.0 - spread) * mean, (1.0 + spread) * mean)
-            got = model.sample(horizon, _substream(3, k))
+            got = model.sample(horizon, 3600.0, _substream(3, k))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_sample_mean_converges(self):
         # one long-horizon draw gives many independent slot samples
-        model = BoundedLoadModel(RateProfile(100.0), 0.5, 1.0)
+        model = BoundedLoadModel(RateProfile(100.0), 0.5)
         n = 100_000
-        draws = sample_loads([model], n, 9).values[0]
+        draws = sample_loads([model], n, 1.0, 9).values[0]
         assert draws.min() >= 50.0 and draws.max() <= 150.0
         se = (100.0 / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(draws.mean() - 100.0) < 3 * se
@@ -342,12 +323,12 @@ class TestFbmGeneration:
 
     def test_draws_identical_with_cold_or_warm_spectrum_cache(self):
         models = [
-            FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h, 60.0) for h in (0.7, 0.3)
+            FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h) for h in (0.7, 0.3)
         ]
         _circulant_roots.cache_clear()
-        cold = sample_loads(models, 1000, (9, 2)).values
+        cold = sample_loads(models, 1000, 60.0, (9, 2)).values
         assert _circulant_roots.cache_info().currsize == 2
-        warm = sample_loads(models, 1000, (9, 2)).values
+        warm = sample_loads(models, 1000, 60.0, (9, 2)).values
         assert _circulant_roots.cache_info().hits >= 2
         assert np.array_equal(cold, warm)
 
@@ -401,17 +382,17 @@ class TestFbmGeneration:
 
 class TestFbmSampling:
     def make_model(self, alpha, hurst=0.7):
-        return FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), alpha, hurst, 60.0)
+        return FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), alpha, hurst)
 
     def test_alpha_zero_equals_expected_load(self):
         model = self.make_model(0.0)
         slots = np.arange(24)
-        loads = sample_loads([model], 24, 99).values[0]
-        assert np.allclose(loads, expected_load(model, slots), rtol=1e-12, atol=0.0)
+        loads = sample_loads([model], 24, 60.0, 99).values[0]
+        assert np.allclose(loads, model.expected_rate(slots) * 60.0, rtol=1e-12, atol=0.0)
 
     def test_alpha_one_is_pure_path(self):
         model = self.make_model(1.0)
-        loads = sample_loads([model], 24, 5).values[0]
+        loads = sample_loads([model], 24, 60.0, 5).values[0]
         assert loads[0] == 0.0  # path starts at the origin
         # reconstruct from the same substream to confirm the formula
         path = generate_fbm(0.7, 24, _substream(5, 0))
@@ -423,63 +404,73 @@ class TestFbmSampling:
         model = self.make_model(0.6)
         t = 5
         draws = np.array(
-            [sample_loads([model], 6, (4, k)).values[0, t] for k in range(20_000)]
+            [sample_loads([model], 6, 60.0, (4, k)).values[0, t] for k in range(20_000)]
         )
-        target = expected_load(model, t)
+        target = model.expected_rate(t) * 60.0
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - target) < 3 * se
 
     def test_loads_nonnegative(self):
         model = self.make_model(1.0, hurst=0.4)
         for seed in range(10):
-            assert (sample_loads([model], 48, seed).values >= 0.0).all()
+            assert (sample_loads([model], 48, 60.0, seed).values >= 0.0).all()
 
     def test_deterministic_and_player_keyed(self):
         models = [self.make_model(0.5), self.make_model(0.9)]
-        a = sample_loads(models, 24, 77).values
-        b = sample_loads(models, 24, 77).values
+        a = sample_loads(models, 24, 60.0, 77).values
+        b = sample_loads(models, 24, 60.0, 77).values
         assert np.array_equal(a, b)
-        alone = sample_loads(models[:1], 24, 77).values
+        alone = sample_loads(models[:1], 24, 60.0, 77).values
         assert np.array_equal(a[:1], alone)
 
     def test_dispatcher_routes_by_kind(self):
-        bounded = BoundedLoadModel(RateProfile(10.0), 0.1, 1.0)
+        bounded = BoundedLoadModel(RateProfile(10.0), 0.1)
         fbm = self.make_model(0.5)
-        assert sample_loads([bounded], 4, 0).values.shape == (1, 4)
-        assert sample_loads([fbm], 4, 0).values.shape == (1, 4)
+        assert sample_loads([bounded], 4, 1.0, 0).values.shape == (1, 4)
+        assert sample_loads([fbm], 4, 60.0, 0).values.shape == (1, 4)
         with pytest.raises(ValueError):
-            sample_loads([], 4, 0)
+            sample_loads([], 4, 60.0, 0)
 
 
 class TestSamplerRows:
     """Each model's deterministic rows are computed once per horizon."""
 
     MODELS = (
-        BoundedLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.3, 60.0),
-        FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, 0.7, 60.0),
+        BoundedLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.3),
+        FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, 0.7),
     )
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_cached_rows_are_read_only(self, model):
-        model.sample(48, np.random.default_rng(0))
-        slots, rows = model._rows_cache
-        assert slots == 48 and rows
+        model.sample(48, 60.0, np.random.default_rng(0))
+        key, rows = model._rows_cache
+        assert key == (48, 60.0) and rows
         for row in rows:
             assert row.shape == (48,) and not row.flags.writeable
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_draws_follow_the_horizon(self, model):
-        a = model.sample(24, np.random.default_rng(1))
-        first = model.sample(24, np.random.default_rng(2))
+        a = model.sample(24, 60.0, np.random.default_rng(1))
+        first = model.sample(24, 60.0, np.random.default_rng(2))
         kept = first.copy()
-        model.sample(48, np.random.default_rng(1))
-        b = model.sample(24, np.random.default_rng(1))
-        fresh = replace(model).sample(24, np.random.default_rng(1))
+        model.sample(48, 60.0, np.random.default_rng(1))
+        b = model.sample(24, 60.0, np.random.default_rng(1))
+        fresh = replace(model).sample(24, 60.0, np.random.default_rng(1))
         assert np.array_equal(a, b) and np.array_equal(a, fresh)
         assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
+    def test_draws_follow_the_slot_length(self, model):
+        # the rows are cached per (slots, slot_seconds); doubling the slot doubles each load exactly
+        a = model.sample(24, 60.0, np.random.default_rng(1))
+        b = model.sample(24, 120.0, np.random.default_rng(1))
+        assert model._rows_cache[0] == (24, 120.0)
+        assert np.array_equal(b, 2.0 * a)
+        assert np.array_equal(b, replace(model).sample(24, 120.0, np.random.default_rng(1)))
 
 
 class TestLoadMatrix:
     def test_shape_properties(self):
         m = LoadMatrix(np.ones((3, 7)))
         assert m.values.shape == (3, 7)
+
