@@ -155,17 +155,14 @@ def optimal_plan_numeric(coalition, expected_loads, params):
         return _idle_plan(coalition, loads, "numeric")
     log_w_live = log_w[:, live]
 
-    # Marginal revenue of the first core equals sum_t max_i xi*beta*load (summed
-    # in the log domain); below the unit capacity cost the optimum is to buy nothing.
-    log_price = math.log(params.unit_capacity_cost)
-    top = slot_best[live].max()
-    if top + math.log(np.exp(slot_best[live] - top).sum()) <= log_price:
-        return _idle_plan(coalition, loads, "numeric")
-
     # Stationarity in C: g(C) = log(sum_t lambda_t(C)) - log(price) = 0.
     # Each level is convex and decreasing in C (slope -xi/k_t, with k_t
-    # growing in C), so g is convex and decreasing, g(0) > 0, and Newton
-    # started at C = 0 climbs to the root without overshooting.
+    # growing in C), so g is convex and decreasing, and Newton started at
+    # C = 0 climbs to the root without overshooting.  At C = 0 each level is
+    # at most its slot's best log_w (a tie of three or more can average below
+    # it), so g(0) <= 0, where the first core earns no more than it costs,
+    # stops at C = 0: the idle plan, with no dust shares from that rounding.
+    log_price = math.log(params.unit_capacity_cost)
     ordered = -np.sort(-log_w_live, axis=0)
     csum = np.cumsum(ordered, axis=0)
     capacity = 0.0
@@ -183,6 +180,8 @@ def optimal_plan_numeric(coalition, expected_loads, params):
             break
     else:
         raise AllocationError("Newton capacity search did not converge")
+    if capacity == 0.0:
+        return _idle_plan(coalition, loads, "numeric")
 
     level, _ = _water_levels(ordered, csum, xi, capacity)
     shares_live = np.clip((log_w_live - level) / xi, 0.0, None)

@@ -8,6 +8,11 @@ of the grand coalition; each outcome keeps its loads.  ``payback_slots``
 needs only one plan and keeps only its payback slot, the first slot at
 which its cumulative collected revenue covers its installed cost.
 
+A realization whose loads, or whose revenue summed over its slots, are
+not a finite float ends either function with a ``RuntimeError`` that
+names the realization and the SP, ``players[i]``; ``Scenario``'s rules
+bound only the expected demand, and a drawn fBm path can exceed it.
+
 Settlement modes:
 
 * ``ex-post``: payments depend on the realization,
@@ -81,9 +86,40 @@ def _check_counts(n_realizations: int, workers: int):
         raise ValueError("workers must be positive")
 
 
-def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float) -> Optional[int]:
-    """First slot whose cumulative revenue covers ``installed``, or None."""
-    surplus = np.cumsum(np.einsum("it,it->t", weights, loads))
+def _draw(scenario: Scenario, seed: int, omega: int) -> LoadMatrix:
+    """Realization ``omega``'s loads; a load that is not finite is refused, naming its SP."""
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        loads = sample_loads(scenario.models, scenario.horizon, scenario.params.slot_seconds, (seed, omega))
+    finite = np.isfinite(loads.values).all(axis=1)
+    if not finite.all():
+        raise RuntimeError(f"realization {omega}: players[{finite.argmin()}]: realized loads are not finite")
+    return loads
+
+
+def _revenue_overflow(omega: int, per_sp: np.ndarray) -> RuntimeError:
+    """The refusal of realization ``omega`` whose revenue, ``per_sp`` by SP, sums to no finite float.
+
+    It names the first SP at which the running sum of ``per_sp`` is not finite, or the last
+    SP when only a sum in another order is not.
+    """
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.cumsum(per_sp))
+    i = len(finite) - 1 if finite.all() else finite.argmin()
+    return RuntimeError(
+        f"realization {omega}: players[{i}]: realized revenue over players[0..{i}] is not finite"
+    )
+
+
+def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float, omega: int) -> Optional[int]:
+    """First slot whose cumulative revenue covers ``installed``, or None.
+
+    Weights and loads are nonnegative, so the cumulative revenue only grows, and it is refused
+    when its last slot is not finite.
+    """
+    with np.errstate(over="ignore"):
+        surplus = np.cumsum(np.einsum("it,it->t", weights, loads))
+        if not np.isfinite(surplus[-1]):
+            raise _revenue_overflow(omega, np.einsum("it,it->i", weights, loads))
     surplus -= installed
     recovered = surplus >= 0.0
     first = int(recovered.argmax())
@@ -129,9 +165,15 @@ def simulate(
         fixed_payments = np.concatenate(([0.0], nominal_collected)) - expected_payoff
 
     def settle(omega: int) -> RealizationOutcome:
-        loads = sample_loads(scenario.models, horizon, params.slot_seconds, (seed, omega))
-        collected_sp = np.einsum("sit,it->si", weights, loads.values)
-        values = collected_sp.sum(axis=1) - costs
+        loads = _draw(scenario, seed, omega)
+        with np.errstate(over="ignore"):
+            collected_sp = np.einsum("sit,it->si", weights, loads.values)
+            revenue = collected_sp.sum(axis=1)
+        finite = np.isfinite(revenue)
+        if not finite.all():
+            raise _revenue_overflow(omega, collected_sp[finite.argmin()])
+        payback_slot = _payback_slot(weights[grand], loads.values, costs[grand], omega)
+        values = revenue - costs
         payoffs = shapley(values, n)
         collected = np.zeros(n)
         collected[1:] = collected_sp[grand]
@@ -147,7 +189,7 @@ def simulate(
             collected=collected,
             payments=payments,
             rewards=payoffs + payments,
-            payback_slot=_payback_slot(weights[grand], loads.values, costs[grand]),
+            payback_slot=payback_slot,
         )
 
     return _map_realizations(settle, n_realizations, workers)
@@ -172,11 +214,9 @@ def payback_slots(
     params = scenario.params
     weights = utility(np.asarray(params.benefits)[:, None], params.saturation, 1.0, plan.shares)
     installed = cost(params, plan.capacity)
-    horizon = scenario.horizon
 
     def settle(omega: int) -> Optional[int]:
-        loads = sample_loads(scenario.models, horizon, params.slot_seconds, (seed, omega))
-        return _payback_slot(weights, loads.values, installed)
+        return _payback_slot(weights, _draw(scenario, seed, omega).values, installed, omega)
 
     return _map_realizations(settle, n_realizations, workers)
 

@@ -1,7 +1,8 @@
 """Traffic descriptions and demand sampling.
 
-Expected demand follows a sinusoidal daily profile.  On top of the
-profile two uncertainty models are supported:
+Expected demand follows a periodic (daily) sinusoidal profile, evaluated
+once over its period: every later slot repeats it exactly.  On top of
+the profile two uncertainty models are supported:
 
 * bounded: the per-slot load is drawn uniformly from the symmetric
   interval ``[(1 - spread) * mean, (1 + spread) * mean]``, independently
@@ -19,10 +20,10 @@ profile two uncertainty models are supported:
 A model describes rates only.  Loads are requests per slot, ``rate *
 slot_seconds``, with the one slot length passed in where they are made; a
 ``LoadMatrix`` is the record of one draw, and nothing re-checks it.  The
-demand formulas live here alone: ``RateProfile.rate_bound`` bounds the
-rate at every slot, and each model's ``load_bound`` reads it.  ``Scenario``,
-which holds the horizon and the slot length, refuses a bound that is not
-finite with the model's ``OVERFLOW`` text.
+demand formulas live here alone: ``RateProfile.rate_bound``, the period's
+peak, bounds the rate at every slot, and each model's ``load_bound`` reads
+it.  ``Scenario``, which holds the horizon and the slot length, refuses a
+bound that is not finite with the model's ``OVERFLOW`` text.
 
 Every fBm draw is one path: fractional Gaussian noise drawn exactly by
 Davies-Harte circulant embedding, cumulated by ``generate_fbm``.  A draw
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,18 +62,21 @@ MAX_FBM_SLOTS = 1 << 21
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Sinusoidal expected request rate, requests/second.
+    """Periodic expected request rate, requests/second.
 
     rate(t) = base_rate + sum_k amplitude_k * sin(2*pi*k*(t - phase_k) / period)
 
     ``components`` holds ``(amplitude, phase)`` pairs for harmonics
-    k = 1, 2, ...  Construction fails unless the profile is finite and
-    nonnegative at every slot of one full period.
+    k = 1, 2, ...  The profile is evaluated once, over slots
+    ``0..period-1``, and every slot ``t`` reads slot ``t mod period`` of
+    that read-only array, so the profile repeats exactly.  Construction
+    fails unless the period is finite and nonnegative at every slot.
     """
 
     base_rate: float
     components: tuple = ()
     period: int = 24
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.base_rate < math.inf:
@@ -82,8 +86,11 @@ class RateProfile:
         object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in self.components))
         if not all(math.isfinite(v) for pair in self.components for v in pair):
             raise ValueError("profile components must be finite")
+        t = np.arange(self.period, dtype=float)
+        rates = np.full(self.period, self.base_rate)
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = self.rate(np.arange(self.period))
+            for k, (amp, phase) in enumerate(self.components, start=1):
+                rates += amp * np.sin(2.0 * math.pi * k * (t - phase) / self.period)
         bad = np.nonzero(~np.isfinite(rates))[0]
         if bad.size:
             raise ValueError(f"rate profile is not finite at slot {int(bad[0])}")
@@ -93,27 +100,18 @@ class RateProfile:
                 f"rate profile dips below zero at slot {int(bad[0])} "
                 f"({rates[bad[0]]:.6g} requests/s)"
             )
+        rates.flags.writeable = False
+        object.__setattr__(self, "_rates", rates)
 
     @property
     def rate_bound(self) -> float:
-        """``base_rate + sum_k |amplitude_k|``, added in ``rate``'s order: no slot's rate exceeds it.
-
-        ``|np.sin| <= 1`` and rounding is monotone, so each rounded term is at
-        most its ``|amplitude|`` and each rounded sum at most this one's.  The
-        top rate over one period is no bound: past the first period the sine's
-        argument rounds with an error of about ``t * k`` ulps.
-        """
-        bound = self.base_rate
-        for amp, _ in self.components:  # not ``sum``: from Python 3.12 it compensates its rounding
-            bound += abs(amp)
-        return bound
+        """The period's peak rate: every slot repeats the period, so no slot's rate exceeds it."""
+        return float(self._rates.max())
 
     def rate(self, t):
-        """Expected rate at slot(s) ``t`` (scalar or array)."""
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.base_rate, dtype=float)
-        for k, (amp, phase) in enumerate(self.components, start=1):
-            out += amp * np.sin(2.0 * math.pi * k * (t - phase) / self.period)
+        """Expected rate at integer slot(s) ``t`` (scalar or array); a non-integer slot is refused."""
+        slots = np.asarray(t).astype(np.intp, casting="safe")
+        out = self._rates[slots % self.period]
         return out if out.shape else float(out)
 
 
@@ -176,9 +174,8 @@ class FbmLoadModel:
             raise ValueError("hurst must lie in (0, 1)")
 
     def expected_rate(self, t):
-        """Expected request rate at slot(s) ``t``: trend times ``t**H / sqrt(2*pi)``."""
-        t_arr = np.asarray(t, dtype=float)
-        env = self.trend.rate(t_arr) * np.power(t_arr, self.hurst) / SQRT_2PI
+        """Expected request rate at integer slot(s) ``t``: trend times ``t**H / sqrt(2*pi)``."""
+        env = self.trend.rate(t) * np.power(t, self.hurst) / SQRT_2PI
         return env if env.shape else float(env)
 
     def load_bound(self, slots: int, slot_seconds: float) -> float:
@@ -208,7 +205,7 @@ class FbmLoadModel:
 
     def _rows(self, t: np.ndarray, slot_seconds: float) -> tuple:
         """The trend rate and the smooth part ``(1 - alpha) * t**H / sqrt(2*pi)``."""
-        envelope = np.power(t.astype(float), self.hurst) / SQRT_2PI
+        envelope = np.power(t, self.hurst) / SQRT_2PI
         return self.trend.rate(t), (1.0 - self.alpha) * envelope
 
 

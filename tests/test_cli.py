@@ -281,28 +281,22 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: players[0]: load band overflows") and "Traceback" not in err
 
-    def test_band_overflowing_past_the_first_period_names_the_player(self, write_config, tmp_path, capsys, no_planning):
-        # Past the first period the sine's argument rounds with an error of about t ulps, so over 2**21
-        # slots this profile's top rate is 5e-10 relative above its top over slots 0..2.  Scaled so that
-        # the period's top load fits a float and the horizon's does not, the band is refused by name.
-        phase = 0.8093601412916109
-        unit = RateProfile(1.0, ((1.0, phase),), 3)
-        period_top, top = unit.rate(np.arange(3)).max(), unit.rate(np.arange(1 << 21)).max()
-        assert top > period_top * (1.0 + 5e-10)
-        rate = sys.float_info.max / 3600.0 / ((period_top + top) / 2.0)
-        profile = RateProfile(rate, ((rate, phase),), 3)
-        with np.errstate(over="ignore"):
-            assert math.isfinite(profile.rate(np.arange(3)).max() * 3600.0)
-            assert profile.rate(np.arange(1 << 21)).max() * 3600.0 == math.inf
+    @pytest.mark.parametrize("command", ["plan", "simulate --realizations 5"])
+    def test_profile_nonnegative_over_its_period_runs(self, write_config, tmp_path, command):
+        # this profile's lowest rate over slots 0..2 is 2.8e-17 requests/s; evaluated afresh at each
+        # slot it dipped below zero later on, so a run the config check accepted failed unnamed
         cfg = shipped_config("edge-bounded.json")
-        cfg["economics"]["investment_years"] = (1 << 21) / 8760.0
-        cfg["uncertainty"]["spread"] = 0.0
-        cfg["players"][0]["profile"] = {"base_rate": rate, "period": 3, "components": [[rate, phase]]}
+        cfg["players"][0]["profile"] = {
+            "base_rate": 0.22830472747718866,
+            "period": 3,
+            "components": [[0.26362359173243805, 0.5]],
+        }
+        name, *flags = command.split()
+        out = tmp_path / "x.csv"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["plan", write_config(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: players[0]: load band overflows")
-        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+            warnings.simplefilter("error")
+            assert main([name, write_config(cfg), "--out", str(out), *flags]) == 0
+        assert out.exists() and out.with_suffix(".json").exists()
 
     def test_swept_band_overflow_names_the_spread_and_player(self, write_config, tmp_path, capsys, no_planning):
         # 3e304 requests/s x 3600 s x (1 + 0.3) fits; x (1 + 1) overflows the band's top
@@ -1047,6 +1041,44 @@ class TestSimulate:
         path = write_config(base_config())
         missing = tmp_path / "no-such-dir" / "sim.csv"
         assert main(["simulate", path, "--out", str(missing), "--realizations", "1"]) == 1
+
+
+class TestRealizedOverflow:
+    """A drawn path whose loads or revenue overflow a float ends ``simulate`` and ``payback`` with
+    exit 2, naming the realization and the SP: nothing written, no warning, at any worker count."""
+
+    def run(self, cfg, command, workers, tmp_path, capsys, write_config, monkeypatch):
+        monkeypatch.setenv("COINVEST_THREADS", str(workers))
+        name, *flags = command.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["payback --periods 5 --realizations 20", "simulate --realizations 20"])
+    def test_infinite_loads(self, write_config, tmp_path, capsys, monkeypatch, command, workers):
+        # load_bound(43800, 3600) is half the largest float; drawn paths reach twice the envelope
+        cfg = shipped_config("edge-fbm.json")
+        cfg["uncertainty"]["alpha"] = 1
+        cfg["economics"]["investment_years"] = 5
+        cfg["players"][0]["profile"] = {"base_rate": 3.527345993044867e301, "period": 24, "components": []}
+        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, monkeypatch)
+        assert err == "error: realization 11: players[0]: realized loads are not finite\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["payback --periods 0.1 --realizations 20", "simulate --realizations 20"])
+    def test_finite_loads_whose_revenue_overflows(self, write_config, tmp_path, capsys, monkeypatch, command, workers):
+        # a revenue bound of 0.99 of the largest float over 876 slots, with loads far below it
+        cfg = shipped_config("edge-fbm.json")
+        cfg["uncertainty"]["alpha"] = 1
+        cfg["economics"]["investment_years"] = 0.1
+        cfg["players"][0]["benefit"] = 1.0
+        base = 0.99 * sys.float_info.max / (875**0.7 / math.sqrt(2.0 * math.pi) * 3600.0 * 876)
+        cfg["players"][0]["profile"] = {"base_rate": base, "period": 24, "components": []}
+        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, monkeypatch)
+        assert err == "error: realization 13: players[0]: realized revenue over players[0..0] is not finite\n"
 
 
 class TestPayback:

@@ -1,7 +1,9 @@
 """Simulation engine: settlement identities, determinism, summaries."""
 
+import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +296,58 @@ class TestPaybackSlots:
             payback_slots(scenario, plan, 0, seed=1)
         with pytest.raises(ValueError):
             payback_slots(scenario, plan, 1, seed=1, workers=0)
+
+
+def overflow_scenario(benefit, factor, horizon=876):
+    """One fBm SP (alpha 1, H 0.7) over hourly slots whose load bound is ``factor`` of the largest
+    float, or, when ``benefit * horizon`` exceeds 1, whose revenue bound is."""
+    envelope = (horizon - 1) ** 0.7 / math.sqrt(2.0 * math.pi)
+    base = factor * sys.float_info.max / (envelope * 3600.0 * max(1.0, benefit * horizon))
+    params = EconomicParams(10.94, 16.25, float(horizon), 1.0, (benefit,), 0.03)
+    return Scenario(("metro",), (FbmLoadModel(RateProfile(base), 1.0, 0.7),), params)
+
+
+class TestRealizedOverflow:
+    """``Scenario`` bounds the expected demand only.  A drawn path that overflows, in its loads or
+    in its revenue, ends both functions with a named ``RuntimeError`` and no warning."""
+
+    # seed 0: realization 13 is the first whose loads (benefit 6e-6, load bound half the largest
+    # float) or whose revenue (benefit 1, revenue bound 0.99 of it, loads finite) overflow
+    CASES = {
+        "loads": ((6e-6, 0.5), "realization 13: players[0]: realized loads are not finite"),
+        "revenue": ((1.0, 0.99), "realization 13: players[0]: realized revenue over players[0..0] is not finite"),
+    }
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("case", CASES)
+    def test_simulate_and_payback_name_the_realization_and_sp(self, case, workers):
+        args, message = self.CASES[case]
+        scenario = overflow_scenario(*args)
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as simulated:
+                simulate(scenario, table, 20, seed=0, workers=workers)
+            with pytest.raises(RuntimeError) as paid_back:
+                payback_slots(scenario, table.plan(table.grand_bits), 20, 0, workers=workers)
+        assert str(simulated.value) == str(paid_back.value) == message
+
+    def test_revenue_case_draws_finite_loads(self):
+        scenario = overflow_scenario(1.0, 0.99)
+        loads = sample_loads(scenario.models, scenario.horizon, 3600.0, (0, 13)).values
+        assert np.isfinite(loads).all()
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(payback_slots(scenario, table.plan(table.grand_bits), 13, 0)) == 13
+
+    def test_refusal_names_where_the_running_sum_overflows(self):
+        big = 0.6 * sys.float_info.max
+        err = montecarlo._revenue_overflow(3, np.array([big, big, 1.0]))
+        assert str(err) == "realization 3: players[1]: realized revenue over players[0..1] is not finite"
+        # a sum that overflows only in another order names the last SP
+        err = montecarlo._revenue_overflow(3, np.array([0.5 * big, 0.5 * big]))
+        assert str(err) == "realization 3: players[1]: realized revenue over players[0..1] is not finite"
 
 
 class TestWorkerThreads:

@@ -100,9 +100,12 @@ class TestRateProfile:
         with pytest.raises(ValueError, match="finite"):
             RateProfile(10.0, ((1.0, bad),))
 
-    def test_rate_bound_is_base_plus_the_amplitudes(self):
-        assert RateProfile(10.0, ((2.0, 1.0), (-3.0, 5.0)), 24).rate_bound == 15.0
-        assert RateProfile(4e307, ((-1.5e308, 0.0),), 1).rate_bound == math.inf  # sin(0) = 0 at slot 0
+    def test_rate_bound_is_the_period_peak(self):
+        profile = RateProfile(10.0, ((2.0, 1.0), (-3.0, 5.0)), 24)
+        assert profile.rate_bound == profile.rate(np.arange(24)).max() < 15.0
+        assert RateProfile(1.0, ((1.0, 0.0),), 4).rate_bound == 2.0  # sin(pi/2) = 1 at slot 1
+        # sin(0) = 0 at the one slot, so the amplitude never shows and the bound stays finite
+        assert RateProfile(4e307, ((-1.5e308, 0.0),), 1).rate_bound == 4e307
 
     def test_rate_bound_bounds_every_slot(self):
         rng = np.random.default_rng(17)
@@ -111,14 +114,43 @@ class TestRateProfile:
             profile = random_profile(rng)
             assert profile.rate(slots).max() <= profile.rate_bound
 
-    def test_rate_bound_holds_where_the_period_peak_does_not(self):
-        # past the first period the sine's argument rounds with an error of about t*k ulps, so the
-        # top rate over slots 0..2 is 6.2e-9 relative below the top rate over 2**21 slots
+    def test_matches_the_formula_evaluated_at_each_slot(self):
+        # evaluated afresh at slot t, the sine's argument rounds with an error of about t*k ulps
+        rng = np.random.default_rng(5)
+        slots = np.arange(100_000)
+        for _ in range(50):
+            profile = random_profile(rng)
+            fresh = np.full(slots.shape, profile.base_rate)
+            for k, (amp, phase) in enumerate(profile.components, start=1):
+                fresh += amp * np.sin(2.0 * math.pi * k * (slots - phase) / profile.period)
+            assert np.allclose(profile.rate(slots), fresh, rtol=1e-9, atol=0.0)
+            head = slots[: profile.period]  # the first period is that formula, bit for bit
+            assert np.array_equal(profile.rate(head).view(np.int64), fresh[: profile.period].view(np.int64))
+
+    def test_every_period_repeats_the_first_bit_for_bit(self):
+        # evaluated afresh at each slot, this profile's top rate over 2**21 slots would sit 6.2e-9
+        # relative above its top over slots 0..2; read from the one stored period, it repeats exactly
         profile = RateProfile(1.0, ((0.0, 0.0),) * 12 + ((1.0, 2.056625953442084),), 3)
-        period_peak = profile.rate(np.arange(3)).max()
-        top = profile.rate(np.arange(1 << 21)).max()
-        assert top > period_peak * (1.0 + 6e-9)
-        assert top <= profile.rate_bound == 2.0
+        slots = np.arange(1 << 21)
+        rates = profile.rate(slots)
+        assert np.array_equal(rates.view(np.int64), profile.rate(slots % 3).view(np.int64))
+        assert profile.rate_bound == profile.rate(np.arange(3)).max() == rates.max()
+
+    @pytest.mark.parametrize("slot", [2.5, 3.0, np.array([1.0, 2.0])])
+    def test_refuses_a_slot_that_is_not_an_integer(self, slot):
+        with pytest.raises(TypeError, match="safe"):
+            RateProfile(100.0, ((10.0, 1.0),), 24).rate(slot)
+
+    def test_stored_period_is_read_only_and_outside_equality(self):
+        profile = RateProfile(100.0, ((10.0, 1.0),), 24)
+        assert profile == RateProfile(100.0, [(10, 1)], 24)
+        assert hash(profile) == hash(RateProfile(100.0, [(10, 1)], 24))
+        assert "_rates" not in repr(profile)
+        rates = profile.rate(np.arange(24))
+        rates[0] = -1.0  # a copy: the profile's own period stays as built
+        assert profile.rate(0) > 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            profile._rates[0] = -1.0
 
 
 class TestExpectedLoad:
