@@ -11,12 +11,15 @@ exists, and neither file is a directory or resolves to the other file or
 to the config.  Then it loads the config, whose numeric sections
 ``load_config`` parses from one field table each (``_ECONOMICS``, and
 ``_DEMAND`` per ``uncertainty.kind``), the same tables that build the
-demand models and the normalized config.  The rules on built values stay
-with the library classes that own them (a load or revenue that overflows
-over the horizon is ``Scenario``'s refusal, naming ``players[i]``);
-``_built`` calls a constructor and prefixes its refusal with the field or
-flag the value came from (``players[i].profile``, ``economics``,
-``--sweep: spread <s>``, ``--periods: <y> years``).  Each command checks
+demand models and the normalized config.  A rule on a built value is its
+class's alone (``RateProfile``: a profile's values; ``Scenario``: repeated
+names, overflows; ``BoundedLoadModel``: a swept spread; ``EconomicParams``:
+a period), and ``_built`` prefixes a refusal with the field or flag the
+value came from (``players[i].profile``, ``economics``, ``--sweep: spread
+<s>``, ``--periods: <y> years``).  The CLI refuses only what precedes any
+object: JSON shapes, section bounds in schema order, the SP count, the
+tables' labels as names, the fBm horizon before planning.  A refusal starts
+with the field it names, a top-level field by its key.  Each command checks
 its flags, computes, and returns a header, a generator of CSV text and a
 sidecar.  Only then does ``main`` write, in one commit: it serializes the sidecar,
 streams the table into a temp file beside ``--out``, writes the sidecar
@@ -118,11 +121,16 @@ def _record(fields) -> str:
     return _LINE.writerow(fields)  # writerow returns what the file's write returns
 
 
+def _at(path: str, key: str) -> str:
+    """The path of field ``key`` of the object at ``path``; a top-level field (``path`` empty) is its key."""
+    return f"{path}.{key}" if path else key
+
+
 def _require(obj: dict, key: str, path: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if key not in obj:
-        raise ConfigError(f"{path}.{key}: missing required field")
+        raise ConfigError(f"{_at(path, key)}: missing required field")
     return obj[key]
 
 
@@ -131,24 +139,24 @@ def _check_keys(obj, path: str, allowed):
         raise ConfigError(f"{path}: expected an object")
     for key in obj:
         if key not in allowed and not key.startswith("_"):
-            raise ConfigError(f"{path}.{key}: unknown field")
+            raise ConfigError(f"{_at(path, key)}: unknown field")
 
 
 def _number(obj: dict, key: str, path: str, minimum=None, maximum=None, above=None, below=None):
-    value = _require(obj, key, path)
+    value, field = _require(obj, key, path), _at(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+        raise ConfigError(f"{field}: expected a number")
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite")
+        raise ConfigError(f"{field}: must be finite")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be at least {minimum}")
+        raise ConfigError(f"{field}: must be at least {minimum}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}: must be at most {maximum}")
+        raise ConfigError(f"{field}: must be at most {maximum}")
     if above is not None and value <= above:
-        raise ConfigError(f"{path}.{key}: must be greater than {above}")
+        raise ConfigError(f"{field}: must be greater than {above}")
     if below is not None and value >= below:
-        raise ConfigError(f"{path}.{key}: must be below {below}")
+        raise ConfigError(f"{field}: must be below {below}")
     return value
 
 
@@ -191,13 +199,9 @@ def _built(prefix: str, build, *args, **kwargs):
 
 
 def _profile(obj, path: str):
-    """``(RateProfile, normalized profile)`` of the profile ``obj``."""
-    normalized = _section(obj, path, {"base_rate": {"minimum": 0.0}}, "period", "components")
+    """``(RateProfile, normalized profile)`` of the profile ``obj``: shapes here, values in ``RateProfile``."""
+    normalized = _section(obj, path, {"base_rate": {}}, "period", "components")
     period = _require(obj, "period", path)
-    if isinstance(period, bool) or not isinstance(period, int):
-        raise ConfigError(f"{path}.period: expected an integer number of slots")
-    if period > MAX_FBM_SLOTS:
-        raise ConfigError(f"{path}.period: {period} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
     components = obj.get("components", [])
     if not isinstance(components, list):
         raise ConfigError(f"{path}.components: expected a list of [amplitude, phase] pairs")
@@ -209,8 +213,6 @@ def _profile(obj, path: str):
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in comp)
         ):
             raise ConfigError(f"{path}.components[{k}]: expected an [amplitude, phase] number pair")
-        if not all(math.isfinite(v) for v in comp):
-            raise ConfigError(f"{path}.components[{k}]: amplitude and phase must be finite")
         pairs.append([float(comp[0]), float(comp[1])])
     normalized.update(period=period, components=pairs)
     return _built(f"{path}: ", RateProfile, normalized["base_rate"], pairs, period), normalized
@@ -227,28 +229,28 @@ def load_config(path: str):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top level: expected an object")
-    _check_keys(cfg, "config", {"schema_version", "economics", "saturation", "uncertainty", "players"})
+    _check_keys(cfg, "", {"schema_version", "economics", "saturation", "uncertainty", "players"})
 
     version = cfg.get("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:  # True == 1, and 1.0 == 1
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {json.dumps(version)}")
 
-    economics = _section(_require(cfg, "economics", "config"), "economics", _ECONOMICS)
-    saturation = _number(cfg, "saturation", "config", above=0.0)
+    economics = _section(_require(cfg, "economics", ""), "economics", _ECONOMICS)
+    saturation = _number(cfg, "saturation", "", above=0.0)
 
-    unc = _require(cfg, "uncertainty", "config")
+    unc = _require(cfg, "uncertainty", "")
     kind = _require(unc, "kind", "uncertainty")
     if not isinstance(kind, str) or kind not in _DEMAND:  # a list or an object is no table key
         raise ConfigError(f"uncertainty.kind: expected {' or '.join(map(repr, _DEMAND))}, got {kind!r}")
     model, fields = _DEMAND[kind]
     demand = _section(unc, "uncertainty", fields, "kind")
 
-    players = _require(cfg, "players", "config")
+    players = _require(cfg, "players", "")
     if not isinstance(players, list) or not players:
         raise ConfigError("players: expected a nonempty list of SP descriptors")
     if len(players) > MAX_PLAYERS - 1:
         raise ConfigError(f"players: at most {MAX_PLAYERS - 1} SPs are supported, got {len(players)}")
-    names, models, normalized_players = [], [], []
+    models, normalized_players = [], []
     for i, sp in enumerate(players):
         path = f"players[{i}]"
         _check_keys(sp, path, {"name", "benefit", "profile"})
@@ -259,11 +261,8 @@ def load_config(path: str):
             raise ConfigError(f"{path}.name: {name!r} is reserved for {_RESERVED_NAMES[name]}")
         if "+" in name:
             raise ConfigError(f"{path}.name: {name!r} contains '+', which joins the names in coalition labels")
-        if name in names:
-            raise ConfigError(f"{path}.name: duplicate SP name {name!r}")
         benefit = _number(sp, "benefit", path, above=0.0)
         profile, normalized_profile = _profile(_require(sp, "profile", path), f"{path}.profile")
-        names.append(name)
         models.append(model(profile, **demand))  # the parser rules out every refusal of the model
         normalized_players.append({"name": name, "benefit": benefit, "profile": normalized_profile})
 
@@ -275,8 +274,9 @@ def load_config(path: str):
         benefits=tuple(sp["benefit"] for sp in normalized_players),
         saturation=saturation,
     )
-    # the parser rules out every other refusal; a load or revenue that overflows names its SP
-    scenario = _built("", Scenario, sp_names=tuple(names), models=tuple(models), params=params)
+    # a repeated name, or a load or revenue that overflows, names its SP
+    names = tuple(sp["name"] for sp in normalized_players)
+    scenario = _built("", Scenario, sp_names=names, models=tuple(models), params=params)
     normalized = {
         "schema_version": SCHEMA_VERSION,
         "economics": economics,
@@ -441,14 +441,12 @@ def cmd_stability(args, scenario: Scenario):
             "stability bounds require the bounded demand model; this config uses fBm"
         )
     sweep = [(scenario.models[0].spread, scenario.models)]
-    if args.sweep is not None:  # the swept scenarios, built before planning: each refuses an overflowing load
+    if args.sweep is not None:  # built before planning: a model refuses its spread, a scenario its overflow
         sweep = []
         for s in _parse_float_list(args.sweep, "--sweep", "spread {}"):
-            if not 0.0 <= s <= 1.0:
-                raise ConfigError(f"--sweep: spread {_shown(s)} outside [0, 1]")
-            models = [replace(m, spread=s) for m in scenario.models]
-            swept = _built(f"--sweep: spread {_shown(s)}: ", replace, scenario, models=models)
-            sweep.append((s, swept.models))
+            prefix = f"--sweep: spread {_shown(s)}: "
+            models = [_built(prefix, replace, m, spread=s) for m in scenario.models]
+            sweep.append((s, _built(prefix, replace, scenario, models=models).models))
 
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
@@ -532,8 +530,6 @@ def cmd_payback(args, scenario: Scenario):
     periods = _parse_float_list(args.periods, "--periods", "{} years")
     subs = []
     for y in periods:
-        if y <= 0.0:
-            raise ConfigError(f"--periods: investment length {_shown(y)} must be positive")
         source = f"--periods: {_shown(y)} years"
         params = _built(f"{source}: ", replace, scenario.params, investment_hours=y * HOURS_PER_YEAR)
         _check_fbm_horizon(scenario, params.horizon, source)  # the ceiling before the load bound

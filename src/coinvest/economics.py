@@ -50,14 +50,13 @@ class EconomicParams:
             raise ValueError("benefits must be finite")
         if self.capacity_price < 0.0 or self.maintenance_price < 0.0:
             raise ValueError("prices must be nonnegative")
-        if self.investment_hours <= 0.0 or self.slot_hours <= 0.0:
-            raise ValueError("investment_hours and slot_hours must be positive")
+        for name in ("investment_hours", "slot_hours", "saturation"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not self.benefits:
             raise ValueError("need at least one SP benefit")
         if any(b <= 0.0 for b in self.benefits):
             raise ValueError("benefits must be positive")
-        if self.saturation <= 0.0:
-            raise ValueError("saturation must be positive")
         if self.unit_capacity_cost <= 0.0:
             raise ValueError("degenerate pricing: d + d' * I must be positive")
         ratio = self.investment_hours / self.slot_hours

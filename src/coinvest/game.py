@@ -32,7 +32,7 @@ import numpy as np
 
 from .allocation import AllocationPlan, optimal_plan
 from .economics import EconomicParams, cost, utility
-from .players import MAX_PLAYERS, PlayerSet, all_coalitions, membership
+from .players import PlayerSet, all_coalitions, membership
 from .traffic import BoundedLoadModel, expected_load_matrix
 
 
@@ -67,9 +67,7 @@ def build_value_table(expected_loads: np.ndarray, params: EconomicParams) -> Val
     """Solve the planning problem for every coalition."""
     loads = np.asarray(expected_loads, dtype=float)
     n_players = loads.shape[0] + 1
-    if n_players > MAX_PLAYERS:
-        raise ValueError(f"at most {MAX_PLAYERS - 1} SPs supported")
-    plans = [optimal_plan(s, loads, params) for s in all_coalitions(n_players)]
+    plans = [optimal_plan(s, loads, params) for s in all_coalitions(n_players)]  # PlayerSet refuses past MAX_PLAYERS
     values = np.array([p.objective for p in plans])
     return ValueTable(n_players, values, tuple(plans))
 

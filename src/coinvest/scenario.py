@@ -1,12 +1,13 @@
 """One co-investment scenario: SPs, their demand models, market constants.
 
-A ``Scenario`` holds the one horizon and the one slot length
+A ``Scenario`` holds the SP names, and the one horizon and slot length
 (``params.slot_seconds``) its models are drawn over, so it owns the rules
-that need both.  Every SP's ``load_bound`` over the horizon is a finite
-float, refused with its model's ``OVERFLOW`` text.  Then the revenue bound
-``max(1, saturation) * sum_i benefit_i * horizon * load_bound_i`` stays a
-finite float, added SP by SP.  ``dataclasses.replace`` copies are checked
-again.  Refusals name an SP as ``players[i]``, its index in ``sp_names``.
+that need them.  A repeated name is refused at its second use.  Every SP's
+``load_bound`` over the horizon is a finite float, refused with its model's
+``OVERFLOW`` text.  Then the revenue bound ``max(1, saturation) * sum_i
+benefit_i * horizon * load_bound_i`` stays a finite float, added SP by SP.
+``dataclasses.replace`` copies are checked again.  Refusals name an SP as
+``players[i]``, its index in ``sp_names``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ class Scenario:
             raise ValueError("one model per SP name required")
         if len(self.models) != self.params.n_sp:
             raise ValueError("one benefit per SP required")
-        if not self.models:
-            raise ValueError("need at least one SP")
-        if len(set(self.sp_names)) != len(self.sp_names):
-            raise ValueError("SP names must be unique")
+        for i, name in enumerate(self.sp_names):
+            if name in self.sp_names[:i]:
+                raise ValueError(f"players[{i}].name: duplicate SP name {name!r}")
         kinds = {type(m) for m in self.models}
         if len(kinds) != 1:
             raise ValueError("all SPs must share one demand model kind")

@@ -69,8 +69,11 @@ class RateProfile:
     ``components`` holds ``(amplitude, phase)`` pairs for harmonics
     k = 1, 2, ...  The profile is evaluated once, over slots
     ``0..period-1``, and every slot ``t`` reads slot ``t mod period`` of
-    that read-only array, so the profile repeats exactly.  Construction
-    fails unless the period is finite and nonnegative at every slot.
+    that read-only array, so the profile repeats exactly.  It refuses by name
+    a ``base_rate`` that is negative or not finite, a component that is not
+    finite (``components[k]``), a ``period`` that is no integer in
+    ``1..MAX_FBM_SLOTS`` (checked before allocating; ``bool`` is refused),
+    and a rate that is negative or not finite at some slot of the period.
     """
 
     base_rate: float
@@ -81,11 +84,14 @@ class RateProfile:
     def __post_init__(self):
         if not 0.0 <= self.base_rate < math.inf:
             raise ValueError("base_rate must be finite and nonnegative")
-        if self.period < 1:
-            raise ValueError("period must be a positive number of slots")
         object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in self.components))
-        if not all(math.isfinite(v) for pair in self.components for v in pair):
-            raise ValueError("profile components must be finite")
+        for k, pair in enumerate(self.components):
+            if not all(map(math.isfinite, pair)):
+                raise ValueError(f"components[{k}]: amplitude and phase must be finite")
+        if isinstance(self.period, bool) or not isinstance(self.period, (int, np.integer)) or self.period < 1:
+            raise ValueError("period must be a positive integer number of slots")
+        if self.period > MAX_FBM_SLOTS:
+            raise ValueError(f"period of {self.period} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
         t = np.arange(self.period, dtype=float)
         rates = np.full(self.period, self.base_rate)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import resource
 import stat
 import subprocess
@@ -111,6 +112,18 @@ def field_paths(node, path=()):
     for key, child in items:
         yield path + (key,)
         yield from field_paths(child, path + (key,))
+
+
+def field_name(path) -> str:
+    """A key path as refusals name it: ``("players", 0, "profile")`` is ``players[0].profile``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def names_the_field(message: str, path) -> bool:
+    """Whether ``message`` starts with the field at ``path``, a field below it, or an object above it."""
+    field = field_name(path)
+    above = tuple(field_name(path[:k]) + ": " for k in range(1, len(path)))
+    return message.startswith((field + ":", field + ".", field + "[", *above))
 
 
 def read_csv(path):
@@ -236,7 +249,8 @@ class TestConfigLoading:
         cfg["players"][0]["profile"]["components"] = [[50.0, 1.0], component]
         out = tmp_path / "plan.csv"
         assert main(["plan", write_config(cfg), "--out", str(out)]) == 1
-        assert "players[0].profile.components[1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: players[0].profile: components[1]: amplitude and phase must be finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("period", [10**12, MAX_FBM_SLOTS + 1])
@@ -247,7 +261,7 @@ class TestConfigLoading:
         assert main(["plan", write_config(cfg), "--out", str(tmp_path / "plan.csv")]) == 1
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("error: players[1].profile.period: ") and "ceiling" in err
+        assert err == f"error: players[1].profile: period of {period} slots exceeds the ceiling of {MAX_FBM_SLOTS}\n"
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
     def test_too_many_sps_names_the_field(self, write_config, tmp_path, capsys, no_planning, command):
@@ -340,12 +354,17 @@ class TestConfigLoading:
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
+    # The one refusal that names no field on the mutated path: the revenue bound names the first SP
+    # at which it overflows, and states the max(1, saturation) factor that a huge saturation enters by.
+    REVENUE_OVERFLOW = (("saturation",), 1e308, r"^players\[0\]: revenue overflows at 43800 slots: max\(1, saturation\) ")
+
     @pytest.mark.parametrize(
         "value", [5, "kind", [], {}, None, True, -1, 0, 1e308, [1], "x", 10**30], ids=repr
     )
     @pytest.mark.parametrize("name", ["edge-bounded.json", "edge-fbm.json"])
     def test_any_field_set_to_any_value_loads_or_names_an_error(self, write_config, name, value):
         base = shipped_config(name)
+        overflow_path, overflow_value, overflow = self.REVENUE_OVERFLOW
         failures = []
         for path in field_paths(base):
             cfg = copy.deepcopy(base)
@@ -357,8 +376,12 @@ class TestConfigLoading:
                 warnings.simplefilter("error", RuntimeWarning)
                 try:
                     load_config(write_config(cfg))
-                except ConfigError:
-                    pass
+                except ConfigError as exc:
+                    if (path, value) == (overflow_path, overflow_value):
+                        if not re.match(overflow, str(exc)):
+                            failures.append(f"{path}: not the revenue overflow: {exc}")
+                    elif not names_the_field(str(exc), path):
+                        failures.append(f"{path}: names no field on the path: {exc}")
                 except Exception as exc:
                     failures.append(f"{path}: {type(exc).__name__}: {exc}")
         assert failures == []
@@ -892,6 +915,15 @@ class TestStability:
         assert main(["stability", write_config(fbm_config()), "--out", str(out)]) == 3
         assert "bounded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spread, shown", [("2", "2"), ("-0.5", "-0.5"), ("1e308", "1e+308")])
+    def test_spread_outside_the_unit_interval_is_the_model_refusal(
+        self, write_config, tmp_path, capsys, no_planning, spread, shown
+    ):
+        out = tmp_path / "stab.csv"
+        assert main(["stability", write_config(base_config()), "--out", str(out), "--sweep", spread]) == 1
+        assert capsys.readouterr().err == f"error: --sweep: spread {shown}: spread must lie in [0, 1]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
     def test_sweep_validation(self, write_config, tmp_path):
         cfg = write_config(base_config())
         out = str(tmp_path / "stab.csv")
@@ -901,7 +933,7 @@ class TestStability:
     def test_out_of_range_spread_is_named_as_a_number(self, write_config, tmp_path, capsys, no_planning):
         out = tmp_path / "stab.csv"
         assert main(["stability", write_config(base_config()), "--out", str(out), "--sweep", "0.5,2.0"]) == 1
-        assert capsys.readouterr().err == "error: --sweep: spread 2 outside [0, 1]\n"
+        assert capsys.readouterr().err == "error: --sweep: spread 2: spread must lie in [0, 1]\n"
 
     @pytest.mark.parametrize("sweep", ["0.3,0.3", "0.1,0.3,0.30"])
     def test_repeated_spread_is_refused(self, write_config, tmp_path, capsys, no_planning, sweep):
@@ -1176,6 +1208,24 @@ class TestPayback:
         assert planned == [0b11, 0b11]  # InP and the one SP, once per period
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "period, message",
+        [
+            ("-1", "-1 years: investment_hours must be positive"),
+            ("0", "0 years: investment_hours must be positive"),
+            ("1e-9", "1e-09 years: investment_hours must be an integer number of slots"),
+            ("1e308", "1e+308 years: investment_hours must be finite"),
+        ],
+    )
+    def test_period_is_refused_by_the_economic_params(
+        self, write_config, tmp_path, capsys, no_planning, period, message
+    ):
+        out = tmp_path / "pb.csv"
+        args = ["payback", write_config(base_config()), "--out", str(out), "--periods", period]
+        assert main(args + ["--realizations", "3"]) == 1
+        assert capsys.readouterr().err == f"error: --periods: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_period_validation(self, write_config, tmp_path):
         path = write_config(base_config())

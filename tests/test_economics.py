@@ -108,6 +108,12 @@ class TestEconomicParams:
         with pytest.raises(ValueError):
             make_params(slot_hours=-1.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["investment_hours", "slot_hours"])
+    def test_names_the_one_field_that_is_not_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            make_params(**{field: value})
+
     def test_rejects_fractional_slot_count(self):
         with pytest.raises(ValueError):
             make_params(investment_hours=10.0, slot_hours=3.0)

@@ -84,6 +84,11 @@ class TestValueTable:
         table = build_value_table(np.zeros((2, 3)), params)
         assert not table.values.any()
 
+    def test_player_set_refuses_more_sps_than_it_holds(self):
+        params = EconomicParams(1.0, 0.0, 2.0, 1.0, (1e-3,) * 16, 0.03)
+        with pytest.raises(ValueError, match=r"^n_players must lie in \[2, 16\]$"):
+            build_value_table(np.ones((16, 2)), params)
+
     def test_rejects_wrong_value_length(self):
         with pytest.raises(ValueError):
             ValueTable(2, np.zeros(3), (None,) * 3)

@@ -36,6 +36,12 @@ def warnings_as_errors():
         yield
 
 
+class TestNames:
+    def test_a_repeated_name_is_refused_at_its_second_occurrence(self):
+        with pytest.raises(ValueError, match=r"^players\[2\]\.name: duplicate SP name 'a'$"):
+            Scenario(("a", "b", "a"), (flat(100.0),) * 3, params(24, n_sp=3))
+
+
 class TestFbmLoadRefusal:
     @pytest.mark.parametrize("i", [0, 1])
     def test_overflowing_expected_load_names_the_sp(self, i):

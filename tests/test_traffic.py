@@ -1,6 +1,7 @@
 """Demand models: rate profiles, bounded sampling, and fBm generation."""
 
 import math
+import time
 import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -99,6 +100,32 @@ class TestRateProfile:
             RateProfile(10.0, ((bad, 0.0),))
         with pytest.raises(ValueError, match="finite"):
             RateProfile(10.0, ((1.0, bad),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_names_the_component_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match=r"^components\[1\]: amplitude and phase must be finite$"):
+            RateProfile(10.0, ((1.0, 0.0), (1.0, bad)))
+
+    @pytest.mark.parametrize("period", [2.5, 24.0, True, "24", 0], ids=repr)
+    def test_refuses_a_period_that_is_no_slot_count(self, period):
+        with pytest.raises(ValueError, match="^period must be a positive integer number of slots$"):
+            RateProfile(10.0, ((1.0, 0.0),), period)
+
+    @pytest.mark.parametrize("period", [MAX_FBM_SLOTS + 1, 10**12])
+    def test_refuses_a_period_past_the_ceiling_before_allocating(self, period):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as caught:
+            RateProfile(10.0, ((1.0, 0.0),), period)
+        assert time.perf_counter() - start < 1.0
+        assert str(caught.value) == f"period of {period} slots exceeds the ceiling of {MAX_FBM_SLOTS}"
+
+    def test_a_numpy_integer_period_is_a_slot_count(self):
+        components = ((10.0, 1.0), (3.0, 7.0))
+        profile, plain = RateProfile(100.0, components, np.int64(24)), RateProfile(100.0, components, 24)
+        assert profile == plain and hash(profile) == hash(plain)
+        slots = np.arange(48)
+        assert np.array_equal(profile.rate(slots).view(np.int64), plain.rate(slots).view(np.int64))
+        assert RateProfile(1.0, (), MAX_FBM_SLOTS).period == MAX_FBM_SLOTS  # the ceiling itself is a period
 
     def test_rate_bound_is_the_period_peak(self):
         profile = RateProfile(10.0, ((2.0, 1.0), (-3.0, 5.0)), 24)
