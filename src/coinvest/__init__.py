@@ -30,18 +30,13 @@ _EXPORTS = {
         "generate_fbm",
         "sample_loads",
     ),
+    "players": ("PlayerSet",),
     "allocation": ("AllocationPlan", "optimal_plan", "optimal_plan_closed_form", "optimal_plan_numeric"),
     "game": (
-        "PlayerSet",
         "ValueTable",
         "build_value_table",
         "shapley",
-        "realized_value",
-        "marginal_contribution",
-        "check_supermodularity",
-        "check_core",
         "stability_value_hat",
-        "stability_value_lp",
         "deviation_threshold",
         "utility_ranges",
         "stability_lower_bound",

@@ -56,9 +56,9 @@ import tempfile
 from dataclasses import replace
 
 # One BLAS thread unless the user chose otherwise; set before numpy loads, since
-# OpenBLAS sizes its thread pool at load.  coinvest's only BLAS calls are
-# ``values @ shapley_matrix(n)`` (2**n x n, n <= 16) and the least-core simplex's
-# (n+1)-row products and solves (n <= 8), too small for a pool to pay for its start-up.
+# OpenBLAS sizes its thread pool at load.  coinvest's only BLAS call is
+# ``values @ shapley_matrix(n)`` (2**n x n, n <= 16), too small for a pool to
+# pay for its start-up.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -414,7 +414,7 @@ def _shown(value: float) -> str:
 
 
 def _parse_float_list(raw: str, flag: str, label: str):
-    """Distinct finite numbers of ``raw``; ``label`` names one in messages, e.g. ``"{} years"``."""
+    """Distinct numbers of ``raw``, whose ranges their classes check; ``label`` names one, e.g. ``"{} years"``."""
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
@@ -422,8 +422,6 @@ def _parse_float_list(raw: str, flag: str, label: str):
     if not values:
         raise ConfigError(f"{flag}: expected a comma-separated list of numbers")
     for k, v in enumerate(values):
-        if not math.isfinite(v):
-            raise ConfigError(f"{flag}: {v} is not a finite number")
         if v in values[:k]:  # a repeat would write the same table keys twice
             raise ConfigError(f"{flag}: {label.format(_shown(v))} is listed twice")
     return values

@@ -31,7 +31,6 @@ parallelism level.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -131,6 +130,7 @@ def _map_realizations(settle, n_realizations: int, workers: int) -> list:
     workers = min(workers, n_realizations)  # map submits every realization at once
     if workers == 1:
         return [settle(omega) for omega in range(n_realizations)]
+    from concurrent.futures import ThreadPoolExecutor  # here, so a one-worker process never imports it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(settle, range(n_realizations)))
 

@@ -60,6 +60,11 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 MAX_FBM_SLOTS = 1 << 21
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number: a Python or numpy int or float, never a ``bool``."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RateProfile:
     """Periodic expected request rate, requests/second.
@@ -70,10 +75,11 @@ class RateProfile:
     k = 1, 2, ...  The profile is evaluated once, over slots
     ``0..period-1``, and every slot ``t`` reads slot ``t mod period`` of
     that read-only array, so the profile repeats exactly.  It refuses by name
-    a ``base_rate`` that is negative or not finite, a component that is not
-    finite (``components[k]``), a ``period`` that is no integer in
-    ``1..MAX_FBM_SLOTS`` (checked before allocating; ``bool`` is refused),
-    and a rate that is negative or not finite at some slot of the period.
+    a ``base_rate`` that is no real number, negative or not finite, a
+    component that is no pair of finite real numbers (``components[k]``), a
+    ``period`` that is no integer in ``1..MAX_FBM_SLOTS`` (checked before
+    allocating), and a rate that is negative or not finite at some slot of
+    the period.  ``bool`` is no number here.
     """
 
     base_rate: float
@@ -82,12 +88,18 @@ class RateProfile:
     _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_real(self.base_rate):
+            raise ValueError(f"base_rate must be a real number, not {type(self.base_rate).__name__}")
         if not 0.0 <= self.base_rate < math.inf:
             raise ValueError("base_rate must be finite and nonnegative")
-        object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in self.components))
-        for k, pair in enumerate(self.components):
+        components = tuple(self.components)  # one pass over it, should it be an iterator
+        for k, pair in enumerate(components):
+            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2 and all(map(_is_real, pair))):
+                raise ValueError(f"components[{k}]: expected an (amplitude, phase) pair of real numbers")
             if not all(map(math.isfinite, pair)):
                 raise ValueError(f"components[{k}]: amplitude and phase must be finite")
+        object.__setattr__(self, "base_rate", float(self.base_rate))
+        object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in components))
         if isinstance(self.period, bool) or not isinstance(self.period, (int, np.integer)) or self.period < 1:
             raise ValueError("period must be a positive integer number of slots")
         if self.period > MAX_FBM_SLOTS:

@@ -8,7 +8,8 @@ loads come from the engine's samplers and expected-load rows: drawing
 is not pricing.  Shapley payoffs average marginal contributions over
 every join order, and settlement follows the ``montecarlo`` docstring.
 The stability chain, sigma-hat, delta-hat and the Hoeffding bound, walks
-the coalitions and players one by one.
+the coalitions and players one by one, and so do the supermodularity and
+core checks; ``least_core_value`` solves the least-core LP exactly.
 ``brute_force_plan`` plans a coalition without the engine's water-filling:
 it tries every active set of every slot and bisects on the capacity.
 """
@@ -117,6 +118,86 @@ def deviation_threshold(values, sigma, n_players) -> float:
     if worst > 0.0:
         bound = min(bound, sigma / worst)
     return max(0.0, bound)
+
+
+def supermodularity_violations(values, n_players, tolerance=0.0) -> list:
+    """``(player, inner, outer, deficit)`` for each pair ``inner`` ⊆ ``outer`` and
+    ``player`` outside ``outer`` whose marginal gain on ``outer`` falls short of its
+    gain on ``inner`` by more than ``tolerance``; ``deficit`` is the (negative) difference."""
+    out = []
+    for player in range(n_players):
+        bit = 1 << player
+        for outer in range(1 << n_players):
+            if outer & bit:
+                continue
+            for inner in range(outer):
+                if not set(members(inner, n_players)) <= set(members(outer, n_players)):
+                    continue
+                deficit = values[outer | bit] - values[outer] - (values[inner | bit] - values[inner])
+                if deficit < -tolerance:
+                    out.append((player, inner, outer, float(deficit)))
+    return out
+
+
+def core_violations(values, payoff, tolerance=0.0) -> list:
+    """``(bits, surplus)`` of each proper nonempty coalition whose members' payoffs fall
+    short of ``values[bits]`` by more than ``tolerance``, led by the grand coalition when
+    the payoffs miss its value by more than ``max(tolerance, 1e-9 * max(1, |grand value|))``."""
+    n_players = len(payoff)
+    grand = (1 << n_players) - 1
+    surplus = [sum(payoff[i] for i in members(bits, n_players)) - values[bits] for bits in range(grand + 1)]
+    out = []
+    if abs(surplus[grand]) > max(tolerance, 1e-9 * max(1.0, abs(values[grand]))):
+        out.append((grand, float(surplus[grand])))
+    out += [(bits, float(surplus[bits])) for bits in range(1, grand) if surplus[bits] < -tolerance]
+    return out
+
+
+def least_core_value(values, n) -> float:
+    """The least-core value of an ``n``-player game: the best worst-coalition
+    surplus over all efficient payoffs.
+
+    Solved exactly through the dual linear program over the proper nonempty
+    coalitions S,
+
+        min  values[grand] * mu - sum_S values[S] * y_S
+        s.t. sum_S y_S = 1,   sum_{S owns i} y_S = mu,   y >= 0,
+
+    whose optimum equals the primal max-min surplus, by a dense revised
+    simplex with Bland's rule on its ``n + 1`` rows.
+    """
+    grand = (1 << n) - 1
+    mu_col = grand - 1  # the last column; column k < mu_col holds coalition k + 1
+    a = np.zeros((n + 1, grand))
+    for col in range(mu_col):
+        a[members(col + 1, n), col] = 1.0
+    a[:n, mu_col] = -1.0
+    a[n, :mu_col] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    c = np.array([-values[bits] for bits in range(1, grand)] + [values[grand]], dtype=float)
+
+    # Singleton coalitions (column j holds coalition j + 1) plus mu form
+    # a nonsingular starting basis with y = mu = 1/n, strictly feasible.
+    basis = [(1 << i) - 1 for i in range(n)] + [mu_col]
+    for _ in range(20000):
+        bmat = a[:, basis]
+        x_b = np.linalg.solve(bmat, b)
+        pi = np.linalg.solve(bmat.T, c[basis])
+        reduced = c - pi @ a
+        entering = next((j for j in range(grand) if reduced[j] < -1e-11 and j not in basis), None)
+        if entering is None:
+            return float(c[basis] @ x_b)
+        direction = np.linalg.solve(bmat, a[:, entering])
+        best, leave = math.inf, -1
+        for pos in range(n + 1):
+            if direction[pos] > 1e-12:
+                ratio = x_b[pos] / direction[pos]
+                if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15 and (leave < 0 or basis[pos] < basis[leave])):
+                    best, leave = ratio, pos
+        assert leave >= 0, "the least-core LP is bounded for every value table"
+        basis[leave] = entering
+    raise RuntimeError("least-core simplex did not terminate")
 
 
 def stability_lower_bound(delta, ranges) -> tuple:

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from coinvest import (
     BoundedLoadModel,
     EconomicParams,
@@ -22,8 +23,6 @@ from coinvest import (
     RateProfile,
     Scenario,
     build_value_table,
-    check_core,
-    check_supermodularity,
     cost,
     deviation_threshold,
     empirical_stability_frequency,
@@ -37,7 +36,6 @@ from coinvest import (
     simulate,
     stability_lower_bound,
     stability_value_hat,
-    stability_value_lp,
     utility_ranges,
 )
 from coinvest.cli import main as cli_main
@@ -224,7 +222,9 @@ def test_ac02_coalition_values_are_supermodular(random_games):
     games, build = random_games
     assert len(games) == 100
     for table in games:
-        violations = check_supermodularity(table, 1e-7 * abs(table.grand_value))
+        violations = reference.supermodularity_violations(
+            table.values, table.n_players, 1e-7 * abs(table.grand_value)
+        )
         assert not violations, violations
     _passed(
         "AC02",
@@ -240,7 +240,9 @@ def test_ac03_shapley_allocation_lies_in_the_core(random_games):
     games, _ = random_games
     for table in games:
         payoff = shapley(table)
-        assert check_core(table, payoff, 1e-9 * max(1.0, abs(table.grand_value)))
+        assert not reference.core_violations(
+            table.values, payoff, 1e-9 * max(1.0, abs(table.grand_value))
+        )
     _passed("AC03", start, None, "Shapley payoff unblocked in 100 random games")
 
 
@@ -250,7 +252,7 @@ def test_ac04_threshold_from_exact_stability_value_dominates(random_games):
     for table in games:
         payoff = shapley(table)
         quick = deviation_threshold(table, stability_value_hat(table, payoff))
-        exact = deviation_threshold(table, stability_value_lp(table))
+        exact = deviation_threshold(table, reference.least_core_value(table.values, table.n_players))
         assert quick <= exact + 1e-9
     _passed("AC04", start, None, "closed-form threshold never exceeds the LP threshold")
 

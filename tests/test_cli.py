@@ -915,7 +915,9 @@ class TestStability:
         assert main(["stability", write_config(fbm_config()), "--out", str(out)]) == 3
         assert "bounded" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spread, shown", [("2", "2"), ("-0.5", "-0.5"), ("1e308", "1e+308")])
+    @pytest.mark.parametrize(
+        "spread, shown", [("2", "2"), ("-0.5", "-0.5"), ("1e308", "1e+308"), ("nan", "nan"), ("inf", "inf")]
+    )
     def test_spread_outside_the_unit_interval_is_the_model_refusal(
         self, write_config, tmp_path, capsys, no_planning, spread, shown
     ):
@@ -1216,6 +1218,8 @@ class TestPayback:
             ("0", "0 years: investment_hours must be positive"),
             ("1e-9", "1e-09 years: investment_hours must be an integer number of slots"),
             ("1e308", "1e+308 years: investment_hours must be finite"),
+            ("nan", "nan years: investment_hours must be finite"),
+            ("1,-inf", "-inf years: investment_hours must be finite"),
         ],
     )
     def test_period_is_refused_by_the_economic_params(

@@ -14,22 +14,16 @@ from coinvest import (
     PlayerSet,
     ValueTable,
     build_value_table,
-    check_core,
-    check_supermodularity,
-    cost,
     deviation_threshold,
     expected_load_matrix,
-    marginal_contribution,
-    realized_value,
     shapley,
     stability_lower_bound,
     stability_value_hat,
-    stability_value_lp,
     utility_ranges,
 )
 from coinvest.cli import load_config
 from coinvest.economics import HOURS_PER_YEAR
-from coinvest.game import core_violations, coalition_payoff_sums, shapley_matrix
+from coinvest.game import coalition_payoff_sums, shapley_matrix
 from coinvest.players import membership
 from coinvest.traffic import BoundedLoadModel, FbmLoadModel, RateProfile
 
@@ -68,9 +62,9 @@ class TestValueTable:
         loads = np.full((1, 4), 1e6)
         params = EconomicParams(1.0, 0.0, 4.0, 1.0, (1e-3,), 0.03)
         table = build_value_table(loads, params)
-        assert table.value(0b00) == 0.0
-        assert table.value(0b01) == 0.0  # provider alone serves nobody
-        assert table.value(0b10) == 0.0  # SP alone has no infrastructure
+        assert table.values[0b00] == 0.0
+        assert table.values[0b01] == 0.0  # provider alone serves nobody
+        assert table.values[0b10] == 0.0  # SP alone has no infrastructure
         assert table.grand_value == pytest.approx(table.plan(0b11).objective, rel=1e-15)
         assert table.grand_value > 0.0
 
@@ -92,48 +86,6 @@ class TestValueTable:
     def test_rejects_wrong_value_length(self):
         with pytest.raises(ValueError):
             ValueTable(2, np.zeros(3), (None,) * 3)
-
-
-class TestRealizedValue:
-    @pytest.mark.parametrize("method", ("closed-form", "numeric"))
-    def test_at_expected_loads_equals_nominal(self, method):
-        loads, params = small_scenario()
-        if method == "numeric":
-            loads[0, 0] = 0.0  # an fBm-style row: no demand at slot 0
-        table = build_value_table(loads, params)
-        plan = table.plan(table.grand_bits)
-        assert plan.method == method
-        assert realized_value(plan, loads, params) == table.grand_value
-
-    def test_zero_demand_burns_the_cost(self):
-        loads, params = small_scenario()
-        table = build_value_table(loads, params)
-        plan = table.plan(table.grand_bits)
-        assert plan.capacity > 0.0
-        assert realized_value(plan, np.zeros_like(loads), params) == pytest.approx(
-            -cost(params, plan.capacity), rel=1e-12
-        )
-
-    def test_matches_slot_by_slot_resummation(self):
-        loads, params = small_scenario()
-        table = build_value_table(loads, params)
-        plan = table.plan(table.grand_bits)
-        rng = np.random.default_rng(7)
-        realized = rng.uniform(0.0, 2.0, loads.shape) * loads
-        total = reference.value(plan, realized, params)
-        assert realized_value(plan, realized, params) == pytest.approx(total, rel=1e-12)
-
-    def test_negative_loads_rejected(self):
-        loads, params = small_scenario()
-        table = build_value_table(loads, params)
-        with pytest.raises(ValueError, match="nonnegative"):
-            realized_value(table.plan(table.grand_bits), -loads, params)
-
-    def test_shape_mismatch_rejected(self):
-        loads, params = small_scenario()
-        table = build_value_table(loads, params)
-        with pytest.raises(ValueError):
-            realized_value(table.plan(table.grand_bits), np.zeros((2, 5)), params)
 
 
 class TestShapley:
@@ -199,33 +151,18 @@ class TestMembership:
         assert membership(4) is membership(4)
 
 
-class TestMarginalContribution:
-    def test_veto_player_alone_adds_nothing(self):
-        table = veto_game(3, 60.0)
-        assert marginal_contribution(table, 0, PlayerSet(0, 3)) == 0.0
-
-    def test_last_member_brings_everything(self):
-        table = veto_game(2, 80.0)
-        assert marginal_contribution(table, 1, PlayerSet(0b01, 2)) == 80.0
-
-    def test_rejects_member(self):
-        table = veto_game(2, 1.0)
-        with pytest.raises(ValueError):
-            marginal_contribution(table, 0, PlayerSet(0b01, 2))
-
-
 class TestSupermodularity:
     def test_scenario_games_are_convex(self):
         loads, params = small_scenario()
         table = build_value_table(loads, params)
-        assert check_supermodularity(table, 1e-7 * abs(table.grand_value)) == []
+        assert reference.supermodularity_violations(table.values, 3, 1e-7 * abs(table.grand_value)) == []
 
     def test_detects_handmade_violation(self):
         # v(12)=v(13)=v(123)=1: adding player 3 to {1} gains 1 but to
         # {1,2} gains 0 - marginal contributions shrink.
         values = np.zeros(8)
         values[0b011] = values[0b101] = values[0b111] = 1.0
-        violations = check_supermodularity(table_from(values))
+        violations = reference.supermodularity_violations(values, 3)
         assert violations
         players = {v[0] for v in violations}
         assert 2 in players
@@ -233,30 +170,30 @@ class TestSupermodularity:
     def test_additive_games_pass(self):
         c = np.array([3.0, 5.0, 7.0])
         values = np.array([c[[i for i in range(3) if m >> i & 1]].sum() for m in range(8)])
-        assert check_supermodularity(table_from(values)) == []
+        assert reference.supermodularity_violations(values, 3) == []
 
 
 class TestCore:
     def test_shapley_in_core_for_scenario(self):
         loads, params = small_scenario()
         table = build_value_table(loads, params)
-        assert check_core(table, shapley(table), 1e-9 * max(1.0, table.grand_value))
+        assert not reference.core_violations(table.values, shapley(table), 1e-9 * max(1.0, table.grand_value))
 
     def test_lopsided_allocation_blocked(self):
         loads, params = small_scenario()
         table = build_value_table(loads, params)
-        assert table.value(0b101) > 0.0
+        assert table.values[0b101] > 0.0
         lopsided = np.array([0.0, table.grand_value, 0.0])
-        violations = core_violations(table, lopsided)
+        violations = reference.core_violations(table.values, lopsided)
         assert any(bits == 0b101 for bits, _ in violations)
-        assert not check_core(table, lopsided)
+        assert reference.core_violations(table.values, lopsided)
 
     def test_zero_game_zero_allocation(self):
-        assert check_core(table_from(np.zeros(8)), np.zeros(3))
+        assert not reference.core_violations(np.zeros(8), np.zeros(3))
 
     def test_inefficient_allocation_rejected(self):
         table = veto_game(2, 10.0)
-        assert not check_core(table, np.array([1.0, 1.0]))
+        assert reference.core_violations(table.values, np.array([1.0, 1.0]))
 
     def test_violations_match_a_loop_over_masks(self):
         rng = np.random.default_rng(5)
@@ -270,7 +207,7 @@ class TestCore:
                 gap = sums[bits] - table.values[bits]
                 if gap < -0.5:
                     by_loop.append((bits, float(gap)))
-            found = core_violations(table, allocation, 0.5)
+            found = reference.core_violations(table.values, allocation, 0.5)
             assert [v for v in found if v[0] != table.grand_bits] == by_loop
 
     def test_payoff_sums_enumerate_masks(self):
@@ -285,12 +222,12 @@ class TestStabilityValues:
     def test_two_player_veto_worst_surplus(self):
         table = veto_game(2, 100.0)
         assert stability_value_hat(table, shapley(table)) == pytest.approx(50.0)
-        assert stability_value_lp(table) == pytest.approx(50.0)
+        assert reference.least_core_value(table.values, 2) == pytest.approx(50.0)
 
     def test_zero_game(self):
         table = table_from(np.zeros(8))
         assert stability_value_hat(table, np.zeros(3)) == 0.0
-        assert stability_value_lp(table) == 0.0
+        assert reference.least_core_value(table.values, 3) == 0.0
 
     def test_hat_matches_exhaustive_minimum(self):
         rng = np.random.default_rng(19)
@@ -307,7 +244,7 @@ class TestStabilityValues:
         for _ in range(8):
             n = int(rng.integers(2, 5))
             table = random_monotone_game(rng, n)
-            mine = stability_value_lp(table)
+            mine = reference.least_core_value(table.values, n)
             oracle = least_core_by_vertex_enumeration(table.values, n)
             assert mine == pytest.approx(oracle, rel=1e-8, abs=1e-8)
 
@@ -316,11 +253,7 @@ class TestStabilityValues:
         for _ in range(10):
             table = random_monotone_game(rng, int(rng.integers(2, 6)))
             hat = stability_value_hat(table, shapley(table))
-            assert stability_value_lp(table) >= hat - 1e-9
-
-    def test_lp_player_cap(self):
-        with pytest.raises(ValueError):
-            stability_value_lp(table_from(np.zeros(1 << 9)))
+            assert reference.least_core_value(table.values, table.n_players) >= hat - 1e-9
 
 
 def least_core_by_vertex_enumeration(values, n):

@@ -1,5 +1,6 @@
 """Simulation engine: settlement identities, determinism, summaries."""
 
+import concurrent.futures
 import math
 import sys
 import time
@@ -371,7 +372,7 @@ class TestWorkerThreads:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         return started
 
     RUNS = {

@@ -28,7 +28,7 @@ class TestLazyExports:
 
     def test_every_export_is_its_home_modules_object(self):
         assert sorted(coinvest._HOME) == sorted(coinvest.__all__)
-        assert len(coinvest.__all__) == 35
+        assert len(coinvest.__all__) == 30
         for name, home in coinvest._HOME.items():
             assert getattr(coinvest, name) is getattr(importlib.import_module(f"coinvest.{home}"), name), name
 
@@ -39,6 +39,10 @@ class TestLazyExports:
         namespace = {}
         exec("from coinvest import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(coinvest.__all__)
+
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        # only a run with more than one worker starts a pool, and imports concurrent.futures to do so
+        assert run_python("import sys, coinvest.cli; print('concurrent.futures' in sys.modules)") == "False"
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_export"):

@@ -106,6 +106,29 @@ class TestRateProfile:
         with pytest.raises(ValueError, match=r"^components\[1\]: amplitude and phase must be finite$"):
             RateProfile(10.0, ((1.0, 0.0), (1.0, bad)))
 
+    @pytest.mark.parametrize(
+        "args, refused",
+        [
+            (("5",), "base_rate must be a real number, not str"),
+            ((None,), "base_rate must be a real number, not NoneType"),
+            ((True,), "base_rate must be a real number, not bool"),
+            ((1.0, ((None, 0.0),)), "components[0]"),
+            ((1.0, ((0.0, 0.0), ("a", 0.0))), "components[1]"),
+            ((1.0, ((0.0, False),)), "components[0]"),
+            ((1.0, ((0.0, 0.0, 0.0), (0.5,))), "components[0]"),
+        ],
+        ids=repr,
+    )
+    def test_names_a_base_rate_or_component_that_is_no_real_number(self, args, refused):
+        with pytest.raises(ValueError) as caught:
+            RateProfile(*args)
+        pair = ": expected an (amplitude, phase) pair of real numbers"
+        assert str(caught.value) == (refused + pair if refused.startswith("components") else refused)
+
+    def test_an_integer_base_rate_is_a_float(self):
+        # kept as an int, the base rate would make the rate array integer, and adding a component would fail
+        assert RateProfile(5, ((1.0, 0.0),)) == RateProfile(5.0, ((1.0, 0.0),))
+
     @pytest.mark.parametrize("period", [2.5, 24.0, True, "24", 0], ids=repr)
     def test_refuses_a_period_that_is_no_slot_count(self, period):
         with pytest.raises(ValueError, match="^period must be a positive integer number of slots$"):
