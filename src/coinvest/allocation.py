@@ -50,7 +50,6 @@ class AllocationPlan:
     rows of SPs outside the coalition are identically zero.
     """
 
-    coalition: PlayerSet
     capacity: float
     shares: np.ndarray
     objective: float
@@ -72,8 +71,8 @@ def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParam
     return loads
 
 
-def _idle_plan(coalition: PlayerSet, loads: np.ndarray, method: str) -> AllocationPlan:
-    return AllocationPlan(coalition, 0.0, np.zeros_like(loads), 0.0, method)
+def _idle_plan(loads: np.ndarray, method: str) -> AllocationPlan:
+    return AllocationPlan(0.0, np.zeros_like(loads), 0.0, method)
 
 
 def optimal_plan_closed_form(coalition, expected_loads, params):
@@ -88,7 +87,7 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
     loads = _check_inputs(coalition, expected_loads, params)
     rows = coalition.sp_rows
     if not coalition.includes_inp or rows.size == 0:
-        return _idle_plan(coalition, loads, "closed-form")
+        return _idle_plan(loads, "closed-form")
     sub = loads[rows]
     positive = sub > 0.0
     everywhere = positive.all(axis=1)
@@ -98,7 +97,7 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
     active = rows[everywhere]
     k = active.size
     if k == 0:
-        return _idle_plan(coalition, loads, "closed-form")
+        return _idle_plan(loads, "closed-form")
 
     xi = params.saturation
     beta = np.asarray(params.benefits)[active, None]
@@ -116,7 +115,7 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
     shares = np.zeros_like(loads)
     shares[active] = shares_active
     objective = utility(beta, xi, loads[active], shares_active).sum() - cost(params, capacity)
-    return AllocationPlan(coalition, capacity, shares, objective, "closed-form")
+    return AllocationPlan(capacity, shares, objective, "closed-form")
 
 
 def _water_levels(ordered: np.ndarray, csum: np.ndarray, xi: float, capacity: float):
@@ -142,7 +141,7 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     loads = _check_inputs(coalition, expected_loads, params)
     rows = coalition.sp_rows
     if not coalition.includes_inp or rows.size == 0:
-        return _idle_plan(coalition, loads, "numeric")
+        return _idle_plan(loads, "numeric")
 
     xi = params.saturation
     beta = np.asarray(params.benefits)[rows, None]
@@ -152,7 +151,7 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     slot_best = log_w.max(axis=0)
     live = np.isfinite(slot_best)
     if not live.any():
-        return _idle_plan(coalition, loads, "numeric")
+        return _idle_plan(loads, "numeric")
     log_w_live = log_w[:, live]
 
     # Stationarity in C: g(C) = log(sum_t lambda_t(C)) - log(price) = 0.
@@ -181,7 +180,7 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     else:
         raise AllocationError("Newton capacity search did not converge")
     if capacity == 0.0:
-        return _idle_plan(coalition, loads, "numeric")
+        return _idle_plan(loads, "numeric")
 
     level, _ = _water_levels(ordered, csum, xi, capacity)
     shares_live = np.clip((log_w_live - level) / xi, 0.0, None)
@@ -190,7 +189,7 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     shares = np.zeros_like(loads)
     shares[rows] = shares_sub
     objective = utility(beta, xi, loads[rows], shares_sub).sum() - cost(params, capacity)
-    return AllocationPlan(coalition, capacity, shares, objective, "numeric")
+    return AllocationPlan(capacity, shares, objective, "numeric")
 
 
 def optimal_plan(coalition, expected_loads, params):

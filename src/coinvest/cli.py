@@ -450,7 +450,7 @@ def cmd_stability(args, scenario: Scenario):
     payoff = shapley(table)
     sigma = stability_value_hat(table, payoff)
     delta = deviation_threshold(table, sigma)
-    grand_plan = table.plan(table.grand_bits)
+    grand_plan = table.plans[table.grand_bits]
     names = scenario.player_names
 
     bounds = []
@@ -497,10 +497,10 @@ def cmd_simulate(args, scenario: Scenario):
     names = scenario.player_names
 
     def rows():
-        for o in outcomes:
+        for omega, o in enumerate(outcomes):
             columns = (o.collected, o.payments, o.rewards, o.payoffs, o.deviations)
             for player, name in enumerate(names):
-                yield _record((o.index, name, *(_fmt(column[player]) for column in columns)))
+                yield _record((omega, name, *(_fmt(column[player]) for column in columns)))
 
     return (
         ["omega", "player", "collected", "payment", "reward", "shapley_payoff", "deviation"],

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .traffic import _is_real
+
 HOURS_PER_YEAR = 8760.0
+_SCALARS = ("capacity_price", "maintenance_price", "investment_hours", "slot_hours", "saturation")
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,9 @@ class EconomicParams:
     slot_hours         duration of one slot, hours
     benefits           dollars per request, one entry per SP
     saturation         1/vcore, curvature of the utility
+
+    Each is a real number (``benefits`` a sequence of them), refused by name
+    otherwise; ``bool`` is no number here.
     """
 
     capacity_price: float
@@ -42,8 +48,14 @@ class EconomicParams:
     saturation: float
 
     def __post_init__(self):
-        object.__setattr__(self, "benefits", tuple(float(b) for b in self.benefits))
-        for name in ("capacity_price", "maintenance_price", "investment_hours", "slot_hours", "saturation"):
+        benefits = tuple(self.benefits)  # one pass over it, should it be an iterator
+        named = [(name, getattr(self, name)) for name in _SCALARS]
+        named += [(f"benefits[{k}]", b) for k, b in enumerate(benefits)]
+        for name, value in named:
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+        object.__setattr__(self, "benefits", tuple(map(float, benefits)))
+        for name in _SCALARS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not all(math.isfinite(b) for b in self.benefits):

@@ -53,9 +53,6 @@ class ValueTable:
     def grand_value(self) -> float:
         return float(self.values[self.grand_bits])
 
-    def plan(self, bits: int) -> AllocationPlan:
-        return self.plans[bits]
-
 
 def build_value_table(expected_loads: np.ndarray, params: EconomicParams) -> ValueTable:
     """Solve the planning problem for every coalition."""
@@ -82,7 +79,7 @@ def shapley_matrix(n_players: int) -> np.ndarray:
 
 
 def shapley(values, n_players: int | None = None) -> np.ndarray:
-    """Shapley payoffs; accepts a ValueTable or a dense value array.
+    """Shapley payoffs of a ValueTable, or of a dense value array over ``n_players``.
 
     A trailing axis of length ``2**n_players`` may be batched.
     """
@@ -90,8 +87,6 @@ def shapley(values, n_players: int | None = None) -> np.ndarray:
         n_players = values.n_players
         values = values.values
     values = np.asarray(values, dtype=float)
-    if n_players is None:
-        n_players = values.shape[-1].bit_length() - 1
     if values.shape[-1] != 1 << n_players:
         raise ValueError("value array length must be 2**n_players")
     return values @ shapley_matrix(n_players)

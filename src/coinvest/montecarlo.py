@@ -1,12 +1,12 @@
 """Monte Carlo assessment of a co-investment.
 
-Plans are committed on expected demand and held fixed.  Each
-realization is drawn and settled on its own.  ``simulate`` re-prices
-every coalition at its loads, recomputes Shapley payoffs on the realized
-value table, settles payments and rewards, and locates the payback slot
-of the grand coalition; each outcome keeps its loads.  ``payback_slots``
-needs only one plan and keeps only its payback slot, the first slot at
-which its cumulative collected revenue covers its installed cost.
+Plans are committed on expected demand and held fixed.  Each realization
+is drawn and settled on its own, and results come in realization order.
+``simulate`` re-prices every coalition at its loads, recomputes Shapley
+payoffs on the realized value table, settles payments and rewards, and
+locates the payback slot of the grand coalition; each outcome keeps its
+loads.  ``payback_slots`` needs only one plan and keeps only its payback
+slot, the first slot at which its collected revenue covers its cost.
 
 A realization whose loads, or whose revenue summed over its slots, are
 not a finite float ends either function with a ``RuntimeError`` that
@@ -49,7 +49,6 @@ PAYMENT_MODES = ("ex-ante", "ex-post")
 class RealizationOutcome:
     """Everything one demand draw implies for the grand coalition."""
 
-    index: int
     loads: LoadMatrix
     values: np.ndarray
     payoffs: np.ndarray
@@ -62,10 +61,9 @@ class RealizationOutcome:
 
 @dataclass(frozen=True, eq=False)
 class SimulationSummary:
-    n_realizations: int
     player_profit_prob: np.ndarray
     joint_profit_prob: float
-    stability_frequency: Optional[float]
+    stability_frequency: float
     payoff_quantiles: np.ndarray
     payment_quantiles: np.ndarray
     reward_quantiles: np.ndarray
@@ -181,7 +179,6 @@ def simulate(
         deviations[1:] = collected_sp[grand] - nominal_collected
         payments = collected - payoffs if payment_mode == "ex-post" else fixed_payments.copy()
         return RealizationOutcome(
-            index=omega,
             loads=loads,
             values=values,
             payoffs=payoffs,
@@ -245,18 +242,16 @@ def payback_quantiles(slots: Sequence[Optional[int]]):
     return quantiles, len(slots) - len(recovered)
 
 
-def summarize(outcomes: Sequence[RealizationOutcome], delta: Optional[float] = None) -> SimulationSummary:
+def summarize(outcomes: Sequence[RealizationOutcome], delta: float) -> SimulationSummary:
     player_prob, joint_prob = profitability_probabilities(outcomes)
-    stability = None if delta is None else empirical_stability_frequency(outcomes, delta)
     payoffs = np.stack([o.payoffs for o in outcomes])
     payments = np.stack([o.payments for o in outcomes])
     rewards = np.stack([o.rewards for o in outcomes])
     payback_q, censored = payback_quantiles([o.payback_slot for o in outcomes])
     return SimulationSummary(
-        n_realizations=len(outcomes),
         player_profit_prob=player_prob,
         joint_profit_prob=joint_prob,
-        stability_frequency=stability,
+        stability_frequency=empirical_stability_frequency(outcomes, delta),
         payoff_quantiles=_quantiles(payoffs),
         payment_quantiles=_quantiles(payments),
         reward_quantiles=_quantiles(rewards),

@@ -35,11 +35,11 @@ Each model also keeps the deterministic rows of its last horizon and
 slot length, read-only: the bounded band's lower edge and width, or the
 fBm trend and smooth envelope term.
 
-Randomness contract: every sampler derives one independent substream
-per (seed, realization, player) through ``numpy.random.SeedSequence``
-initialised with that integer tuple.  Results are therefore
-reproducible bit-for-bit for a given master seed and independent of
-how work is distributed across threads.
+Randomness contract: a key is an integer tuple such as ``(seed,
+realization)``; ``sample_loads`` draws model ``i`` from the substream of
+``numpy.random.SeedSequence((*key, i))``, and ``generate_fbm`` from the
+``Generator`` it is given.  Output is therefore bit-for-bit reproducible
+per master seed and independent of how work is spread across threads.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class BoundedLoadModel:
 
     def sample(self, slots: int, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
         """One load row over ``slots`` slots: ``U * width + low``, rounded as ``rng.uniform`` does."""
-        low, width = _cached_rows(self, slots, slot_seconds, self._rows)
+        low, width = _cached_rows(self, slots, slot_seconds)
         load = rng.random(slots)
         load *= width
         load += low
@@ -212,7 +212,7 @@ class FbmLoadModel:
         ``trend * ((1 - alpha) * envelope + alpha * max(0, path)) * slot_seconds``,
         evaluated in place on the fresh path.
         """
-        trend, smooth = _cached_rows(self, slots, slot_seconds, self._rows)
+        trend, smooth = _cached_rows(self, slots, slot_seconds)
         load = generate_fbm(self.hurst, slots, rng)
         np.maximum(load, 0.0, out=load)
         load *= self.alpha
@@ -239,9 +239,8 @@ class LoadMatrix:
     values: np.ndarray
 
 
-def _cached_rows(model: LoadModel, slots: int, slot_seconds: float, build) -> tuple:
-    """``build(np.arange(slots), slot_seconds)``, memoised on ``model`` for its last
-    ``(slots, slot_seconds)``.
+def _cached_rows(model: LoadModel, slots: int, slot_seconds: float) -> tuple:
+    """The rows ``model._rows`` builds over ``slots`` slots, memoised for its last ``(slots, slot_seconds)``.
 
     Every draw of a model over one horizon reuses the same deterministic
     rows, so they are computed once and frozen read-only.  One entry per
@@ -251,7 +250,7 @@ def _cached_rows(model: LoadModel, slots: int, slot_seconds: float, build) -> tu
     hit = model.__dict__.get("_rows_cache")
     if hit is not None and hit[0] == key:
         return hit[1]
-    rows = build(np.arange(slots), slot_seconds)
+    rows = model._rows(np.arange(slots), slot_seconds)
     for row in rows:
         row.flags.writeable = False
     object.__setattr__(model, "_rows_cache", (key, rows))
@@ -266,15 +265,9 @@ def expected_load_matrix(models: Sequence[LoadModel], horizon: int, slot_seconds
     return np.vstack([m.expected_rate(slots) * slot_seconds for m in models])
 
 
-def _seed_key(seed) -> tuple:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
-
-
-def _substream(seed, *extra) -> np.random.Generator:
-    """Independent generator for the integer key ``(*seed, *extra)``."""
-    entropy = list(_seed_key(seed)) + [int(e) for e in extra]
+def _substream(key: tuple, *extra) -> np.random.Generator:
+    """Independent generator for the integer key ``(*key, *extra)``."""
+    entropy = [int(e) for e in (*key, *extra)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -364,11 +357,10 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndar
     return np.fft.irfft(half, n=2 * m, norm="forward")[:n]
 
 
-def generate_fbm(hurst: float, n: int, seed) -> np.ndarray:
-    """One standard fBm path sampled at integer slots 0..n-1.
+def generate_fbm(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One standard fBm path sampled at integer slots 0..n-1, drawn from ``rng``.
 
     ``Cov(f_s, f_t) = (s**2H + t**2H - |t - s|**2H) / 2`` with ``f_0 = 0``.
-    ``seed`` may be an integer, an integer tuple, or a ready Generator.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
@@ -376,20 +368,19 @@ def generate_fbm(hurst: float, n: int, seed) -> np.ndarray:
         raise ValueError("need at least one slot")
     if n > MAX_FBM_SLOTS:
         raise ValueError(f"fBm path of {n} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
-    rng = seed if isinstance(seed, np.random.Generator) else _substream(seed)
     out = np.zeros(n)
     if n > 1:
         np.cumsum(_fgn_davies_harte(hurst, n - 1, rng), out=out[1:])
     return out
 
 
-def sample_loads(models: Sequence[LoadModel], horizon: int, slot_seconds: float, seed) -> LoadMatrix:
+def sample_loads(models: Sequence[LoadModel], horizon: int, slot_seconds: float, key: tuple) -> LoadMatrix:
     """One joint load realization over slots of ``slot_seconds``, one row per model.
 
-    Model ``i`` consumes the substream keyed ``(*seed, i)``, so the
+    Model ``i`` consumes the substream keyed ``(*key, i)``, so the
     matrix is identical regardless of evaluation order.
     """
     if not models:
         raise ValueError("need at least one load model")
-    rows = [m.sample(horizon, slot_seconds, _substream(seed, i)) for i, m in enumerate(models)]
+    rows = [m.sample(horizon, slot_seconds, _substream(key, i)) for i, m in enumerate(models)]
     return LoadMatrix(np.vstack(rows))

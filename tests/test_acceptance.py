@@ -147,7 +147,7 @@ def band_runs():
             table = build_value_table(scenario.expected_loads(), scenario.params)
             payoff = shapley(table)
             delta = deviation_threshold(table, stability_value_hat(table, payoff))
-        spans = utility_ranges(table.plan(table.grand_bits), scenario.models, scenario.params)
+        spans = utility_ranges(table.plans[table.grand_bits], scenario.models, scenario.params)
         _, joint = stability_lower_bound(delta, spans)
         outcomes = simulate(scenario, table, 10_000, 505)
         runs.append((spread, scenario, joint, outcomes))
@@ -277,17 +277,17 @@ def test_ac05_stability_bound_is_conservative(band_runs):
 def test_ac06_settlement_conserves_cash(settlement_runs):
     start = time.perf_counter()
     table, _, scenario, by_mode = settlement_runs
-    grand_cost = cost(scenario.params, table.plan(table.grand_bits).capacity)
+    grand_cost = cost(scenario.params, table.plans[table.grand_bits].capacity)
     for mode, outcomes in by_mode.items():
         assert len(outcomes) == 1000
-        for o in outcomes:
+        for omega, o in enumerate(outcomes):
             paid = float(o.payments.sum())
-            assert abs(paid - grand_cost) <= 1e-9 * max(1.0, grand_cost), (mode, o.index)
+            assert abs(paid - grand_cost) <= 1e-9 * max(1.0, grand_cost), (mode, omega)
             gathered = float(o.collected.sum())
             handed_out = float(o.rewards.sum())
             assert abs(handed_out - gathered) <= 1e-9 * max(1.0, abs(gathered)), (
                 mode,
-                o.index,
+                omega,
             )
     _passed(
         "AC06", start, None, "payments fund the cost and rewards redistribute the revenue"
@@ -354,9 +354,9 @@ def test_ac09_stable_realizations_are_profitable(band_runs, settlement_runs, fbm
     batches += [(delta10, outcomes, table10.grand_value) for _, outcomes in runs10]
     for delta, outcomes, grand in batches:
         tol = 1e-9 * max(1.0, abs(grand))
-        for o in outcomes:
+        for omega, o in enumerate(outcomes):
             if np.all(np.abs(o.deviations) < delta):
-                assert np.all(o.payoffs >= -tol), o.index
+                assert np.all(o.payoffs >= -tol), omega
         _, joint = profitability_probabilities(outcomes)
         freq = empirical_stability_frequency(outcomes, delta)
         assert joint >= freq - 1e-12
@@ -409,7 +409,7 @@ def test_ac11_bound_separates_even_from_lopsided_coalitions():
         table = build_value_table(expected_load_matrix(models, horizon, params.slot_seconds), params)
         payoff = shapley(table)
         delta = deviation_threshold(table, stability_value_hat(table, payoff))
-        plan = table.plan(table.grand_bits)
+        plan = table.plans[table.grand_bits]
         joints = []
         for spread in (0.001, 0.25, 0.5):
             sized = tuple(replace(m, spread=spread) for m in models)

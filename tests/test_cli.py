@@ -770,7 +770,7 @@ class TestTextRecords:
 
         def fake_plan(coalition, loads, params):
             shares = np.stack([np.roll(row, i) for i in range(params.n_sp)])
-            return AllocationPlan(coalition, 1.5, shares, 2.0, "closed-form")
+            return AllocationPlan(1.5, shares, 2.0, "closed-form")
 
         monkeypatch.setattr(cli, "optimal_plan", fake_plan)
         path = write_config(self.quoted_config(slots))
@@ -855,7 +855,7 @@ class TestPlan:
         assert main(["plan", path, "--out", str(out)]) == 0
         scenario, _ = load_config(path)
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        plan = table.plan(table.grand_bits)
+        plan = table.plans[table.grand_bits]
         _, rows = read_csv(out)
         for row in rows:
             sp = {"east": 0, "west": 1}[row[2]]

@@ -1,6 +1,7 @@
 """Cost and utility primitives: frozen-value oracles and shape checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,3 +169,13 @@ class TestEconomicParams:
     def test_rejects_non_finite_field_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             make_params(**{field: value})
+
+    @pytest.mark.parametrize("value", ["5", True, None], ids=("str", "bool", "None"))
+    @pytest.mark.parametrize(
+        "field", ["capacity_price", "maintenance_price", "investment_hours", "slot_hours", "saturation", "benefits"]
+    )
+    def test_refuses_a_field_that_is_no_real_number_by_name(self, field, value):
+        named, given = (f"{field}[0]", (value,)) if field == "benefits" else (field, value)
+        message = f"^{re.escape(named)} must be a real number, not {type(value).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            make_params(**{field: given})

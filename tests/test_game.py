@@ -65,7 +65,7 @@ class TestValueTable:
         assert table.values[0b00] == 0.0
         assert table.values[0b01] == 0.0  # provider alone serves nobody
         assert table.values[0b10] == 0.0  # SP alone has no infrastructure
-        assert table.grand_value == pytest.approx(table.plan(0b11).objective, rel=1e-15)
+        assert table.grand_value == pytest.approx(table.plans[0b11].objective, rel=1e-15)
         assert table.grand_value > 0.0
 
     def test_grand_coalition_dominates(self):
@@ -419,7 +419,7 @@ class TestStabilityLowerBound:
             delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
             for spread, bounds in series.items():
                 models = tuple(replace(m, spread=spread) for m in scenario.models)
-                spans = utility_ranges(table.plan(table.grand_bits), models, params)
+                spans = utility_ranges(table.plans[table.grand_bits], models, params)
                 bounds.append(stability_lower_bound(delta, spans)[1])
         for bounds in series.values():
             assert all(a <= b for a, b in zip(bounds, bounds[1:])), bounds

@@ -90,7 +90,7 @@ class TestDegenerateSpread:
 class TestSettlementIdentities:
     def test_payments_cover_the_cost_exactly(self, noisy_run):
         scenario, table, outcomes = noisy_run
-        total_cost = cost(scenario.params, table.plan(table.grand_bits).capacity)
+        total_cost = cost(scenario.params, table.plans[table.grand_bits].capacity)
         for o in outcomes:
             assert o.payments.sum() == pytest.approx(total_cost, rel=1e-9)
 
@@ -110,7 +110,7 @@ class TestSettlementIdentities:
         for o in outcomes:
             assert np.array_equal(o.payments, first)
             assert o.payments.sum() == pytest.approx(
-                cost(scenario.params, table.plan(table.grand_bits).capacity), rel=1e-9
+                cost(scenario.params, table.plans[table.grand_bits].capacity), rel=1e-9
             )
 
     def test_provider_collects_no_direct_revenue(self, noisy_run):
@@ -150,7 +150,6 @@ class TestDeterminism:
         threaded = simulate(scenario, table, 600, seed=5, workers=4)
         assert len(serial) == len(threaded) == 600
         for a, b in zip(serial, threaded):
-            assert a.index == b.index
             assert np.array_equal(a.loads.values, b.loads.values)
             assert np.array_equal(a.payoffs, b.payoffs)
             assert np.array_equal(a.rewards, b.rewards)
@@ -161,7 +160,7 @@ class TestDeterminism:
         scenario = make()
         table = build_value_table(scenario.expected_loads(), scenario.params)
         outcomes = simulate(scenario, table, 515, seed=11, workers=workers)
-        assert [o.index for o in outcomes] == list(range(515))
+        assert len(outcomes) == 515  # outcome omega is realization omega's draw, checked below
         for omega, o in enumerate(outcomes):
             drawn = sample_loads(scenario.models, scenario.horizon, scenario.params.slot_seconds, (11, omega))
             assert np.array_equal(o.loads.values, drawn.values)
@@ -213,7 +212,6 @@ class TestSummaries:
         delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
         summary = summarize(outcomes, delta)
         n = table.n_players
-        assert summary.n_realizations == len(outcomes)
         assert summary.payoff_quantiles.shape == (n, 5)
         # quantile rows are sorted min..max
         assert (np.diff(summary.payoff_quantiles, axis=1) >= -1e-12).all()
@@ -228,7 +226,7 @@ class TestSummaries:
         models = (BoundedLoadModel(RateProfile(150_000.0), 1.0),)
         scenario = Scenario(("solo",), models, params)
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        plan = table.plan(table.grand_bits)
+        plan = table.plans[table.grand_bits]
         assert plan.capacity > 0.0
         outcomes = simulate(scenario, table, 300, seed=13)
         slots = [o.payback_slot for o in outcomes]
@@ -236,7 +234,7 @@ class TestSummaries:
         recovered = [s for s in slots if s is not None]
         assert censored and recovered
         assert set(recovered) == {0}
-        summary = summarize(outcomes)
+        summary = summarize(outcomes, deviation_threshold(table, stability_value_hat(table, shapley(table))))
         assert summary.payback_censored == len(censored)
         assert summary.payback_quantiles is not None
         total_cost = cost(params, plan.capacity)
@@ -252,7 +250,7 @@ class TestSummaries:
         models = (BoundedLoadModel(RateProfile(100.0), 0.2),)
         scenario = Scenario(("tiny",), models, params)
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        assert table.plan(table.grand_bits).capacity == 0.0
+        assert table.plans[table.grand_bits].capacity == 0.0
         for o in simulate(scenario, table, 5, seed=1):
             assert o.payback_slot == 0
 
@@ -267,7 +265,7 @@ class TestPaybackSlots:
         table = build_value_table(scenario.expected_loads(), scenario.params)
         count = 515
         expected = [o.payback_slot for o in simulate(scenario, table, count, seed=5)]
-        slots = payback_slots(scenario, table.plan(table.grand_bits), count, 5, workers=workers)
+        slots = payback_slots(scenario, table.plans[table.grand_bits], count, 5, workers=workers)
         assert slots == expected
         assert len(set(slots)) > 2  # the draws move the payback slot
 
@@ -276,7 +274,7 @@ class TestPaybackSlots:
         # and their own draw buffers at once
         scenario = fbm_scenario()
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        plan = table.plan(table.grand_bits)
+        plan = table.plans[table.grand_bits]
         count = 2049
         serial = payback_slots(scenario, plan, count, 12)
         interval = sys.getswitchinterval()
@@ -292,7 +290,7 @@ class TestPaybackSlots:
     def test_rejects_bad_arguments(self):
         scenario = bounded_scenario(0.1)
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        plan = table.plan(table.grand_bits)
+        plan = table.plans[table.grand_bits]
         with pytest.raises(ValueError):
             payback_slots(scenario, plan, 0, seed=1)
         with pytest.raises(ValueError):
@@ -330,7 +328,7 @@ class TestRealizedOverflow:
             with pytest.raises(RuntimeError) as simulated:
                 simulate(scenario, table, 20, seed=0, workers=workers)
             with pytest.raises(RuntimeError) as paid_back:
-                payback_slots(scenario, table.plan(table.grand_bits), 20, 0, workers=workers)
+                payback_slots(scenario, table.plans[table.grand_bits], 20, 0, workers=workers)
         assert str(simulated.value) == str(paid_back.value) == message
 
     def test_revenue_case_draws_finite_loads(self):
@@ -340,7 +338,7 @@ class TestRealizedOverflow:
         table = build_value_table(scenario.expected_loads(), scenario.params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(payback_slots(scenario, table.plan(table.grand_bits), 13, 0)) == 13
+            assert len(payback_slots(scenario, table.plans[table.grand_bits], 13, 0)) == 13
 
     def test_refusal_names_where_the_running_sum_overflows(self):
         big = 0.6 * sys.float_info.max
@@ -380,7 +378,7 @@ class TestWorkerThreads:
             o.payoffs.tolist() for o in simulate(s, t, count, 9, workers=workers)
         ],
         "payback_slots": lambda s, t, count, workers: payback_slots(
-            s, t.plan(t.grand_bits), count, 9, workers=workers
+            s, t.plans[t.grand_bits], count, 9, workers=workers
         ),
     }
 

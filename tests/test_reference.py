@@ -140,7 +140,7 @@ def test_plan_objectives_on_both_solver_paths(seed):
 def test_simulate_values_and_collected(seed):
     scenario, table = planned(seed)
     params = scenario.params
-    grand = table.plan(table.grand_bits)
+    grand = table.plans[table.grand_bits]
     outcomes = simulate(scenario, table, REALIZATIONS, seed=seed)
     for o, loads in zip(outcomes, draws(scenario, seed)):
         assert o.values == pytest.approx(reference.values(table.plans, loads, params), rel=REL)
@@ -164,7 +164,7 @@ def test_simulate_settlement(seed, payment_mode):
 @pytest.mark.parametrize("seed", BOUNDED_SEEDS)
 def test_utility_ranges(seed):
     scenario, table = planned(seed)
-    grand = table.plan(table.grand_bits)
+    grand = table.plans[table.grand_bits]
     expected = reference.utility_ranges(grand, scenario.models, scenario.params)
     np.testing.assert_allclose(utility_ranges(grand, scenario.models, scenario.params), expected, rtol=REL, atol=0.0)
 
@@ -172,7 +172,7 @@ def test_utility_ranges(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_payback_slots(seed):
     scenario, table = planned(seed)
-    grand = table.plan(table.grand_bits)
+    grand = table.plans[table.grand_bits]
     expected = [reference.payback_slot(grand, loads, scenario.params) for loads in draws(scenario, seed)]
     assert payback_slots(scenario, grand, REALIZATIONS, seed) == expected
     assert [o.payback_slot for o in simulate(scenario, table, REALIZATIONS, seed=seed)] == expected
@@ -271,7 +271,7 @@ def test_sigma_hat_and_delta_hat(seed):
 @pytest.mark.parametrize("seed", BOUNDED_SEEDS)
 def test_hoeffding_lower_bound(seed):
     scenario, table = planned(seed)
-    ranges = utility_ranges(table.plan(table.grand_bits), scenario.models, scenario.params)
+    ranges = utility_ranges(table.plans[table.grand_bits], scenario.models, scenario.params)
     ssq = [sum(r * r for r in row) for row in ranges.tolist()]
     # delta-hat, then the deltas that put each risky player's bound at one half
     deltas = [deviation_threshold(table, stability_value_hat(table, shapley(table)))]
@@ -325,7 +325,7 @@ def test_stability_chain_through_the_cli(seed, tmp_path):
     payoff = reference.shapley(values, n_players)
     sigma = reference.sigma_hat(values, payoff)
     delta = reference.deviation_threshold(values, sigma, n_players)
-    grand = table.plan(table.grand_bits)
+    grand = table.plans[table.grand_bits]
     bounds = [
         reference.stability_lower_bound(
             delta, reference.utility_ranges(grand, [replace(m, spread=s) for m in scenario.models], params)

@@ -270,14 +270,14 @@ class TestBoundedSampling:
 
     def test_zero_spread_is_exactly_the_mean(self):
         models = self.make_models(0.0)
-        loads = sample_loads(models, 24, 3600.0, 7)
+        loads = sample_loads(models, 24, 3600.0, (7,))
         assert np.array_equal(loads.values, expected_load_matrix(models, 24, 3600.0))
 
     def test_full_spread_stays_in_doubled_band(self):
         models = self.make_models(1.0)
         mean = expected_load_matrix(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, 24, 3600.0, seed)
+            loads = sample_loads(models, 24, 3600.0, (seed,))
             assert (loads.values >= 0.0).all()
             assert (loads.values <= 2.0 * mean + 1e-9).all()
 
@@ -285,22 +285,22 @@ class TestBoundedSampling:
         models = self.make_models(0.35)
         mean = expected_load_matrix(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, 24, 3600.0, seed).values
+            loads = sample_loads(models, 24, 3600.0, (seed,)).values
             assert (loads >= 0.65 * mean - 1e-9).all()
             assert (loads <= 1.35 * mean + 1e-9).all()
 
     def test_deterministic_per_seed(self):
         models = self.make_models(0.5)
-        a = sample_loads(models, 24, 3600.0, 42).values
-        b = sample_loads(models, 24, 3600.0, 42).values
-        c = sample_loads(models, 24, 3600.0, 43).values
+        a = sample_loads(models, 24, 3600.0, (42,)).values
+        b = sample_loads(models, 24, 3600.0, (42,)).values
+        c = sample_loads(models, 24, 3600.0, (43,)).values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rows_do_not_depend_on_other_players(self):
         models = self.make_models(0.5)
-        both = sample_loads(models, 24, 3600.0, 11).values
-        first_alone = sample_loads(models[:1], 24, 3600.0, 11).values
+        both = sample_loads(models, 24, 3600.0, (11,)).values
+        first_alone = sample_loads(models[:1], 24, 3600.0, (11,)).values
         assert np.array_equal(both[:1], first_alone)
 
     @pytest.mark.parametrize("horizon, streams", [(1, 200), (24, 200), (43_800, 20)])
@@ -309,15 +309,15 @@ class TestBoundedSampling:
         model = BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0), (7.5, 5.25)), 24), spread)
         mean = expected_load_matrix([model], horizon, 3600.0)[0]
         for k in range(streams):
-            want = _substream(3, k).uniform((1.0 - spread) * mean, (1.0 + spread) * mean)
-            got = model.sample(horizon, 3600.0, _substream(3, k))
+            want = _substream((3,), k).uniform((1.0 - spread) * mean, (1.0 + spread) * mean)
+            got = model.sample(horizon, 3600.0, _substream((3,), k))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_sample_mean_converges(self):
         # one long-horizon draw gives many independent slot samples
         model = BoundedLoadModel(RateProfile(100.0), 0.5)
         n = 100_000
-        draws = sample_loads([model], n, 1.0, 9).values[0]
+        draws = sample_loads([model], n, 1.0, (9,)).values[0]
         assert draws.min() >= 50.0 and draws.max() <= 150.0
         se = (100.0 / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(draws.mean() - 100.0) < 3 * se
@@ -326,12 +326,12 @@ class TestBoundedSampling:
 class TestFbmGeneration:
     def test_starts_at_zero(self):
         for h in (0.3, 0.5, 0.8):
-            assert generate_fbm(h, 16, 5)[0] == 0.0
+            assert generate_fbm(h, 16, _substream((5,)))[0] == 0.0
 
     def test_deterministic_per_seed(self):
-        a = generate_fbm(0.7, 64, 123)
-        b = generate_fbm(0.7, 64, 123)
-        c = generate_fbm(0.7, 64, 124)
+        a = generate_fbm(0.7, 64, _substream((123,)))
+        b = generate_fbm(0.7, 64, _substream((123,)))
+        c = generate_fbm(0.7, 64, _substream((124,)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -436,10 +436,10 @@ class TestFbmGeneration:
     def test_returned_paths_survive_the_next_draw(self):
         rng = np.random.default_rng(6)
         noise = _fgn_davies_harte(0.7, 100, rng)
-        path = generate_fbm(0.7, 101, 1)
+        path = generate_fbm(0.7, 101, _substream((1,)))
         kept = noise.copy(), path.copy()
         _fgn_davies_harte(0.7, 100, rng)
-        generate_fbm(0.7, 101, 2)
+        generate_fbm(0.7, 101, _substream((2,)))
         assert np.array_equal(noise, kept[0])
         assert np.array_equal(path, kept[1])
 
@@ -453,13 +453,13 @@ class TestFbmGeneration:
 
     def test_rejects_bad_hurst(self):
         with pytest.raises(ValueError):
-            generate_fbm(0.0, 8, 0)
+            generate_fbm(0.0, 8, _substream((0,)))
         with pytest.raises(ValueError):
-            generate_fbm(1.0, 8, 0)
+            generate_fbm(1.0, 8, _substream((0,)))
 
     def test_rejects_paths_beyond_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
-            generate_fbm(0.5, MAX_FBM_SLOTS + 1, 0)
+            generate_fbm(0.5, MAX_FBM_SLOTS + 1, _substream((0,)))
 
 
 class TestFbmSampling:
@@ -469,15 +469,15 @@ class TestFbmSampling:
     def test_alpha_zero_equals_expected_load(self):
         model = self.make_model(0.0)
         slots = np.arange(24)
-        loads = sample_loads([model], 24, 60.0, 99).values[0]
+        loads = sample_loads([model], 24, 60.0, (99,)).values[0]
         assert np.allclose(loads, model.expected_rate(slots) * 60.0, rtol=1e-12, atol=0.0)
 
     def test_alpha_one_is_pure_path(self):
         model = self.make_model(1.0)
-        loads = sample_loads([model], 24, 60.0, 5).values[0]
+        loads = sample_loads([model], 24, 60.0, (5,)).values[0]
         assert loads[0] == 0.0  # path starts at the origin
         # reconstruct from the same substream to confirm the formula
-        path = generate_fbm(0.7, 24, _substream(5, 0))
+        path = generate_fbm(0.7, 24, _substream((5,), 0))
         slots = np.arange(24)
         expect = model.trend.rate(slots) * np.maximum(path, 0.0) * 60.0
         assert np.array_equal(loads, expect)
@@ -495,23 +495,23 @@ class TestFbmSampling:
     def test_loads_nonnegative(self):
         model = self.make_model(1.0, hurst=0.4)
         for seed in range(10):
-            assert (sample_loads([model], 48, 60.0, seed).values >= 0.0).all()
+            assert (sample_loads([model], 48, 60.0, (seed,)).values >= 0.0).all()
 
     def test_deterministic_and_player_keyed(self):
         models = [self.make_model(0.5), self.make_model(0.9)]
-        a = sample_loads(models, 24, 60.0, 77).values
-        b = sample_loads(models, 24, 60.0, 77).values
+        a = sample_loads(models, 24, 60.0, (77,)).values
+        b = sample_loads(models, 24, 60.0, (77,)).values
         assert np.array_equal(a, b)
-        alone = sample_loads(models[:1], 24, 60.0, 77).values
+        alone = sample_loads(models[:1], 24, 60.0, (77,)).values
         assert np.array_equal(a[:1], alone)
 
     def test_dispatcher_routes_by_kind(self):
         bounded = BoundedLoadModel(RateProfile(10.0), 0.1)
         fbm = self.make_model(0.5)
-        assert sample_loads([bounded], 4, 1.0, 0).values.shape == (1, 4)
-        assert sample_loads([fbm], 4, 60.0, 0).values.shape == (1, 4)
+        assert sample_loads([bounded], 4, 1.0, (0,)).values.shape == (1, 4)
+        assert sample_loads([fbm], 4, 60.0, (0,)).values.shape == (1, 4)
         with pytest.raises(ValueError):
-            sample_loads([], 4, 60.0, 0)
+            sample_loads([], 4, 60.0, (0,))
 
 
 class TestSamplerRows:
