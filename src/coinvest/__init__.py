@@ -48,8 +48,6 @@ _EXPORTS = {
         "simulate",
         "payback_slots",
         "summarize",
-        "profitability_probabilities",
-        "empirical_stability_frequency",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,7 +20,8 @@ sum and the size of its active set (Palomar & Fonollosa, IEEE TSP
 2005).  Newton's method then finds the capacity at which the summed
 slot multipliers equal the unit capacity cost.  The numeric path is the
 source of truth; ``optimal_plan`` dispatches to the closed form first
-and falls back whenever the formula reports itself inapplicable.
+and falls back whenever the formula reports itself inapplicable.  Both
+end in one builder, ``_plan``, which fills the SP rows and prices the plan.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ class AllocationPlan:
     method: str
 
 
+def _check_fit(plan: AllocationPlan, n_sp: int, horizon: int):
+    """Refuse ``plan`` unless it was made for ``n_sp`` SPs over ``horizon`` slots, naming both counts."""
+    planned_sp, planned_slots = plan.shares.shape
+    if planned_sp != n_sp:
+        raise ValueError(f"planned for {planned_sp + 1} players, but the scenario has {n_sp + 1}")
+    if planned_slots != horizon:
+        raise ValueError(f"planned over {planned_slots} slots, but the scenario has {horizon}")
+
+
 def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParams) -> np.ndarray:
     loads = np.asarray(loads, dtype=float)
     if loads.ndim != 2:
@@ -73,6 +83,15 @@ def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParam
 
 def _idle_plan(loads: np.ndarray, method: str) -> AllocationPlan:
     return AllocationPlan(0.0, np.zeros_like(loads), 0.0, method)
+
+
+def _plan(loads, rows, shares_rows, capacity: float, params: EconomicParams, method: str) -> AllocationPlan:
+    """SPs ``rows`` get ``shares_rows`` of ``capacity``, the rest 0; objective = revenue at ``loads`` - cost."""
+    shares = np.zeros_like(loads)
+    shares[rows] = shares_rows
+    beta = np.asarray(params.benefits)[rows, None]
+    objective = utility(beta, params.saturation, loads[rows], shares_rows).sum() - cost(params, capacity)
+    return AllocationPlan(capacity, shares, objective, method)
 
 
 def optimal_plan_closed_form(coalition, expected_loads, params):
@@ -111,11 +130,7 @@ def optimal_plan_closed_form(coalition, expected_loads, params):
     shares_active = capacity / k + (log_bl - log_bl.mean(axis=0)) / xi
     if (shares_active < 0.0).any():
         return None
-
-    shares = np.zeros_like(loads)
-    shares[active] = shares_active
-    objective = utility(beta, xi, loads[active], shares_active).sum() - cost(params, capacity)
-    return AllocationPlan(capacity, shares, objective, "closed-form")
+    return _plan(loads, active, shares_active, capacity, params, "closed-form")
 
 
 def _water_levels(ordered: np.ndarray, csum: np.ndarray, xi: float, capacity: float):
@@ -186,10 +201,7 @@ def optimal_plan_numeric(coalition, expected_loads, params):
     shares_live = np.clip((log_w_live - level) / xi, 0.0, None)
     shares_sub = np.zeros_like(bl)
     shares_sub[:, live] = shares_live
-    shares = np.zeros_like(loads)
-    shares[rows] = shares_sub
-    objective = utility(beta, xi, loads[rows], shares_sub).sum() - cost(params, capacity)
-    return AllocationPlan(capacity, shares, objective, "numeric")
+    return _plan(loads, rows, shares_sub, capacity, params, "numeric")
 
 
 def optimal_plan(coalition, expected_loads, params):

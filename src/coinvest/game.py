@@ -4,7 +4,9 @@ The characteristic function values a coalition at its optimally planned
 expected profit.  The InP is a veto player (no InP, no capacity) and so
 is the SP side as a whole (no SPs, no revenue), which zeroes every
 coalition missing either.  Values are stored densely, indexed by the
-coalition bitmask.
+coalition bitmask.  ``shapley(table)`` splits a table's values by the
+memoised ``shapley_matrix``; ``simulate`` applies that matrix to each
+realized value row itself.
 
 Stability chain, all on expected values:
 
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationPlan, optimal_plan
+from .allocation import AllocationPlan, _check_fit, optimal_plan
 from .economics import EconomicParams, utility
 from .players import all_coalitions, membership
 from .traffic import BoundedLoadModel, expected_load_matrix
@@ -78,18 +80,9 @@ def shapley_matrix(n_players: int) -> np.ndarray:
     return m
 
 
-def shapley(values, n_players: int | None = None) -> np.ndarray:
-    """Shapley payoffs of a ValueTable, or of a dense value array over ``n_players``.
-
-    A trailing axis of length ``2**n_players`` may be batched.
-    """
-    if isinstance(values, ValueTable):
-        n_players = values.n_players
-        values = values.values
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != 1 << n_players:
-        raise ValueError("value array length must be 2**n_players")
-    return values @ shapley_matrix(n_players)
+def shapley(table: ValueTable) -> np.ndarray:
+    """Shapley payoffs of ``table``'s game, ``table.values @ shapley_matrix(n_players)``."""
+    return table.values @ shapley_matrix(table.n_players)
 
 
 def coalition_payoff_sums(payoff: np.ndarray) -> np.ndarray:
@@ -140,8 +133,11 @@ def deviation_threshold(table: ValueTable, sigma: float) -> float:
 def utility_ranges(plan: AllocationPlan, models: Sequence, params: EconomicParams) -> np.ndarray:
     """Per-player, per-slot width of the utility's support under the
     bounded demand model, at the given plan.  Row 0 (the InP) is zero:
-    it collects no demand-driven revenue.
+    it collects no demand-driven revenue.  A plan made for another number
+    of SPs than ``models`` holds, or over another horizon than
+    ``params.horizon``, is refused.
     """
+    _check_fit(plan, len(models), params.horizon)
     for i, m in enumerate(models):
         if not isinstance(m, BoundedLoadModel):
             raise TypeError(

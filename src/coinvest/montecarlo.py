@@ -2,13 +2,18 @@
 
 Plans are committed on expected demand and held fixed.  Each realization
 is drawn and settled on its own, and results come in realization order.
-``simulate`` re-prices every coalition at its loads, recomputes Shapley
-payoffs on the realized value table, settles payments and rewards, and
-locates the payback slot of the grand coalition; each outcome keeps its
-loads.  ``payback_slots`` needs only one plan and keeps only its payback
-slot, the first slot at which its collected revenue covers its cost.
+``simulate`` re-prices every coalition at its loads, splits the realized
+values by Shapley (``values @ shapley_matrix(n)``), settles payments and
+rewards, and locates the payback slot of the grand coalition; each
+outcome keeps its loads.  ``payback_slots`` needs only one plan and keeps
+only its payback slot, the first slot at which its collected revenue
+covers its cost.  ``summarize`` reduces the outcomes to the per-player
+and joint shares of nonnegative payoffs, the share of realizations with
+every |deviation| below delta (the stability frequency), and quantiles.
 
-A realization whose loads, or whose revenue summed over its slots, are
+A value table or plan made for another number of SPs or another horizon
+than the scenario's is refused up front, naming both counts.  A
+realization whose loads, or whose revenue summed over its slots, are
 not a finite float ends either function with a ``RuntimeError`` that
 names the realization and the SP, ``players[i]``; ``Scenario``'s rules
 bound only the expected demand, and a drawn fBm path can exceed it.
@@ -36,9 +41,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import AllocationPlan
+from .allocation import AllocationPlan, _check_fit
 from .economics import cost, utility
-from .game import ValueTable, shapley
+from .game import ValueTable, shapley, shapley_matrix
 from .scenario import Scenario
 from .traffic import LoadMatrix, sample_loads
 
@@ -145,6 +150,7 @@ def simulate(
     if payment_mode not in PAYMENT_MODES:
         raise ValueError(f"payment_mode must be one of {PAYMENT_MODES}")
     _check_counts(n_realizations, workers)
+    _check_fit(table.plans[table.grand_bits], scenario.n_sp, scenario.horizon)
     params = scenario.params
     n = table.n_players
     horizon = scenario.horizon
@@ -156,11 +162,11 @@ def simulate(
     for w, p in zip(weights, table.plans):
         w[...] = utility(beta, params.saturation, 1.0, p.shares)
     costs = np.array([cost(params, p.capacity) for p in table.plans])
-    nominal_collected = (weights[grand] * scenario.expected_loads()).sum(axis=1)
-    expected_payoff = shapley(table)
-
+    # each player's collected revenue at the expected loads, the InP's 0 first
+    nominal = np.concatenate(([0.0], (weights[grand] * scenario.expected_loads()).sum(axis=1)))
+    split = shapley_matrix(n)
     if payment_mode == "ex-ante":
-        fixed_payments = np.concatenate(([0.0], nominal_collected)) - expected_payoff
+        fixed_payments = nominal - shapley(table)
 
     def settle(omega: int) -> RealizationOutcome:
         loads = _draw(scenario, seed, omega)
@@ -172,17 +178,14 @@ def simulate(
             raise _revenue_overflow(omega, collected_sp[finite.argmin()])
         payback_slot = _payback_slot(weights[grand], loads.values, costs[grand], omega)
         values = revenue - costs
-        payoffs = shapley(values, n)
-        collected = np.zeros(n)
-        collected[1:] = collected_sp[grand]
-        deviations = np.zeros(n)
-        deviations[1:] = collected_sp[grand] - nominal_collected
+        payoffs = values @ split
+        collected = np.concatenate(([0.0], collected_sp[grand]))
         payments = collected - payoffs if payment_mode == "ex-post" else fixed_payments.copy()
         return RealizationOutcome(
             loads=loads,
             values=values,
             payoffs=payoffs,
-            deviations=deviations,
+            deviations=collected - nominal,
             collected=collected,
             payments=payments,
             rewards=payoffs + payments,
@@ -208,6 +211,7 @@ def payback_slots(
     ``payback_slot``s, with no value table, Shapley split or kept loads.
     """
     _check_counts(n_realizations, workers)
+    _check_fit(plan, scenario.n_sp, scenario.horizon)
     params = scenario.params
     weights = utility(np.asarray(params.benefits)[:, None], params.saturation, 1.0, plan.shares)
     installed = cost(params, plan.capacity)
@@ -216,19 +220,6 @@ def payback_slots(
         return _payback_slot(weights, _draw(scenario, seed, omega).values, installed, omega)
 
     return _map_realizations(settle, n_realizations, workers)
-
-
-def profitability_probabilities(outcomes: Sequence[RealizationOutcome]):
-    """Per-player and joint frequencies of nonnegative realized payoff."""
-    payoffs = np.stack([o.payoffs for o in outcomes])
-    ok = payoffs >= 0.0
-    return ok.mean(axis=0), float(ok.all(axis=1).mean())
-
-
-def empirical_stability_frequency(outcomes: Sequence[RealizationOutcome], delta: float) -> float:
-    """Fraction of realizations with every |deviation| strictly below delta."""
-    dev = np.stack([o.deviations for o in outcomes])
-    return float((np.abs(dev) < delta).all(axis=1).mean())
 
 
 def _quantiles(matrix: np.ndarray) -> np.ndarray:
@@ -243,15 +234,18 @@ def payback_quantiles(slots: Sequence[Optional[int]]):
 
 
 def summarize(outcomes: Sequence[RealizationOutcome], delta: float) -> SimulationSummary:
-    player_prob, joint_prob = profitability_probabilities(outcomes)
+    """Shares of realizations where each player's payoff, and every player's, is >= 0, and where
+    every |deviation| is below ``delta``; quantiles of payoffs, payments, rewards and payback."""
     payoffs = np.stack([o.payoffs for o in outcomes])
     payments = np.stack([o.payments for o in outcomes])
     rewards = np.stack([o.rewards for o in outcomes])
+    deviations = np.stack([o.deviations for o in outcomes])
+    profitable = payoffs >= 0.0
     payback_q, censored = payback_quantiles([o.payback_slot for o in outcomes])
     return SimulationSummary(
-        player_profit_prob=player_prob,
-        joint_profit_prob=joint_prob,
-        stability_frequency=empirical_stability_frequency(outcomes, delta),
+        player_profit_prob=profitable.mean(axis=0),
+        joint_profit_prob=float(profitable.all(axis=1).mean()),
+        stability_frequency=float((np.abs(deviations) < delta).all(axis=1).mean()),
         payoff_quantiles=_quantiles(payoffs),
         payment_quantiles=_quantiles(payments),
         reward_quantiles=_quantiles(rewards),

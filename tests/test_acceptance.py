@@ -25,17 +25,16 @@ from coinvest import (
     build_value_table,
     cost,
     deviation_threshold,
-    empirical_stability_frequency,
     expected_load_matrix,
     optimal_plan,
     optimal_plan_closed_form,
     optimal_plan_numeric,
-    profitability_probabilities,
     sample_loads,
     shapley,
     simulate,
     stability_lower_bound,
     stability_value_hat,
+    summarize,
     utility_ranges,
 )
 from coinvest.cli import main as cli_main
@@ -262,7 +261,7 @@ def test_ac05_stability_bound_is_conservative(band_runs):
     _, delta, runs, build = band_runs
     assert delta > 0.0
     for spread, _, joint, outcomes in runs:
-        freq = empirical_stability_frequency(outcomes, delta)
+        freq = summarize(outcomes, delta).stability_frequency
         se = math.sqrt(freq * (1.0 - freq) / len(outcomes))
         assert freq >= joint - 3.0 * se, (spread, freq, joint)
     _passed(
@@ -357,9 +356,8 @@ def test_ac09_stable_realizations_are_profitable(band_runs, settlement_runs, fbm
         for omega, o in enumerate(outcomes):
             if np.all(np.abs(o.deviations) < delta):
                 assert np.all(o.payoffs >= -tol), omega
-        _, joint = profitability_probabilities(outcomes)
-        freq = empirical_stability_frequency(outcomes, delta)
-        assert joint >= freq - 1e-12
+        summary = summarize(outcomes, delta)
+        assert summary.joint_profit_prob >= summary.stability_frequency - 1e-12
     _passed(
         "AC09",
         start,
@@ -370,15 +368,15 @@ def test_ac09_stable_realizations_are_profitable(band_runs, settlement_runs, fbm
 
 def test_ac10_profitability_decays_with_demand_volatility(fbm_runs):
     start = time.perf_counter()
-    _, _, runs, build = fbm_runs
+    _, delta, runs, build = fbm_runs
     alphas = [alpha for alpha, _ in runs]
     assert alphas == [0.001, 0.25, 0.5, 0.75, 1.0]
     per_player = []
     joints = []
     for _, outcomes in runs:
-        probs, joint = profitability_probabilities(outcomes)
-        per_player.append(probs)
-        joints.append(joint)
+        summary = summarize(outcomes, delta)
+        per_player.append(summary.player_profit_prob)
+        joints.append(summary.joint_profit_prob)
     matrix = np.stack(per_player)  # (alpha, player)
     assert np.all(matrix[0] >= 1.0 - 1e-12), matrix[0]
     for k in range(1, len(alphas)):

@@ -119,18 +119,6 @@ class TestShapley:
         payoff = shapley(build_value_table(loads, params))
         assert payoff[1] == pytest.approx(payoff[2], rel=1e-12)
 
-    def test_batched_matches_rowwise(self):
-        rng = np.random.default_rng(6)
-        batch = rng.normal(0.0, 50.0, (7, 16))
-        batch[:, 0] = 0.0
-        stacked = shapley(batch, 4)
-        rows = np.vstack([shapley(batch[k], 4) for k in range(7)])
-        assert np.allclose(stacked, rows, rtol=1e-12, atol=1e-12)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            shapley(np.zeros(6), 3)
-
     def test_matrix_rows_encode_efficiency(self):
         # summing payoffs reproduces v(N): the grand row contributes its
         # value once, every proper nonempty row cancels (v(empty) is

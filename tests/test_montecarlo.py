@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import math
+import pathlib
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,15 +22,17 @@ from coinvest import (
     build_value_table,
     cost,
     deviation_threshold,
-    empirical_stability_frequency,
     payback_slots,
-    profitability_probabilities,
     sample_loads,
     shapley,
     simulate,
     stability_value_hat,
     summarize,
+    utility_ranges,
 )
+from coinvest.cli import load_config
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def bounded_scenario(spread, horizon=24, base=(50_000.0, 35_000.0)):
@@ -186,8 +190,9 @@ class TestDeterminism:
 
 class TestSummaries:
     def test_probabilities_recomputed_by_hand(self, noisy_run):
-        _, _, outcomes = noisy_run
-        per_player, joint = profitability_probabilities(outcomes)
+        _, table, outcomes = noisy_run
+        summary = summarize(outcomes, deviation_threshold(table, stability_value_hat(table, shapley(table))))
+        per_player, joint = summary.player_profit_prob, summary.joint_profit_prob
         payoffs = np.stack([o.payoffs for o in outcomes])
         assert np.array_equal(per_player, (payoffs >= 0.0).mean(axis=0))
         assert joint == pytest.approx(((payoffs >= 0.0).all(axis=1)).mean())
@@ -195,8 +200,8 @@ class TestSummaries:
 
     def test_stability_frequency_edge_cases(self, noisy_run):
         _, _, outcomes = noisy_run
-        assert empirical_stability_frequency(outcomes, 0.0) == 0.0
-        huge = empirical_stability_frequency(outcomes, 1e18)
+        assert summarize(outcomes, 0.0).stability_frequency == 0.0
+        huge = summarize(outcomes, 1e18).stability_frequency
         assert huge == 1.0
 
     def test_zero_spread_always_stable(self):
@@ -205,7 +210,7 @@ class TestSummaries:
         outcomes = simulate(scenario, table, 3, seed=1)
         delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
         assert delta > 0.0
-        assert empirical_stability_frequency(outcomes, delta) == 1.0
+        assert summarize(outcomes, delta).stability_frequency == 1.0
 
     def test_summary_shapes_and_bounds(self, noisy_run):
         scenario, table, outcomes = noisy_run
@@ -404,3 +409,39 @@ class TestValidation:
             simulate(scenario, table, 1, seed=1, payment_mode="net-30")
         with pytest.raises(ValueError):
             simulate(scenario, table, 1, seed=1, workers=0)
+
+
+def edge_bounded(horizon, n_sp=2):
+    """The shipped edge-bounded scenario over ``horizon`` slots, with its first ``n_sp`` SPs."""
+    scenario, _ = load_config(str(CONFIGS / "edge-bounded.json"))
+    params = replace(scenario.params, investment_hours=horizon * scenario.params.slot_hours)
+    params = replace(params, benefits=params.benefits[:n_sp])
+    return Scenario(scenario.sp_names[:n_sp], scenario.models[:n_sp], params)
+
+
+# The three calls that take a scenario with a value table or plan made for it.
+FIT_CALLS = {
+    "simulate": lambda scenario, table: simulate(scenario, table, 2, 0),
+    "payback_slots": lambda scenario, table: payback_slots(scenario, table.plans[table.grand_bits], 2, 0),
+    "utility_ranges": lambda scenario, table: utility_ranges(
+        table.plans[table.grand_bits], scenario.models, scenario.params
+    ),
+}
+
+
+class TestForeignPlans:
+    """A value table or plan made for another scenario is refused, naming both counts, before any draw."""
+
+    @pytest.mark.parametrize("call", FIT_CALLS.values(), ids=FIT_CALLS)
+    def test_a_plan_for_more_players_is_refused(self, call):
+        two = edge_bounded(48)
+        table = build_value_table(two.expected_loads(), two.params)
+        with pytest.raises(ValueError, match=r"^planned for 3 players, but the scenario has 2$"):
+            call(edge_bounded(48, n_sp=1), table)
+
+    @pytest.mark.parametrize("call", FIT_CALLS.values(), ids=FIT_CALLS)
+    def test_a_plan_for_another_horizon_is_refused(self, call):
+        longer = edge_bounded(48)
+        table = build_value_table(longer.expected_loads(), longer.params)
+        with pytest.raises(ValueError, match=r"^planned over 48 slots, but the scenario has 24$"):
+            call(edge_bounded(24), table)

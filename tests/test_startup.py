@@ -1,5 +1,10 @@
-"""Process start-up: lazy package exports and the CLI's BLAS thread default."""
+"""Process start-up: lazy package exports and the CLI's BLAS thread default.
 
+Also a stdlib ``ast`` guard that no ``coinvest`` module keeps an import it never uses,
+since no linter runs on this code.
+"""
+
+import ast
 import importlib
 import os
 import pathlib
@@ -11,6 +16,17 @@ import pytest
 import coinvest
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+EXPORTS = {
+    "EconomicParams", "cost", "utility",
+    "RateProfile", "BoundedLoadModel", "FbmLoadModel", "LoadMatrix",
+    "expected_load_matrix", "generate_fbm", "sample_loads",
+    "PlayerSet",
+    "AllocationPlan", "optimal_plan", "optimal_plan_closed_form", "optimal_plan_numeric",
+    "ValueTable", "build_value_table", "shapley", "stability_value_hat",
+    "deviation_threshold", "utility_ranges", "stability_lower_bound",
+    "Scenario",
+    "RealizationOutcome", "SimulationSummary", "simulate", "payback_slots", "summarize",
+}
 
 
 def run_python(code, **env_overrides):
@@ -28,7 +44,7 @@ class TestLazyExports:
 
     def test_every_export_is_its_home_modules_object(self):
         assert sorted(coinvest._HOME) == sorted(coinvest.__all__)
-        assert len(coinvest.__all__) == 30
+        assert len(coinvest.__all__) == len(EXPORTS) == 28 and set(coinvest.__all__) == EXPORTS
         for name, home in coinvest._HOME.items():
             assert getattr(coinvest, name) is getattr(importlib.import_module(f"coinvest.{home}"), name), name
 
@@ -67,3 +83,22 @@ class TestBlasDefault:
         if run_python(self.THREADS, OPENBLAS_NUM_THREADS="2") == "1":
             pytest.skip("this BLAS starts no thread pool")
         assert run_python(self.THREADS) == "1"
+
+
+def imported_names(tree):
+    """``{name: line}`` of every name an import in ``tree`` binds, ``__future__`` aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update({(a.asname or a.name): node.lineno for a in node.names})
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in pathlib.Path(SRC, "coinvest").glob("*.py")))
+def test_every_import_is_used(module):
+    tree = ast.parse(pathlib.Path(SRC, "coinvest", module).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{module}: imported and never used: {unused}"
