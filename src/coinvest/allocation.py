@@ -57,13 +57,13 @@ class AllocationPlan:
     method: str
 
 
-def _check_fit(plan: AllocationPlan, n_sp: int, horizon: int):
-    """Refuse ``plan`` unless it was made for ``n_sp`` SPs over ``horizon`` slots, naming both counts."""
+def _check_fit(plan: AllocationPlan, scenario):
+    """Refuse ``plan`` unless it was made for ``scenario``'s SPs and horizon, naming both counts."""
     planned_sp, planned_slots = plan.shares.shape
-    if planned_sp != n_sp:
-        raise ValueError(f"planned for {planned_sp + 1} players, but the scenario has {n_sp + 1}")
-    if planned_slots != horizon:
-        raise ValueError(f"planned over {planned_slots} slots, but the scenario has {horizon}")
+    if planned_sp != scenario.n_sp:
+        raise ValueError(f"planned for {planned_sp + 1} players, but the scenario has {scenario.n_players}")
+    if planned_slots != scenario.horizon:
+        raise ValueError(f"planned over {planned_slots} slots, but the scenario has {scenario.horizon}")
 
 
 def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParams) -> np.ndarray:

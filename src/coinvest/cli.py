@@ -15,15 +15,17 @@ demand models and the normalized config.  A rule on a built value is its
 class's alone (``RateProfile``: a profile's values; ``Scenario``: repeated
 names, overflows; ``BoundedLoadModel``: a swept spread; ``EconomicParams``:
 a period), and ``_built`` prefixes a refusal with the field or flag the
-value came from (``players[i].profile``, ``economics``, ``--sweep: spread
-<s>``, ``--periods: <y> years``).  The CLI refuses only what precedes any
-object: JSON shapes, section bounds in schema order, the SP count, the
-tables' labels as names, the fBm horizon before planning.  A refusal starts
-with the field it names, a top-level field by its key.  Each command checks
-its flags, computes, and returns a header, a generator of CSV text and a
-sidecar.  Only then does ``main`` write, in one commit: it serializes the sidecar,
-streams the table into a temp file beside ``--out``, writes the sidecar
-into a second, and renames both into place once both are written.  So a
+value came from (``players[i].profile``, ``economics``, and through
+``_variants``, which builds the ``Scenario`` of each value of a list flag,
+``--sweep: spread <s>`` and ``--periods: <y> years``).  The CLI refuses
+only what precedes any object: JSON shapes, section bounds in schema order,
+the SP count, the tables' labels as names, the fBm horizon before planning.
+A refusal starts with the field it names, a top-level field by its key.
+Each command checks its flags, computes, and returns a header, a generator
+of CSV text and a sidecar.  Only then does ``main`` write, in one commit:
+it serializes the sidecar, streams the table into a temp file beside
+``--out``, writes the sidecar into a second, both in UTF-8 as the config is
+read, and renames both into place once both are written.  So a
 failed run writes nothing and leaves the earlier pair of files as it
 was.  ``stability``, ``simulate`` and ``payback`` yield one line per
 row; ``plan`` formats each distinct share bit pattern of a series (one
@@ -49,7 +51,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -78,7 +79,7 @@ from .game import (
 from .montecarlo import PAYMENT_MODES, QUANTILES, payback_quantiles, payback_slots, simulate, summarize
 from .players import MAX_PLAYERS, PlayerSet, all_coalitions
 from .scenario import Scenario
-from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile
+from .traffic import MAX_FBM_SLOTS, BoundedLoadModel, FbmLoadModel, RateProfile, _is_finite
 
 SCHEMA_VERSION = 1
 
@@ -146,9 +147,9 @@ def _number(obj: dict, key: str, path: str, minimum=None, maximum=None, above=No
     value, field = _require(obj, key, path), _at(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number")
-    value = float(value)
-    if not math.isfinite(value):
+    if not _is_finite(value):  # an int too large for a float included
         raise ConfigError(f"{field}: must be finite")
+    value = float(value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{field}: must be at least {minimum}")
     if maximum is not None and value > maximum:
@@ -205,7 +206,6 @@ def _profile(obj, path: str):
     components = obj.get("components", [])
     if not isinstance(components, list):
         raise ConfigError(f"{path}.components: expected a list of [amplitude, phase] pairs")
-    pairs = []
     for k, comp in enumerate(components):
         if (
             not isinstance(comp, list)
@@ -213,19 +213,19 @@ def _profile(obj, path: str):
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in comp)
         ):
             raise ConfigError(f"{path}.components[{k}]: expected an [amplitude, phase] number pair")
-        pairs.append([float(comp[0]), float(comp[1])])
-    normalized.update(period=period, components=pairs)
-    return _built(f"{path}: ", RateProfile, normalized["base_rate"], pairs, period), normalized
+    profile = _built(f"{path}: ", RateProfile, normalized["base_rate"], components, period)
+    normalized.update(period=period, components=[list(pair) for pair in profile.components])
+    return profile, normalized
 
 
 def load_config(path: str):
     """Parse and validate a scenario config; returns (scenario, normalized)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8, whatever the locale
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bytes that are not UTF-8, an integer past int's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top level: expected an object")
@@ -305,7 +305,7 @@ def _write_outputs(out: str, header, chunks, sidecar: dict):
         for lines in (itertools.chain([_record(header)], chunks), [text + "\n"]):
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinvest-", suffix=".tmp")
             temps.append(tmp)
-            with os.fdopen(fd, "w", newline="") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(lines)
             os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give the mode open() would
         os.replace(temps[0], out)
@@ -408,29 +408,26 @@ def cmd_plan(args, scenario: Scenario):
     )
 
 
-def _shown(value: float) -> str:
-    """``value`` as a message names it: ``1`` for ``1.0``."""
-    return str(value).removesuffix(".0")
-
-
-def _parse_float_list(raw: str, flag: str, label: str):
-    """Distinct numbers of ``raw``, whose ranges their classes check; ``label`` names one, e.g. ``"{} years"``."""
+def _variants(raw: str, flag: str, label: str, build) -> list:
+    """``(value, build(value))`` per distinct number of the list flag ``raw``, each built under ``_built``
+    with the prefix ``<flag>: <label>: ``; ``label`` names one value, e.g. ``"{} years"``."""
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}")
     if not values:
         raise ConfigError(f"{flag}: expected a comma-separated list of numbers")
+    sources = [f"{flag}: {label.format(str(v).removesuffix('.0'))}" for v in values]  # 1 for 1.0
     for k, v in enumerate(values):
         if v in values[:k]:  # a repeat would write the same table keys twice
-            raise ConfigError(f"{flag}: {label.format(_shown(v))} is listed twice")
-    return values
+            raise ConfigError(f"{sources[k]} is listed twice")
+    return [(v, _built(f"{source}: ", build, v)) for v, source in zip(values, sources)]
 
 
-def _check_fbm_horizon(scenario: Scenario, horizon: int, source: str):
+def _check_fbm_horizon(scenario: Scenario, horizon: int):
     """Refuse an fBm ``horizon`` the sampler cannot draw, before any planning."""
     if scenario.kind == "fbm" and horizon > MAX_FBM_SLOTS:
-        raise ConfigError(f"{source}: fBm horizon of {horizon} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
+        raise ValueError(f"fBm horizon of {horizon} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
 
 
 def cmd_stability(args, scenario: Scenario):
@@ -438,13 +435,14 @@ def cmd_stability(args, scenario: Scenario):
         raise CommandMismatch(
             "stability bounds require the bounded demand model; this config uses fBm"
         )
-    sweep = [(scenario.models[0].spread, scenario.models)]
+    sweep = [(scenario.models[0].spread, scenario)]
     if args.sweep is not None:  # built before planning: a model refuses its spread, a scenario its overflow
-        sweep = []
-        for s in _parse_float_list(args.sweep, "--sweep", "spread {}"):
-            prefix = f"--sweep: spread {_shown(s)}: "
-            models = [_built(prefix, replace, m, spread=s) for m in scenario.models]
-            sweep.append((s, _built(prefix, replace, scenario, models=models).models))
+        sweep = _variants(
+            args.sweep,
+            "--sweep",
+            "spread {}",
+            lambda s: replace(scenario, models=[replace(m, spread=s) for m in scenario.models]),
+        )
 
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
@@ -454,8 +452,8 @@ def cmd_stability(args, scenario: Scenario):
     names = scenario.player_names
 
     bounds = []
-    for s, models in sweep:
-        spans = utility_ranges(grand_plan, models, scenario.params)
+    for s, sub in sweep:
+        spans = utility_ranges(grand_plan, sub)
         bounds.append((s, *stability_lower_bound(delta, spans)))
 
     def rows():
@@ -481,7 +479,7 @@ def cmd_stability(args, scenario: Scenario):
 
 
 def cmd_simulate(args, scenario: Scenario):
-    _check_fbm_horizon(scenario, scenario.horizon, "economics.investment_years")
+    _built("economics.investment_years: ", _check_fbm_horizon, scenario, scenario.horizon)
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
     delta = deviation_threshold(table, stability_value_hat(table, payoff))
@@ -525,18 +523,15 @@ def cmd_simulate(args, scenario: Scenario):
 
 
 def cmd_payback(args, scenario: Scenario):
-    periods = _parse_float_list(args.periods, "--periods", "{} years")
-    subs = []
-    for y in periods:
-        source = f"--periods: {_shown(y)} years"
-        params = _built(f"{source}: ", replace, scenario.params, investment_hours=y * HOURS_PER_YEAR)
-        _check_fbm_horizon(scenario, params.horizon, source)  # the ceiling before the load bound
-        subs.append((y, _built(f"{source}: ", replace, scenario, params=params)))
+    def period(years: float) -> Scenario:
+        params = replace(scenario.params, investment_hours=years * HOURS_PER_YEAR)
+        _check_fbm_horizon(scenario, params.horizon)  # the ceiling before the load bound
+        return replace(scenario, params=params)
 
     grand = PlayerSet.grand(scenario.n_players)
     paybacks = []
     period_meta = []
-    for y, sub in subs:
+    for y, sub in _variants(args.periods, "--periods", "{} years", period):  # all built before any planning
         plan = optimal_plan(grand, sub.expected_loads(), sub.params)
         slots = payback_slots(sub, plan, args.realizations, args.seed, workers=args.workers)
         paybacks.append((y, slots))

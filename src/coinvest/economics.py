@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traffic import _is_real
+from .traffic import _is_finite, _is_real
 
 HOURS_PER_YEAR = 8760.0
 _SCALARS = ("capacity_price", "maintenance_price", "investment_hours", "slot_hours", "saturation")
@@ -54,12 +54,12 @@ class EconomicParams:
         for name, value in named:
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
-        object.__setattr__(self, "benefits", tuple(map(float, benefits)))
         for name in _SCALARS:
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not all(math.isfinite(b) for b in self.benefits):
+        if not all(map(_is_finite, benefits)):
             raise ValueError("benefits must be finite")
+        object.__setattr__(self, "benefits", tuple(map(float, benefits)))
         if self.capacity_price < 0.0 or self.maintenance_price < 0.0:
             raise ValueError("prices must be nonnegative")
         for name in ("investment_hours", "slot_hours", "saturation"):

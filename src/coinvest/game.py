@@ -25,14 +25,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .allocation import AllocationPlan, _check_fit, optimal_plan
 from .economics import EconomicParams, utility
 from .players import all_coalitions, membership
-from .traffic import BoundedLoadModel, expected_load_matrix
+from .scenario import Scenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,26 +129,19 @@ def deviation_threshold(table: ValueTable, sigma: float) -> float:
     return max(0.0, bound)
 
 
-def utility_ranges(plan: AllocationPlan, models: Sequence, params: EconomicParams) -> np.ndarray:
+def utility_ranges(plan: AllocationPlan, scenario: Scenario) -> np.ndarray:
     """Per-player, per-slot width of the utility's support under the
     bounded demand model, at the given plan.  Row 0 (the InP) is zero:
     it collects no demand-driven revenue.  A plan made for another number
-    of SPs than ``models`` holds, or over another horizon than
-    ``params.horizon``, is refused.
+    of SPs or slots than ``scenario`` has is refused, and so is fBm demand.
     """
-    _check_fit(plan, len(models), params.horizon)
-    for i, m in enumerate(models):
-        if not isinstance(m, BoundedLoadModel):
-            raise TypeError(
-                f"model {i} is {type(m).__name__}; analytic stability bounds "
-                "require the bounded demand model"
-            )
-    horizon = plan.shares.shape[1]
-    means = expected_load_matrix(models, horizon, params.slot_seconds)
-    spreads = np.array([m.spread for m in models])[:, None]
-    beta = np.asarray(params.benefits)[:, None]
-    sp_rows = utility(beta, params.saturation, 1.0, plan.shares) * 2.0 * spreads * means
-    return np.vstack([np.zeros((1, horizon)), sp_rows])
+    _check_fit(plan, scenario)
+    if scenario.kind != "bounded":
+        raise TypeError("analytic stability bounds require the bounded demand model; this scenario uses fBm")
+    spreads = np.array([m.spread for m in scenario.models])[:, None]
+    beta = np.asarray(scenario.params.benefits)[:, None]
+    sp_rows = utility(beta, scenario.params.saturation, 1.0, plan.shares) * 2.0 * spreads * scenario.expected_loads()
+    return np.vstack([np.zeros((1, scenario.horizon)), sp_rows])
 
 
 def stability_lower_bound(delta: float, ranges: np.ndarray):

@@ -150,7 +150,7 @@ def simulate(
     if payment_mode not in PAYMENT_MODES:
         raise ValueError(f"payment_mode must be one of {PAYMENT_MODES}")
     _check_counts(n_realizations, workers)
-    _check_fit(table.plans[table.grand_bits], scenario.n_sp, scenario.horizon)
+    _check_fit(table.plans[table.grand_bits], scenario)
     params = scenario.params
     n = table.n_players
     horizon = scenario.horizon
@@ -211,7 +211,7 @@ def payback_slots(
     ``payback_slot``s, with no value table, Shapley split or kept loads.
     """
     _check_counts(n_realizations, workers)
-    _check_fit(plan, scenario.n_sp, scenario.horizon)
+    _check_fit(plan, scenario)
     params = scenario.params
     weights = utility(np.asarray(params.benefits)[:, None], params.saturation, 1.0, plan.shares)
     installed = cost(params, plan.capacity)

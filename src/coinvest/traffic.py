@@ -65,6 +65,14 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
+def _is_finite(x) -> bool:
+    """``math.isfinite(x)``, but ``False`` for an int too large for a float, where that raises."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class RateProfile:
     """Periodic expected request rate, requests/second.
@@ -90,13 +98,13 @@ class RateProfile:
     def __post_init__(self):
         if not _is_real(self.base_rate):
             raise ValueError(f"base_rate must be a real number, not {type(self.base_rate).__name__}")
-        if not 0.0 <= self.base_rate < math.inf:
+        if not (_is_finite(self.base_rate) and self.base_rate >= 0.0):
             raise ValueError("base_rate must be finite and nonnegative")
         components = tuple(self.components)  # one pass over it, should it be an iterator
         for k, pair in enumerate(components):
             if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2 and all(map(_is_real, pair))):
                 raise ValueError(f"components[{k}]: expected an (amplitude, phase) pair of real numbers")
-            if not all(map(math.isfinite, pair)):
+            if not all(map(_is_finite, pair)):
                 raise ValueError(f"components[{k}]: amplitude and phase must be finite")
         object.__setattr__(self, "base_rate", float(self.base_rate))
         object.__setattr__(self, "components", tuple((float(a), float(p)) for a, p in components))
@@ -133,9 +141,25 @@ class RateProfile:
         return out if out.shape else float(out)
 
 
+def _check_types(model, profile: str, *numbers: str):
+    """Refuse by name a field ``profile`` of ``model`` that is no ``RateProfile``, or a field of
+    ``numbers`` that is no real number (``bool`` is none)."""
+    value = getattr(model, profile)
+    if not isinstance(value, RateProfile):
+        raise ValueError(f"{profile} must be a RateProfile, not {type(value).__name__}")
+    for name in numbers:
+        value = getattr(model, name)
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class BoundedLoadModel:
-    """Uniform load noise in a symmetric band around the profile mean."""
+    """Uniform load noise in a symmetric band around the profile mean.
+
+    Refuses by name a ``profile`` that is no ``RateProfile`` and a ``spread``
+    that is no real number or lies outside ``[0, 1]``.
+    """
 
     profile: RateProfile
     spread: float
@@ -144,6 +168,7 @@ class BoundedLoadModel:
     OVERFLOW = "load band overflows: (1 + spread) * peak rate * slot_seconds is not finite"
 
     def __post_init__(self):
+        _check_types(self, "profile", "spread")
         if not 0.0 <= self.spread <= 1.0:
             raise ValueError("spread must lie in [0, 1]")
 
@@ -173,7 +198,11 @@ class BoundedLoadModel:
 
 @dataclass(frozen=True)
 class FbmLoadModel:
-    """Fractional-Brownian-motion load with trend envelope ``trend``."""
+    """Fractional-Brownian-motion load with trend envelope ``trend``.
+
+    Refuses by name a ``trend`` that is no ``RateProfile``, and an ``alpha``
+    or ``hurst`` that is no real number or lies outside its range.
+    """
 
     trend: RateProfile
     alpha: float
@@ -186,6 +215,7 @@ class FbmLoadModel:
     )
 
     def __post_init__(self):
+        _check_types(self, "trend", "alpha", "hurst")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 < self.hurst < 1.0:

@@ -146,7 +146,7 @@ def band_runs():
             table = build_value_table(scenario.expected_loads(), scenario.params)
             payoff = shapley(table)
             delta = deviation_threshold(table, stability_value_hat(table, payoff))
-        spans = utility_ranges(table.plans[table.grand_bits], scenario.models, scenario.params)
+        spans = utility_ranges(table.plans[table.grand_bits], scenario)
         _, joint = stability_lower_bound(delta, spans)
         outcomes = simulate(scenario, table, 10_000, 505)
         runs.append((spread, scenario, joint, outcomes))
@@ -410,8 +410,8 @@ def test_ac11_bound_separates_even_from_lopsided_coalitions():
         plan = table.plans[table.grand_bits]
         joints = []
         for spread in (0.001, 0.25, 0.5):
-            sized = tuple(replace(m, spread=spread) for m in models)
-            _, joint = stability_lower_bound(delta, utility_ranges(plan, sized, params))
+            sized = Scenario(tuple(f"sp{i}" for i in idx), tuple(replace(m, spread=spread) for m in models), params)
+            _, joint = stability_lower_bound(delta, utility_ranges(plan, sized))
             joints.append(joint)
         return joints
 

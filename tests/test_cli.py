@@ -1355,3 +1355,81 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+# Past float's range: float() of it raises OverflowError.
+BIG = 10**400
+
+
+class TestIntegersPastFloat:
+    """A JSON integer too large for a float is refused by the field it sits in, with exit 1."""
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("saturation",), BIG),
+            (("economics", "capacity_price"), BIG),
+            (("economics", "maintenance_price"), -BIG),
+            (("players", 0, "benefit"), BIG),
+            (("players", 1, "profile", "base_rate"), BIG),
+        ],
+        ids=("saturation", "capacity_price", "maintenance_price", "benefit", "base_rate"),
+    )
+    def test_a_number_field_is_refused_as_not_finite(self, write_config, tmp_path, capsys, where, value):
+        cfg = base_config()
+        node = cfg
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        out = tmp_path / "plan.csv"
+        assert main(["plan", write_config(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {field_name(where)}: must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("component", [[BIG, 3.0], [10000.0, -BIG]], ids=("amplitude", "phase"))
+    def test_a_profile_component_is_refused_as_not_finite(self, write_config, tmp_path, capsys, component):
+        cfg = base_config()
+        cfg["players"][0]["profile"]["components"] = [component]
+        assert main(["plan", write_config(cfg), "--out", str(tmp_path / "plan.csv")]) == 1
+        assert capsys.readouterr().err == "error: players[0].profile: components[0]: amplitude and phase must be finite\n"
+
+    def test_an_integer_past_the_digit_limit_names_the_config(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(base_config(saturation="DIGITS")).replace('"DIGITS"', "1" + "0" * 5000))
+        assert main(["plan", str(path), "--out", str(tmp_path / "plan.csv")]) == 1
+        err = capsys.readouterr().err
+        if hasattr(sys, "set_int_max_str_digits"):  # since Python 3.11, int() refuses a string past the limit
+            assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit")
+        else:
+            assert err == "error: saturation: must be finite\n"
+
+
+class TestEncoding:
+    """A config is read, and a table and sidecar written, as UTF-8 under any locale (JSON is UTF-8, RFC 8259)."""
+
+    def test_a_config_that_is_not_utf8_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(json.dumps(base_config(), ensure_ascii=False).replace("east", "café").encode("latin-1"))
+        assert main(["plan", str(path), "--out", str(tmp_path / "plan.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_the_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        cfg = base_config()
+        cfg["players"][0]["name"] = "café"
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        default = {**os.environ, "PYTHONPATH": path}
+        ascii_locale = {**default, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        for name, env in (("default", default), ("ascii", ascii_locale)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "coinvest.cli", "plan", str(config), "--out", str(tmp_path / f"{name}.csv")],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for ext in (".csv", ".json"):
+            assert (tmp_path / f"ascii{ext}").read_bytes() == (tmp_path / f"default{ext}").read_bytes()
+        assert b"InP+caf\xc3\xa9+west," in (tmp_path / "default.csv").read_bytes()

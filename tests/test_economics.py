@@ -164,6 +164,14 @@ class TestEconomicParams:
             ("saturation", math.inf),
             ("benefits", (math.nan,)),
             ("benefits", (6e-6, math.inf)),
+            # integers too large for a float
+            pytest.param("capacity_price", 10**400, id="capacity_price-big"),
+            pytest.param("maintenance_price", -(10**400), id="maintenance_price-big"),
+            pytest.param("investment_hours", 10**400, id="investment_hours-big"),
+            pytest.param("slot_hours", 10**400, id="slot_hours-big"),
+            pytest.param("saturation", 10**400, id="saturation-big"),
+            pytest.param("benefits", (10**400,), id="benefits-big"),
+            pytest.param("benefits", (6e-6, -(10**400)), id="benefits-second-big"),
         ],
     )
     def test_rejects_non_finite_field_by_name(self, field, value):

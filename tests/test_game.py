@@ -12,6 +12,7 @@ import reference
 from coinvest import (
     EconomicParams,
     PlayerSet,
+    Scenario,
     ValueTable,
     build_value_table,
     deviation_threshold,
@@ -322,14 +323,14 @@ class TestUtilityRanges:
         params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 0.03)
         model = BoundedLoadModel(RateProfile(100.0), 0.0)
         plan = self.make_plan([[10.0]])
-        assert np.array_equal(utility_ranges(plan, [model], params), np.zeros((2, 1)))
+        assert np.array_equal(utility_ranges(plan, Scenario(("a",), [model], params)), np.zeros((2, 1)))
 
     def test_provider_has_no_range(self):
         # SP width = beta * (1 - e^{-xi h}) * 2 * spread * mean
         params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 0.03)
         model = BoundedLoadModel(RateProfile(100.0), 0.9)
         plan = self.make_plan([[10.0]])
-        spans = utility_ranges(plan, [model], params)
+        spans = utility_ranges(plan, Scenario(("a",), [model], params))
         assert spans[0, 0] == 0.0
         assert spans[1, 0] == pytest.approx(-math.expm1(-0.3) * 2.0 * 0.9 * 100.0, rel=1e-12)
 
@@ -338,7 +339,7 @@ class TestUtilityRanges:
         params = EconomicParams(1.0, 0.0, self.SECOND, self.SECOND, (1.0,), 1000.0)
         model = BoundedLoadModel(RateProfile(100.0), 0.5)
         plan = self.make_plan([[10.0]])
-        assert utility_ranges(plan, [model], params)[1, 0] == pytest.approx(100.0, rel=1e-12)
+        assert utility_ranges(plan, Scenario(("a",), [model], params))[1, 0] == pytest.approx(100.0, rel=1e-12)
 
     def test_matrix_variant_stacks_players(self):
         params = EconomicParams(1.0, 0.0, 2.0 * self.SECOND, self.SECOND, (1.0, 2.0), 0.5)
@@ -347,7 +348,7 @@ class TestUtilityRanges:
             BoundedLoadModel(RateProfile(50.0), 0.2),
         ]
         plan = self.make_plan([[10.0, 5.0], [1.0, 2.0]])
-        spans = utility_ranges(plan, models, params)
+        spans = utility_ranges(plan, Scenario(("a", "b"), models, params))
         # row i: beta_i * (1 - e^{-0.5 h}) * 2 * spread_i * mean_i
         expect = np.array(
             [
@@ -365,7 +366,7 @@ class TestUtilityRanges:
         fbm = FbmLoadModel(RateProfile(100.0), 0.5, 0.7)
         plan = self.make_plan([[10.0]])
         with pytest.raises(TypeError):
-            utility_ranges(plan, [fbm], params)
+            utility_ranges(plan, Scenario(("a",), [fbm], params))
 
 
 class TestStabilityLowerBound:
@@ -407,7 +408,7 @@ class TestStabilityLowerBound:
             delta = deviation_threshold(table, stability_value_hat(table, shapley(table)))
             for spread, bounds in series.items():
                 models = tuple(replace(m, spread=spread) for m in scenario.models)
-                spans = utility_ranges(table.plans[table.grand_bits], models, params)
+                spans = utility_ranges(table.plans[table.grand_bits], replace(scenario, models=models, params=params))
                 bounds.append(stability_lower_bound(delta, spans)[1])
         for bounds in series.values():
             assert all(a <= b for a, b in zip(bounds, bounds[1:])), bounds

@@ -423,9 +423,7 @@ def edge_bounded(horizon, n_sp=2):
 FIT_CALLS = {
     "simulate": lambda scenario, table: simulate(scenario, table, 2, 0),
     "payback_slots": lambda scenario, table: payback_slots(scenario, table.plans[table.grand_bits], 2, 0),
-    "utility_ranges": lambda scenario, table: utility_ranges(
-        table.plans[table.grand_bits], scenario.models, scenario.params
-    ),
+    "utility_ranges": lambda scenario, table: utility_ranges(table.plans[table.grand_bits], scenario),
 }
 
 

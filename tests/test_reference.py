@@ -166,7 +166,7 @@ def test_utility_ranges(seed):
     scenario, table = planned(seed)
     grand = table.plans[table.grand_bits]
     expected = reference.utility_ranges(grand, scenario.models, scenario.params)
-    np.testing.assert_allclose(utility_ranges(grand, scenario.models, scenario.params), expected, rtol=REL, atol=0.0)
+    np.testing.assert_allclose(utility_ranges(grand, scenario), expected, rtol=REL, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -271,7 +271,7 @@ def test_sigma_hat_and_delta_hat(seed):
 @pytest.mark.parametrize("seed", BOUNDED_SEEDS)
 def test_hoeffding_lower_bound(seed):
     scenario, table = planned(seed)
-    ranges = utility_ranges(table.plans[table.grand_bits], scenario.models, scenario.params)
+    ranges = utility_ranges(table.plans[table.grand_bits], scenario)
     ssq = [sum(r * r for r in row) for row in ranges.tolist()]
     # delta-hat, then the deltas that put each risky player's bound at one half
     deltas = [deviation_threshold(table, stability_value_hat(table, shapley(table)))]

@@ -28,6 +28,8 @@ from coinvest.traffic import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# An integer too large for a float: float() of it raises OverflowError.
+BIG = 10**400
 
 
 def full_fft_fgn(hurst, n, rng, paths=1):
@@ -92,7 +94,7 @@ class TestRateProfile:
         with pytest.raises(ValueError):
             RateProfile(-1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, BIG, -BIG], ids=("nan", "inf", "big", "minus-big"))
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
             RateProfile(bad)
@@ -101,7 +103,7 @@ class TestRateProfile:
         with pytest.raises(ValueError, match="finite"):
             RateProfile(10.0, ((1.0, bad),))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, BIG], ids=("nan", "inf", "big"))
     def test_names_the_component_that_is_not_finite(self, bad):
         with pytest.raises(ValueError, match=r"^components\[1\]: amplitude and phase must be finite$"):
             RateProfile(10.0, ((1.0, 0.0), (1.0, bad)))
@@ -201,6 +203,39 @@ class TestRateProfile:
         assert profile.rate(0) > 0.0
         with pytest.raises(ValueError, match="read-only"):
             profile._rates[0] = -1.0
+
+
+class TestModelFields:
+    """The demand models refuse by name a field of the wrong type, as ``RateProfile`` does."""
+
+    PROFILE = RateProfile(100.0)
+
+    @pytest.mark.parametrize(
+        "build, refused",
+        [
+            (lambda p: BoundedLoadModel(p, "0.3"), "spread must be a real number, not str"),
+            (lambda p: BoundedLoadModel(p, True), "spread must be a real number, not bool"),
+            (lambda p: BoundedLoadModel(p, None), "spread must be a real number, not NoneType"),
+            (lambda p: BoundedLoadModel("x", 0.3), "profile must be a RateProfile, not str"),
+            (lambda p: BoundedLoadModel(100.0, 0.3), "profile must be a RateProfile, not float"),
+            (lambda p: FbmLoadModel(p, 0.5, "0.7"), "hurst must be a real number, not str"),
+            (lambda p: FbmLoadModel(p, True, 0.7), "alpha must be a real number, not bool"),
+            (lambda p: FbmLoadModel(p, "0.5", 0.7), "alpha must be a real number, not str"),
+            (lambda p: FbmLoadModel(p, 0.5, False), "hurst must be a real number, not bool"),
+            (lambda p: FbmLoadModel("x", 0.5, 0.7), "trend must be a RateProfile, not str"),
+        ],
+        ids=("spread-str", "spread-bool", "spread-None", "profile-str", "profile-float", "hurst-str",
+             "alpha-bool", "alpha-str", "hurst-bool", "trend-str"),
+    )
+    def test_refuses_a_field_of_the_wrong_type_by_name(self, build, refused):
+        with pytest.raises(ValueError) as caught:
+            build(self.PROFILE)
+        assert str(caught.value) == refused
+
+    @pytest.mark.parametrize("spread", [0, 1, np.float64(0.3), np.int64(1)], ids=repr)
+    def test_numpy_and_integer_numbers_are_numbers(self, spread):
+        assert BoundedLoadModel(self.PROFILE, spread).spread == spread
+        assert FbmLoadModel(self.PROFILE, spread, np.float64(0.7)).alpha == spread
 
 
 class TestExpectedLoad:
