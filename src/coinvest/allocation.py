@@ -7,8 +7,10 @@ every slot.  The planning problem maximises expected coalition profit
     s.t.  sum_i h_i^t <= C,   h_i^t >= 0,   C >= 0
 
 over the expected loads ``lbar``.  Without the infrastructure provider
-no capacity can be bought, and without SPs nothing earns revenue; both
-cases yield the idle plan (zero capacity, zero value).
+no capacity can be bought, and without SPs, or without expected revenue
+``beta_i * lbar_i^t`` at any member's slot, nothing earns revenue; such a
+coalition plans the idle plan (zero capacity, zero value).  That veto is
+decided once, in ``_check_inputs``, for both solvers.
 
 Two solvers are provided.  ``optimal_plan_closed_form`` evaluates the
 interior-optimum formula, valid when every participating SP has
@@ -22,6 +24,7 @@ slot multipliers equal the unit capacity cost.  The numeric path is the
 source of truth; ``optimal_plan`` dispatches to the closed form first
 and falls back whenever the formula reports itself inapplicable.  Both
 end in one builder, ``_plan``, which fills the SP rows and prices the plan.
+``_revenue_per_request`` prices a made plan per request for the later layers.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ def _check_fit(plan: AllocationPlan, scenario):
         raise ValueError(f"planned over {planned_slots} slots, but the scenario has {scenario.horizon}")
 
 
-def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParams) -> np.ndarray:
+def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParams):
+    """The checked ``loads``, the rows of the member SPs, and their ``beta_i * lbar_i^t``; the rows
+    are ``None`` for an idle coalition, one without the InP, without SPs, or whose members earn
+    nothing at any slot."""
     loads = np.asarray(loads, dtype=float)
     if loads.ndim != 2:
         raise ValueError("expected_loads must be (n_sp, horizon)")
@@ -78,7 +84,9 @@ def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParam
         raise ValueError("expected loads must be finite")
     if (loads < 0.0).any():
         raise ValueError("expected loads must be nonnegative")
-    return loads
+    rows = coalition.sp_rows
+    bl = np.asarray(params.benefits)[rows, None] * loads[rows]  # 0 where a load is 0 or the product underflows
+    return loads, (rows if coalition.includes_inp and bl.any() else None), bl
 
 
 def _idle_plan(loads: np.ndarray, method: str) -> AllocationPlan:
@@ -94,33 +102,32 @@ def _plan(loads, rows, shares_rows, capacity: float, params: EconomicParams, met
     return AllocationPlan(capacity, shares, objective, method)
 
 
+def _revenue_per_request(plan: AllocationPlan, params: EconomicParams) -> np.ndarray:
+    """Dollars one request earns each SP in each slot under ``plan``, ``beta_i * (1 - exp(-xi * h_i^t))``."""
+    return utility(np.asarray(params.benefits)[:, None], params.saturation, 1.0, plan.shares)
+
+
 def optimal_plan_closed_form(coalition, expected_loads, params):
     """Interior-optimum formula; ``None`` when it does not apply.
 
-    Applicable when every coalition SP either has positive load at all
-    slots (it participates) or zero load at all slots (it is idle), the
+    Applicable when every coalition SP's ``beta_i * lbar_i^t`` is positive
+    at all slots (it participates) or zero at all slots (it is idle), the
     implied capacity is positive, and no implied share is negative.
     ``None`` is a dispatch signal, not an error: the caller should use
     the numeric solver.
     """
-    loads = _check_inputs(coalition, expected_loads, params)
-    rows = coalition.sp_rows
-    if not coalition.includes_inp or rows.size == 0:
+    loads, rows, bl = _check_inputs(coalition, expected_loads, params)
+    if rows is None:
         return _idle_plan(loads, "closed-form")
-    sub = loads[rows]
-    positive = sub > 0.0
+    positive = bl > 0.0
     everywhere = positive.all(axis=1)
-    nowhere = ~positive.any(axis=1)
-    if not np.all(everywhere | nowhere):
+    if not np.all(everywhere | ~positive.any(axis=1)):
         return None
     active = rows[everywhere]
     k = active.size
-    if k == 0:
-        return _idle_plan(loads, "closed-form")
 
     xi = params.saturation
-    beta = np.asarray(params.benefits)[active, None]
-    log_bl = np.log(beta * loads[active])
+    log_bl = np.log(bl[everywhere])
     log_w = math.log(xi) + log_bl
     slot_geomean = np.exp(log_w.mean(axis=0))
     total = slot_geomean.sum()
@@ -153,20 +160,14 @@ def _water_levels(ordered: np.ndarray, csum: np.ndarray, xi: float, capacity: fl
 
 def optimal_plan_numeric(coalition, expected_loads, params):
     """Water-filling solver; optimal for any nonnegative load pattern."""
-    loads = _check_inputs(coalition, expected_loads, params)
-    rows = coalition.sp_rows
-    if not coalition.includes_inp or rows.size == 0:
+    loads, rows, bl = _check_inputs(coalition, expected_loads, params)
+    if rows is None:
         return _idle_plan(loads, "numeric")
 
     xi = params.saturation
-    beta = np.asarray(params.benefits)[rows, None]
-    bl = beta * loads[rows]
     with np.errstate(divide="ignore"):
         log_w = np.where(bl > 0.0, np.log(xi) + np.log(bl), -np.inf)
-    slot_best = log_w.max(axis=0)
-    live = np.isfinite(slot_best)
-    if not live.any():
-        return _idle_plan(loads, "numeric")
+    live = np.isfinite(log_w.max(axis=0))
     log_w_live = log_w[:, live]
 
     # Stationarity in C: g(C) = log(sum_t lambda_t(C)) - log(price) = 0.

@@ -1,5 +1,6 @@
-"""Cost and revenue primitives: the allocation, game and Monte Carlo
-layers price shares through ``utility`` and capacity through ``cost``.
+"""Cost and revenue primitives: ``utility`` prices shares, and ``cost`` capacity.
+The game and Monte Carlo layers price a plan per request through one helper,
+``allocation._revenue_per_request``.
 
 Installing capacity ``C`` (virtual cores) for an investment horizon of
 ``I`` hours costs ``d * C + d' * I * C``: a one-off purchase price plus

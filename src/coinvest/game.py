@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationPlan, _check_fit, optimal_plan
-from .economics import EconomicParams, utility
+from .allocation import AllocationPlan, _check_fit, _revenue_per_request, optimal_plan
+from .economics import EconomicParams
 from .players import all_coalitions, membership
 from .scenario import Scenario
 
@@ -139,8 +139,7 @@ def utility_ranges(plan: AllocationPlan, scenario: Scenario) -> np.ndarray:
     if scenario.kind != "bounded":
         raise TypeError("analytic stability bounds require the bounded demand model; this scenario uses fBm")
     spreads = np.array([m.spread for m in scenario.models])[:, None]
-    beta = np.asarray(scenario.params.benefits)[:, None]
-    sp_rows = utility(beta, scenario.params.saturation, 1.0, plan.shares) * 2.0 * spreads * scenario.expected_loads()
+    sp_rows = _revenue_per_request(plan, scenario.params) * 2.0 * spreads * scenario.expected_loads()
     return np.vstack([np.zeros((1, scenario.horizon)), sp_rows])
 
 

@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import AllocationPlan, _check_fit
-from .economics import cost, utility
+from .allocation import AllocationPlan, _check_fit, _revenue_per_request
+from .economics import cost
 from .game import ValueTable, shapley, shapley_matrix
 from .scenario import Scenario
 from .traffic import LoadMatrix, sample_loads
@@ -86,6 +86,17 @@ def _check_counts(n_realizations: int, workers: int):
         raise ValueError("need at least one realization")
     if workers < 1:
         raise ValueError("workers must be positive")
+
+
+def _priced(scenario: Scenario, plans: Sequence[AllocationPlan], n_realizations: int, workers: int):
+    """Revenue per request (plan x SP x slot) and installed cost of each of ``plans``, once the
+    counts and the last plan's fit to ``scenario`` are checked (a value table's last is the grand's)."""
+    _check_counts(n_realizations, workers)
+    _check_fit(plans[-1], scenario)
+    weights = np.empty((len(plans),) + plans[-1].shares.shape)
+    for w, p in zip(weights, plans):
+        w[...] = _revenue_per_request(p, scenario.params)
+    return weights, np.array([cost(scenario.params, p.capacity) for p in plans])
 
 
 def _draw(scenario: Scenario, seed: int, omega: int) -> LoadMatrix:
@@ -149,22 +160,11 @@ def simulate(
     """Draw ``n_realizations`` demand paths and settle each one."""
     if payment_mode not in PAYMENT_MODES:
         raise ValueError(f"payment_mode must be one of {PAYMENT_MODES}")
-    _check_counts(n_realizations, workers)
-    _check_fit(table.plans[table.grand_bits], scenario)
-    params = scenario.params
-    n = table.n_players
-    horizon = scenario.horizon
+    weights, costs = _priced(scenario, table.plans, n_realizations, workers)
     grand = table.grand_bits
-    beta = np.asarray(params.benefits)[:, None]
-
-    # revenue per request of each coalition, SP and slot
-    weights = np.empty((len(table.plans), n - 1, horizon))
-    for w, p in zip(weights, table.plans):
-        w[...] = utility(beta, params.saturation, 1.0, p.shares)
-    costs = np.array([cost(params, p.capacity) for p in table.plans])
     # each player's collected revenue at the expected loads, the InP's 0 first
     nominal = np.concatenate(([0.0], (weights[grand] * scenario.expected_loads()).sum(axis=1)))
-    split = shapley_matrix(n)
+    split = shapley_matrix(table.n_players)
     if payment_mode == "ex-ante":
         fixed_payments = nominal - shapley(table)
 
@@ -210,11 +210,7 @@ def payback_slots(
     draws, so for the grand plan the list equals the outcomes'
     ``payback_slot``s, with no value table, Shapley split or kept loads.
     """
-    _check_counts(n_realizations, workers)
-    _check_fit(plan, scenario)
-    params = scenario.params
-    weights = utility(np.asarray(params.benefits)[:, None], params.saturation, 1.0, plan.shares)
-    installed = cost(params, plan.capacity)
+    (weights,), (installed,) = _priced(scenario, (plan,), n_realizations, workers)
 
     def settle(omega: int) -> Optional[int]:
         return _payback_slot(weights, _draw(scenario, seed, omega).values, installed, omega)

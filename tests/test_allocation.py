@@ -261,6 +261,20 @@ class TestExactWaterFilling:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize(
+        "bits, idle_load",
+        [(0b000, 0.0), (0b001, 0.0), (0b110, 0.0), (0b101, 0.0), (0b101, 1e-322)],
+        ids=("empty", "inp", "sps", "idle-sp", "underflow"),
+    )
+    def test_both_solvers_plan_nothing_for_an_idle_coalition(self, bits, idle_load):
+        # no InP, no SP, or members with no expected revenue: SP 2 (bit 0b100) has none, its
+        # load 0 or so small that benefit 1e-3 times it underflows to 0
+        loads = np.array([[1e6, 2e6], [idle_load, idle_load]])
+        for solve, method in ((optimal_plan_closed_form, "closed-form"), (optimal_plan_numeric, "numeric")):
+            plan = solve(PlayerSet(bits, 3), loads, params_for(2))
+            assert (plan.capacity, plan.objective, plan.method) == (0.0, 0.0, method)
+            assert plan.shares.shape == loads.shape and not plan.shares.any()
+
     def test_prefers_closed_form_when_applicable(self):
         loads = np.full((2, 4), 1e6)
         plan = optimal_plan(grand(2), loads, params_for(2))
@@ -270,6 +284,13 @@ class TestDispatch:
         loads = np.array([[1e6, 0.0], [1e6, 1e6]])
         plan = optimal_plan(grand(2), loads, params_for(2))
         assert plan.method == "numeric"
+
+    def test_falls_back_where_benefit_times_load_underflows(self):
+        # 1e-3 * 1e-322 is 0: that slot earns nothing, as a zero load would
+        loads = np.array([[1e6, 1e-322], [1e6, 1e6]])
+        plan = optimal_plan(grand(2), loads, params_for(2))
+        assert plan.method == "numeric" and plan.shares[0, 1] == 0.0
+        assert np.isfinite(plan.shares).all() and np.isfinite(plan.objective)
 
     def test_equivalent_to_always_numeric(self):
         rng = np.random.default_rng(200)

@@ -391,6 +391,11 @@ class TestConfigLoading:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["plan", str(bad), "--out", "x.csv"]) == 1
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        capsys.readouterr()
+        assert main(["plan", str(listed), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == "error: top level: expected an object\n"
 
     def test_wrong_schema_version(self, write_config, capsys):
         assert main(["plan", write_config(base_config(schema_version=2)), "--out", "x.csv"]) == 1

@@ -84,6 +84,11 @@ class TestValueTable:
         with pytest.raises(ValueError, match=r"^n_players must lie in \[2, 16\]$"):
             build_value_table(np.ones((16, 2)), params)
 
+    @pytest.mark.parametrize("bits", [-1, 8])
+    def test_player_set_refuses_bits_out_of_range(self, bits):
+        with pytest.raises(ValueError, match=r"^coalition bits out of range for this player count$"):
+            PlayerSet(bits, 3)
+
     def test_rejects_wrong_value_length(self):
         with pytest.raises(ValueError):
             ValueTable(2, np.zeros(3), (None,) * 3)

@@ -41,6 +41,21 @@ class TestNames:
         with pytest.raises(ValueError, match=r"^players\[2\]\.name: duplicate SP name 'a'$"):
             Scenario(("a", "b", "a"), (flat(100.0),) * 3, params(24, n_sp=3))
 
+    @pytest.mark.parametrize(
+        "names, models, n_sp, refused",
+        [
+            (("a", "b"), (flat(100.0),), 1, "one model per SP name required"),
+            (("a", "b"), (flat(100.0),) * 2, 3, "one benefit per SP required"),
+            (("a", "b"), (flat(100.0), fbm(100.0)), 2, "all SPs must share one demand model kind"),
+            (("a",), (RateProfile(100.0),), 1, "unsupported demand model RateProfile"),
+        ],
+        ids=("names", "benefits", "kinds", "kind"),
+    )
+    def test_refuses_sps_that_do_not_line_up(self, names, models, n_sp, refused):
+        with pytest.raises(ValueError) as caught:
+            Scenario(names, models, params(24, n_sp=n_sp))
+        assert str(caught.value) == refused
+
 
 class TestFbmLoadRefusal:
     @pytest.mark.parametrize("i", [0, 1])

@@ -1,7 +1,7 @@
 """Process start-up: lazy package exports and the CLI's BLAS thread default.
 
-Also a stdlib ``ast`` guard that no ``coinvest`` module keeps an import it never uses,
-since no linter runs on this code.
+Also stdlib ``ast`` guards, since no linter runs on this code: no ``coinvest`` module keeps
+an import it never uses, and no module-level name that nothing in the package reads.
 """
 
 import ast
@@ -102,3 +102,35 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{module}: imported and never used: {unused}"
+
+
+def module_level_names(tree):
+    """``{name: line}`` of every name a module binds at its top level, dunder names aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update({t.id: node.lineno for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)})
+    return {name: line for name, line in names.items() if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_module_level_name_is_read():
+    """Each top-level name of a ``coinvest`` module is read somewhere in the package, as a
+    name or an attribute, or is a public export in ``coinvest.__all__``."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(pathlib.Path(SRC, "coinvest").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = {
+        f"{module}:{line}": name
+        for module, tree in trees.items()
+        for name, line in module_level_names(tree).items()
+        if name not in read and name not in coinvest.__all__
+    }
+    assert not dead, f"defined and never read: {dead}"

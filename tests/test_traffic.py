@@ -232,6 +232,21 @@ class TestModelFields:
             build(self.PROFILE)
         assert str(caught.value) == refused
 
+    @pytest.mark.parametrize(
+        "alpha, hurst, refused",
+        [
+            (-0.1, 0.7, "alpha must lie in [0, 1]"),
+            (1.5, 0.7, "alpha must lie in [0, 1]"),
+            (0.5, 0.0, "hurst must lie in (0, 1)"),
+            (0.5, 1, "hurst must lie in (0, 1)"),
+        ],
+        ids=repr,
+    )
+    def test_refuses_an_fbm_field_out_of_its_range(self, alpha, hurst, refused):
+        with pytest.raises(ValueError) as caught:
+            FbmLoadModel(self.PROFILE, alpha, hurst)
+        assert str(caught.value) == refused
+
     @pytest.mark.parametrize("spread", [0, 1, np.float64(0.3), np.int64(1)], ids=repr)
     def test_numpy_and_integer_numbers_are_numbers(self, spread):
         assert BoundedLoadModel(self.PROFILE, spread).spread == spread
@@ -495,6 +510,10 @@ class TestFbmGeneration:
     def test_rejects_paths_beyond_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
             generate_fbm(0.5, MAX_FBM_SLOTS + 1, _substream((0,)))
+
+    def test_rejects_an_empty_path(self):
+        with pytest.raises(ValueError, match=r"^need at least one slot$"):
+            generate_fbm(0.5, 0, _substream((0,)))
 
 
 class TestFbmSampling:
