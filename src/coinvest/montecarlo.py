@@ -1,15 +1,17 @@
 """Monte Carlo assessment of a co-investment.
 
-Plans are committed on expected demand and held fixed.  Each realization
-is drawn and settled on its own, and results come in realization order.
-``simulate`` re-prices every coalition at its loads, splits the realized
-values by Shapley (``values @ shapley_matrix(n)``), settles payments and
-rewards, and locates the payback slot of the grand coalition; each
-outcome keeps its loads.  ``payback_slots`` needs only one plan and keeps
-only its payback slot, the first slot at which its collected revenue
-covers its cost.  ``summarize`` reduces the outcomes to the per-player
-and joint shares of nonnegative payoffs, the share of realizations with
-every |deviation| below delta (the stability frequency), and quantiles.
+Plans are committed on expected demand and held fixed.  Each call builds
+its SPs' draw rows once, beside its revenue weights, and no model keeps
+them; each realization is drawn from them and settled on its own, and
+results come in realization order.  ``simulate`` re-prices every
+coalition at its loads, splits the realized values by Shapley
+(``values @ shapley_matrix(n)``), settles payments and rewards, and
+locates the payback slot of the grand coalition; each outcome keeps its
+loads.  ``payback_slots`` needs only one plan and keeps only its payback
+slot, the first slot at which its collected revenue covers its cost.
+``summarize`` reduces the outcomes to the per-player and joint shares of
+nonnegative payoffs, the share of realizations with every |deviation|
+below delta (the stability frequency), and quantiles.
 
 A value table or plan made for another number of SPs or another horizon
 than the scenario's is refused up front, naming both counts.  A
@@ -89,20 +91,21 @@ def _check_counts(n_realizations: int, workers: int):
 
 
 def _priced(scenario: Scenario, plans: Sequence[AllocationPlan], n_realizations: int, workers: int):
-    """Revenue per request (plan x SP x slot) and installed cost of each of ``plans``, once the
-    counts and the last plan's fit to ``scenario`` are checked (a value table's last is the grand's)."""
+    """Revenue per request (plan x SP x slot) and installed cost of each of ``plans``, and each SP's
+    ``draw_rows``, once the counts and the last plan's fit are checked (a table's last is the grand)."""
     _check_counts(n_realizations, workers)
     _check_fit(plans[-1], scenario)
     weights = np.empty((len(plans),) + plans[-1].shares.shape)
     for w, p in zip(weights, plans):
         w[...] = _revenue_per_request(p, scenario.params)
-    return weights, np.array([cost(scenario.params, p.capacity) for p in plans])
+    rows = [m.draw_rows(scenario.horizon, scenario.params.slot_seconds) for m in scenario.models]
+    return weights, np.array([cost(scenario.params, p.capacity) for p in plans]), rows
 
 
-def _draw(scenario: Scenario, seed: int, omega: int) -> LoadMatrix:
-    """Realization ``omega``'s loads; a load that is not finite is refused, naming its SP."""
+def _draw(scenario: Scenario, rows: list, seed: int, omega: int) -> LoadMatrix:
+    """Realization ``omega``'s loads from ``rows``; a load that is not finite is refused, naming its SP."""
     with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
-        loads = sample_loads(scenario.models, scenario.horizon, scenario.params.slot_seconds, (seed, omega))
+        loads = sample_loads(scenario.models, rows, scenario.params.slot_seconds, (seed, omega))
     finite = np.isfinite(loads.values).all(axis=1)
     if not finite.all():
         raise RuntimeError(f"realization {omega}: players[{finite.argmin()}]: realized loads are not finite")
@@ -160,7 +163,7 @@ def simulate(
     """Draw ``n_realizations`` demand paths and settle each one."""
     if payment_mode not in PAYMENT_MODES:
         raise ValueError(f"payment_mode must be one of {PAYMENT_MODES}")
-    weights, costs = _priced(scenario, table.plans, n_realizations, workers)
+    weights, costs, rows = _priced(scenario, table.plans, n_realizations, workers)
     grand = table.grand_bits
     # each player's collected revenue at the expected loads, the InP's 0 first
     nominal = np.concatenate(([0.0], (weights[grand] * scenario.expected_loads()).sum(axis=1)))
@@ -169,7 +172,7 @@ def simulate(
         fixed_payments = nominal - shapley(table)
 
     def settle(omega: int) -> RealizationOutcome:
-        loads = _draw(scenario, seed, omega)
+        loads = _draw(scenario, rows, seed, omega)
         with np.errstate(over="ignore"):
             collected_sp = np.einsum("sit,it->si", weights, loads.values)
             revenue = collected_sp.sum(axis=1)
@@ -210,10 +213,10 @@ def payback_slots(
     draws, so for the grand plan the list equals the outcomes'
     ``payback_slot``s, with no value table, Shapley split or kept loads.
     """
-    (weights,), (installed,) = _priced(scenario, (plan,), n_realizations, workers)
+    (weights,), (installed,), rows = _priced(scenario, (plan,), n_realizations, workers)
 
     def settle(omega: int) -> Optional[int]:
-        return _payback_slot(weights, _draw(scenario, seed, omega).values, installed, omega)
+        return _payback_slot(weights, _draw(scenario, rows, seed, omega).values, installed, omega)
 
     return _map_realizations(settle, n_realizations, workers)
 

@@ -31,9 +31,9 @@ weights the Hermitian half of the spectrum (``m + 1`` complex entries
 for an embedding of ``2m``) and runs one real inverse FFT; the
 spectrum's square roots are memoised per ``(H, m)``, and each thread
 reuses its normal and half-spectrum buffers from one draw to the next.
-Each model also keeps the deterministic rows of its last horizon and
-slot length, read-only: the bounded band's lower edge and width, or the
-fBm trend and smooth envelope term.
+A model keeps nothing of its draws: its ``draw_rows`` are the read-only
+deterministic rows of one horizon (the bounded band's lower edge and width,
+or the fBm trend and smooth term), which the caller hands to each draw.
 
 Randomness contract: a key is an integer tuple such as ``(seed,
 realization)``; ``sample_loads`` draws model ``i`` from the substream of
@@ -153,6 +153,13 @@ def _check_types(model, profile: str, *numbers: str):
             raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
 
 
+def _read_only(*rows: np.ndarray) -> tuple:
+    """``rows``, each frozen read-only, as every draw of a call shares them."""
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class BoundedLoadModel:
     """Uniform load noise in a symmetric band around the profile mean.
@@ -181,19 +188,20 @@ class BoundedLoadModel:
         in Python floats, so an overflow gives inf without a RuntimeWarning."""
         return (1.0 + self.spread) * (self.profile.rate_bound * slot_seconds)
 
-    def sample(self, slots: int, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
-        """One load row over ``slots`` slots: ``U * width + low``, rounded as ``rng.uniform`` does."""
-        low, width = _cached_rows(self, slots, slot_seconds)
-        load = rng.random(slots)
+    def draw_rows(self, slots: int, slot_seconds: float) -> tuple:
+        """The band's lower edge ``(1 - spread) * mean`` and its width ``(1 + spread) * mean - low``
+        over ``slots`` slots, read-only."""
+        mean = self.expected_rate(np.arange(slots)) * slot_seconds
+        low = (1.0 - self.spread) * mean
+        return _read_only(low, (1.0 + self.spread) * mean - low)
+
+    def sample(self, rows: tuple, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
+        """One load row from ``draw_rows``' ``rows``: ``U * width + low``, rounded as ``rng.uniform`` does."""
+        low, width = rows
+        load = rng.random(low.size)
         load *= width
         load += low
         return load
-
-    def _rows(self, t: np.ndarray, slot_seconds: float) -> tuple:
-        """The band's lower edge ``(1 - spread) * mean`` and its width ``(1 + spread) * mean - low``."""
-        mean = self.expected_rate(t) * slot_seconds
-        low = (1.0 - self.spread) * mean
-        return low, (1.0 + self.spread) * mean - low
 
 
 @dataclass(frozen=True)
@@ -236,25 +244,26 @@ class FbmLoadModel:
         envelope = float(np.power([slots - 1.0], self.hurst)[0])
         return self.trend.rate_bound * envelope / SQRT_2PI * slot_seconds
 
-    def sample(self, slots: int, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
-        """One load row over ``slots`` slots from one fBm path.
+    def draw_rows(self, slots: int, slot_seconds: float) -> tuple:
+        """Read-only trend rate and smooth part ``(1 - alpha) * t**H / sqrt(2*pi)`` over ``slots`` slots."""
+        t = np.arange(slots)
+        envelope = np.power(t, self.hurst) / SQRT_2PI
+        return _read_only(self.trend.rate(t), (1.0 - self.alpha) * envelope)
+
+    def sample(self, rows: tuple, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
+        """One load row from ``draw_rows``' ``rows`` and one fBm path.
 
         ``trend * ((1 - alpha) * envelope + alpha * max(0, path)) * slot_seconds``,
         evaluated in place on the fresh path.
         """
-        trend, smooth = _cached_rows(self, slots, slot_seconds)
-        load = generate_fbm(self.hurst, slots, rng)
+        trend, smooth = rows
+        load = generate_fbm(self.hurst, trend.size, rng)
         np.maximum(load, 0.0, out=load)
         load *= self.alpha
         load += smooth
         load *= trend
         load *= slot_seconds
         return load
-
-    def _rows(self, t: np.ndarray, slot_seconds: float) -> tuple:
-        """The trend rate and the smooth part ``(1 - alpha) * t**H / sqrt(2*pi)``."""
-        envelope = np.power(t, self.hurst) / SQRT_2PI
-        return self.trend.rate(t), (1.0 - self.alpha) * envelope
 
 
 LoadModel = Union[BoundedLoadModel, FbmLoadModel]
@@ -267,24 +276,6 @@ class LoadMatrix:
     """
 
     values: np.ndarray
-
-
-def _cached_rows(model: LoadModel, slots: int, slot_seconds: float) -> tuple:
-    """The rows ``model._rows`` builds over ``slots`` slots, memoised for its last ``(slots, slot_seconds)``.
-
-    Every draw of a model over one horizon reuses the same deterministic
-    rows, so they are computed once and frozen read-only.  One entry per
-    model keeps the memory at a few rows per SP.
-    """
-    key = (slots, slot_seconds)
-    hit = model.__dict__.get("_rows_cache")
-    if hit is not None and hit[0] == key:
-        return hit[1]
-    rows = model._rows(np.arange(slots), slot_seconds)
-    for row in rows:
-        row.flags.writeable = False
-    object.__setattr__(model, "_rows_cache", (key, rows))
-    return rows
 
 
 def expected_load_matrix(models: Sequence[LoadModel], horizon: int, slot_seconds: float) -> np.ndarray:
@@ -368,6 +359,11 @@ def _draw_buffers(m: int):
     return _draw_local.z, _draw_local.half
 
 
+def _embedding_size(n: int) -> int:
+    """Half the circulant embedding's size for ``n`` fGn steps: the least power of two >= ``max(n, 2)``."""
+    return 1 << max(1, (n - 1).bit_length())
+
+
 def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact fGn via circulant embedding (Davies-Harte), O(n log n).
 
@@ -376,7 +372,7 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndar
     real inverse FFT of length ``2m`` of its conjugate equals the real
     part of the full complex FFT of the Hermitian-extended ``w``.
     """
-    m = 1 << max(1, (n - 1).bit_length())
+    m = _embedding_size(n)
     roots = _circulant_roots(float(hurst), m)
     z, half = _draw_buffers(m)
     rng.standard_normal(out=z)
@@ -404,13 +400,13 @@ def generate_fbm(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sample_loads(models: Sequence[LoadModel], horizon: int, slot_seconds: float, key: tuple) -> LoadMatrix:
-    """One joint load realization over slots of ``slot_seconds``, one row per model.
+def sample_loads(models: Sequence[LoadModel], rows: Sequence[tuple], slot_seconds: float, key: tuple) -> LoadMatrix:
+    """One joint load realization over slots of ``slot_seconds``, model ``i`` drawn from its ``rows[i]``.
 
     Model ``i`` consumes the substream keyed ``(*key, i)``, so the
     matrix is identical regardless of evaluation order.
     """
     if not models:
         raise ValueError("need at least one load model")
-    rows = [m.sample(horizon, slot_seconds, _substream(key, i)) for i, m in enumerate(models)]
-    return LoadMatrix(np.vstack(rows))
+    pairs = enumerate(zip(models, rows, strict=True))
+    return LoadMatrix(np.vstack([m.sample(r, slot_seconds, _substream(key, i)) for i, (m, r) in pairs]))

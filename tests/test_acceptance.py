@@ -317,8 +317,9 @@ def test_ac07_fbm_load_mean_matches_envelope():
             assert abs(float(sample.mean()) - target) <= 3.0 * se, (hurst, t)
     # public-API cross-check with a one-hour slot duration
     model = FbmLoadModel(RateProfile(100.0, (), 24), 1.0, 0.5)
+    rows = [model.draw_rows(101, 3600.0)]
     draws = np.stack(
-        [sample_loads([model], 101, 3600.0, (7073, k)).values[0] for k in range(3000)]
+        [sample_loads([model], rows, 3600.0, (7073, k)).values[0] for k in range(3000)]
     )
     for t in slots:
         sample = draws[:, t]

@@ -6,7 +6,7 @@ import pathlib
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,11 +165,44 @@ class TestDeterminism:
         table = build_value_table(scenario.expected_loads(), scenario.params)
         outcomes = simulate(scenario, table, 515, seed=11, workers=workers)
         assert len(outcomes) == 515  # outcome omega is realization omega's draw, checked below
+        slot_seconds = scenario.params.slot_seconds
+        rows = [m.draw_rows(scenario.horizon, slot_seconds) for m in scenario.models]
         for omega, o in enumerate(outcomes):
-            drawn = sample_loads(scenario.models, scenario.horizon, scenario.params.slot_seconds, (11, omega))
+            drawn = sample_loads(scenario.models, rows, slot_seconds, (11, omega))
             assert np.array_equal(o.loads.values, drawn.values)
             by_hand = reference.values(table.plans, o.loads.values, scenario.params)
             assert o.values == pytest.approx(by_hand, rel=1e-9)
+
+    @pytest.mark.parametrize("workers", (1, 4))
+    @pytest.mark.parametrize("make", (lambda: bounded_scenario(0.4), fbm_scenario), ids=("bounded", "fbm"))
+    def test_scenarios_sharing_models_draw_alone_or_interleaved(self, make, workers):
+        # the payback --periods pattern: one set of models over scenarios of two horizons and two
+        # slot lengths; each call's draws come from its own rows, never the other call's
+        base = make()
+        scenarios = [
+            replace(base, params=replace(base.params, investment_hours=48.0, slot_hours=1.0)),
+            replace(base, params=replace(base.params, investment_hours=36.0, slot_hours=0.5)),
+        ]
+        assert scenarios[0].models is scenarios[1].models
+        tables = [build_value_table(s.expected_loads(), s.params) for s in scenarios]
+
+        def run(i):
+            return [o.loads.values for o in simulate(scenarios[i], tables[i], 64, seed=3, workers=workers)]
+
+        alone = [run(0), run(1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                interleaved = list(pool.map(run, (0, 1, 0, 1)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [a.shape for a in alone[0][:1] + alone[1][:1]] == [(2, 48), (2, 72)]
+        for i, draws in enumerate(interleaved):
+            assert len(draws) == 64
+            assert all(np.array_equal(a, b) for a, b in zip(draws, alone[i % 2]))
+        for model in base.models:  # the models keep nothing of the draws
+            assert vars(model).keys() == {f.name for f in fields(model)}
 
     def test_seed_changes_results(self):
         scenario = bounded_scenario(0.3)
@@ -275,8 +308,8 @@ class TestPaybackSlots:
         assert len(set(slots)) > 2  # the draws move the payback slot
 
     def test_many_threads_on_cold_caches(self):
-        # more workers than cores, all filling the same models' row caches
-        # and their own draw buffers at once
+        # more workers than cores, all reading the call's shared draw rows
+        # and filling their own draw buffers at once
         scenario = fbm_scenario()
         table = build_value_table(scenario.expected_loads(), scenario.params)
         plan = table.plans[table.grand_bits]
@@ -338,7 +371,8 @@ class TestRealizedOverflow:
 
     def test_revenue_case_draws_finite_loads(self):
         scenario = overflow_scenario(1.0, 0.99)
-        loads = sample_loads(scenario.models, scenario.horizon, 3600.0, (0, 13)).values
+        rows = [m.draw_rows(scenario.horizon, 3600.0) for m in scenario.models]
+        loads = sample_loads(scenario.models, rows, 3600.0, (0, 13)).values
         assert np.isfinite(loads).all()
         table = build_value_table(scenario.expected_loads(), scenario.params)
         with warnings.catch_warnings():

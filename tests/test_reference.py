@@ -112,8 +112,9 @@ def reference_game(seed: int):
 
 
 def draws(scenario, seed):
-    horizon, slot_seconds = scenario.horizon, scenario.params.slot_seconds
-    return [sample_loads(scenario.models, horizon, slot_seconds, (seed, omega)).values for omega in range(REALIZATIONS)]
+    slot_seconds = scenario.params.slot_seconds
+    rows = [m.draw_rows(scenario.horizon, slot_seconds) for m in scenario.models]
+    return [sample_loads(scenario.models, rows, slot_seconds, (seed, omega)).values for omega in range(REALIZATIONS)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -240,8 +241,9 @@ def test_deviations_below_delta_hat_keep_both_positions_in_the_realized_core():
         payoff = reference.shapley(values, n_players)
         delta = reference.deviation_threshold(values, reference.sigma_hat(values, payoff), n_players)
         expected_revenue = reference.sp_revenues(plans[-1], scenario.expected_loads(), params)
+        rows = [m.draw_rows(scenario.horizon, params.slot_seconds) for m in scenario.models]
         for omega in range(STABLE_DRAWS):
-            loads = sample_loads(scenario.models, scenario.horizon, params.slot_seconds, (seed, omega)).values
+            loads = sample_loads(scenario.models, rows, params.slot_seconds, (seed, omega)).values
             revenue = reference.sp_revenues(plans[-1], loads, params)
             deviations = [0.0] + [r - e for r, e in zip(revenue, expected_revenue)]
             if not all(abs(d) < delta for d in deviations):

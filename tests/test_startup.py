@@ -1,7 +1,8 @@
 """Process start-up: lazy package exports and the CLI's BLAS thread default.
 
 Also stdlib ``ast`` guards, since no linter runs on this code: no ``coinvest`` module keeps
-an import it never uses, and no module-level name that nothing in the package reads.
+an import it never uses, and no module-level name that nothing in the package reads; and a
+frozen record is changed only while it is being built.
 """
 
 import ast
@@ -134,3 +135,36 @@ def test_every_module_level_name_is_read():
         if name not in read and name not in coinvest.__all__
     }
     assert not dead, f"defined and never read: {dead}"
+
+
+def setattr_sites(tree):
+    """``(qualified name, line)`` of the function or class around each ``object.__setattr__`` in ``tree``."""
+    sites = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, names + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"
+            ):
+                sites.append((".".join(names), child.lineno))
+            visit(child, names)
+
+    visit(tree, [])
+    return sites
+
+
+def test_frozen_records_change_only_while_built():
+    """``object.__setattr__`` appears in ``coinvest`` only inside a ``__post_init__``, so no
+    frozen record gains or changes a field after it is built."""
+    sites = {
+        f"{p.stem}.{name}:{line}"
+        for p in sorted(pathlib.Path(SRC, "coinvest").glob("*.py"))
+        for name, line in setattr_sites(ast.parse(p.read_text()))
+    }
+    assert any(".__post_init__:" in site for site in sites)  # the walk sees the records' own builds
+    outside = sorted(site for site in sites if ".__post_init__:" not in site)
+    assert not outside, f"object.__setattr__ outside __post_init__: {outside}"

@@ -3,7 +3,7 @@
 import math
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -22,6 +22,7 @@ from coinvest import traffic
 from coinvest.traffic import (
     MAX_FBM_SLOTS,
     _circulant_roots,
+    _embedding_size,
     _fgn_autocov,
     _fgn_davies_harte,
     _substream,
@@ -34,7 +35,7 @@ BIG = 10**400
 
 def full_fft_fgn(hurst, n, rng, paths=1):
     """Oracle: Davies-Harte through the full complex FFT of the Hermitian-extended weights."""
-    m = 1 << max(1, (n - 1).bit_length())
+    m = _embedding_size(n)
     gamma = _fgn_autocov(hurst, np.arange(m + 1))
     eig = np.clip(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None)
     two_m = 2 * m
@@ -46,6 +47,11 @@ def full_fft_fgn(hurst, n, rng, paths=1):
     w[:, 1:m] = scale * (z[:, 1:m] + 1j * z[:, m + 1:][:, ::-1])
     w[:, m + 1:] = np.conj(w[:, 1:m])[:, ::-1]
     return np.fft.fft(w, axis=1).real[:, :n]
+
+
+def rows_of(models, horizon, slot_seconds):
+    """Each model's draw rows over ``horizon`` slots, as ``montecarlo._priced`` builds them."""
+    return [m.draw_rows(horizon, slot_seconds) for m in models]
 
 
 def random_profile(rng):
@@ -320,37 +326,41 @@ class TestBoundedSampling:
 
     def test_zero_spread_is_exactly_the_mean(self):
         models = self.make_models(0.0)
-        loads = sample_loads(models, 24, 3600.0, (7,))
+        loads = sample_loads(models, rows_of(models, 24, 3600.0), 3600.0, (7,))
         assert np.array_equal(loads.values, expected_load_matrix(models, 24, 3600.0))
 
     def test_full_spread_stays_in_doubled_band(self):
         models = self.make_models(1.0)
         mean = expected_load_matrix(models, 24, 3600.0)
+        rows = rows_of(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, 24, 3600.0, (seed,))
+            loads = sample_loads(models, rows, 3600.0, (seed,))
             assert (loads.values >= 0.0).all()
             assert (loads.values <= 2.0 * mean + 1e-9).all()
 
     def test_band_containment_mid_spread(self):
         models = self.make_models(0.35)
         mean = expected_load_matrix(models, 24, 3600.0)
+        rows = rows_of(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, 24, 3600.0, (seed,)).values
+            loads = sample_loads(models, rows, 3600.0, (seed,)).values
             assert (loads >= 0.65 * mean - 1e-9).all()
             assert (loads <= 1.35 * mean + 1e-9).all()
 
     def test_deterministic_per_seed(self):
         models = self.make_models(0.5)
-        a = sample_loads(models, 24, 3600.0, (42,)).values
-        b = sample_loads(models, 24, 3600.0, (42,)).values
-        c = sample_loads(models, 24, 3600.0, (43,)).values
+        rows = rows_of(models, 24, 3600.0)
+        a = sample_loads(models, rows, 3600.0, (42,)).values
+        b = sample_loads(models, rows, 3600.0, (42,)).values
+        c = sample_loads(models, rows, 3600.0, (43,)).values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rows_do_not_depend_on_other_players(self):
         models = self.make_models(0.5)
-        both = sample_loads(models, 24, 3600.0, (11,)).values
-        first_alone = sample_loads(models[:1], 24, 3600.0, (11,)).values
+        rows = rows_of(models, 24, 3600.0)
+        both = sample_loads(models, rows, 3600.0, (11,)).values
+        first_alone = sample_loads(models[:1], rows[:1], 3600.0, (11,)).values
         assert np.array_equal(both[:1], first_alone)
 
     @pytest.mark.parametrize("horizon, streams", [(1, 200), (24, 200), (43_800, 20)])
@@ -358,16 +368,17 @@ class TestBoundedSampling:
     def test_draws_equal_numpy_uniform_bit_for_bit(self, spread, horizon, streams):
         model = BoundedLoadModel(RateProfile(100.0, ((20.0, 2.0), (7.5, 5.25)), 24), spread)
         mean = expected_load_matrix([model], horizon, 3600.0)[0]
+        rows = model.draw_rows(horizon, 3600.0)
         for k in range(streams):
             want = _substream((3,), k).uniform((1.0 - spread) * mean, (1.0 + spread) * mean)
-            got = model.sample(horizon, 3600.0, _substream((3,), k))
+            got = model.sample(rows, 3600.0, _substream((3,), k))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_sample_mean_converges(self):
         # one long-horizon draw gives many independent slot samples
         model = BoundedLoadModel(RateProfile(100.0), 0.5)
         n = 100_000
-        draws = sample_loads([model], n, 1.0, (9,)).values[0]
+        draws = sample_loads([model], rows_of([model], n, 1.0), 1.0, (9,)).values[0]
         assert draws.min() >= 50.0 and draws.max() <= 150.0
         se = (100.0 / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(draws.mean() - 100.0) < 3 * se
@@ -457,10 +468,11 @@ class TestFbmGeneration:
         models = [
             FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h) for h in (0.7, 0.3)
         ]
+        rows = rows_of(models, 1000, 60.0)
         _circulant_roots.cache_clear()
-        cold = sample_loads(models, 1000, 60.0, (9, 2)).values
+        cold = sample_loads(models, rows, 60.0, (9, 2)).values
         assert _circulant_roots.cache_info().currsize == 2
-        warm = sample_loads(models, 1000, 60.0, (9, 2)).values
+        warm = sample_loads(models, rows, 60.0, (9, 2)).values
         assert _circulant_roots.cache_info().hits >= 2
         assert np.array_equal(cold, warm)
 
@@ -523,12 +535,12 @@ class TestFbmSampling:
     def test_alpha_zero_equals_expected_load(self):
         model = self.make_model(0.0)
         slots = np.arange(24)
-        loads = sample_loads([model], 24, 60.0, (99,)).values[0]
+        loads = sample_loads([model], rows_of([model], 24, 60.0), 60.0, (99,)).values[0]
         assert np.allclose(loads, model.expected_rate(slots) * 60.0, rtol=1e-12, atol=0.0)
 
     def test_alpha_one_is_pure_path(self):
         model = self.make_model(1.0)
-        loads = sample_loads([model], 24, 60.0, (5,)).values[0]
+        loads = sample_loads([model], rows_of([model], 24, 60.0), 60.0, (5,)).values[0]
         assert loads[0] == 0.0  # path starts at the origin
         # reconstruct from the same substream to confirm the formula
         path = generate_fbm(0.7, 24, _substream((5,), 0))
@@ -539,8 +551,9 @@ class TestFbmSampling:
     def test_sample_mean_matches_expected_load(self):
         model = self.make_model(0.6)
         t = 5
+        rows = rows_of([model], 6, 60.0)
         draws = np.array(
-            [sample_loads([model], 6, 60.0, (4, k)).values[0, t] for k in range(20_000)]
+            [sample_loads([model], rows, 60.0, (4, k)).values[0, t] for k in range(20_000)]
         )
         target = model.expected_rate(t) * 60.0
         se = draws.std() / math.sqrt(draws.size)
@@ -548,28 +561,32 @@ class TestFbmSampling:
 
     def test_loads_nonnegative(self):
         model = self.make_model(1.0, hurst=0.4)
+        rows = rows_of([model], 48, 60.0)
         for seed in range(10):
-            assert (sample_loads([model], 48, 60.0, (seed,)).values >= 0.0).all()
+            assert (sample_loads([model], rows, 60.0, (seed,)).values >= 0.0).all()
 
     def test_deterministic_and_player_keyed(self):
         models = [self.make_model(0.5), self.make_model(0.9)]
-        a = sample_loads(models, 24, 60.0, (77,)).values
-        b = sample_loads(models, 24, 60.0, (77,)).values
+        rows = rows_of(models, 24, 60.0)
+        a = sample_loads(models, rows, 60.0, (77,)).values
+        b = sample_loads(models, rows, 60.0, (77,)).values
         assert np.array_equal(a, b)
-        alone = sample_loads(models[:1], 24, 60.0, (77,)).values
+        alone = sample_loads(models[:1], rows[:1], 60.0, (77,)).values
         assert np.array_equal(a[:1], alone)
 
     def test_dispatcher_routes_by_kind(self):
         bounded = BoundedLoadModel(RateProfile(10.0), 0.1)
         fbm = self.make_model(0.5)
-        assert sample_loads([bounded], 4, 1.0, (0,)).values.shape == (1, 4)
-        assert sample_loads([fbm], 4, 60.0, (0,)).values.shape == (1, 4)
+        assert sample_loads([bounded], rows_of([bounded], 4, 1.0), 1.0, (0,)).values.shape == (1, 4)
+        assert sample_loads([fbm], rows_of([fbm], 4, 60.0), 60.0, (0,)).values.shape == (1, 4)
         with pytest.raises(ValueError):
-            sample_loads([], 4, 60.0, (0,))
+            sample_loads([], [], 60.0, (0,))
+        with pytest.raises(ValueError, match="shorter"):  # one model without its rows
+            sample_loads([bounded, fbm], rows_of([bounded], 4, 60.0), 60.0, (0,))
 
 
 class TestSamplerRows:
-    """Each model's deterministic rows are computed once per horizon."""
+    """``draw_rows`` builds each model's deterministic rows, and the model keeps none of them."""
 
     MODELS = (
         BoundedLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.3),
@@ -577,32 +594,37 @@ class TestSamplerRows:
     )
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
-    def test_cached_rows_are_read_only(self, model):
-        model.sample(48, 60.0, np.random.default_rng(0))
-        key, rows = model._rows_cache
-        assert key == (48, 60.0) and rows
+    def test_rows_are_read_only(self, model):
+        rows = model.draw_rows(48, 60.0)
+        model.sample(rows, 60.0, np.random.default_rng(0))
+        assert rows
         for row in rows:
             assert row.shape == (48,) and not row.flags.writeable
+        assert vars(model).keys() == {f.name for f in fields(model)}
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_draws_follow_the_horizon(self, model):
-        a = model.sample(24, 60.0, np.random.default_rng(1))
-        first = model.sample(24, 60.0, np.random.default_rng(2))
+        day = model.draw_rows(24, 60.0)
+        a = model.sample(day, 60.0, np.random.default_rng(1))
+        first = model.sample(day, 60.0, np.random.default_rng(2))
         kept = first.copy()
-        model.sample(48, 60.0, np.random.default_rng(1))
-        b = model.sample(24, 60.0, np.random.default_rng(1))
-        fresh = replace(model).sample(24, 60.0, np.random.default_rng(1))
+        two_days = model.draw_rows(48, 60.0)
+        model.sample(two_days, 60.0, np.random.default_rng(1))
+        b = model.sample(model.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
+        twin = replace(model)
+        fresh = twin.sample(twin.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
         assert np.array_equal(a, b) and np.array_equal(a, fresh)
         assert np.array_equal(first, kept)
+        assert all(np.array_equal(long[:24], short) for long, short in zip(two_days, day))
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_draws_follow_the_slot_length(self, model):
-        # the rows are cached per (slots, slot_seconds); doubling the slot doubles each load exactly
-        a = model.sample(24, 60.0, np.random.default_rng(1))
-        b = model.sample(24, 120.0, np.random.default_rng(1))
-        assert model._rows_cache[0] == (24, 120.0)
+        # doubling the slot doubles each load exactly
+        a = model.sample(model.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
+        b = model.sample(model.draw_rows(24, 120.0), 120.0, np.random.default_rng(1))
+        twin = replace(model)
         assert np.array_equal(b, 2.0 * a)
-        assert np.array_equal(b, replace(model).sample(24, 120.0, np.random.default_rng(1)))
+        assert np.array_equal(b, twin.sample(twin.draw_rows(24, 120.0), 120.0, np.random.default_rng(1)))
 
 
 class TestLoadMatrix:
