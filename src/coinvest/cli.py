@@ -35,8 +35,8 @@ the memory of one share row.  Exit codes:
 0 success, 1 configuration problem, 2 numeric failure (results not
 finite and out of memory included), 3 command/model mismatch.
 
-Only ``simulate`` and ``payback`` take ``--seed``, ``--realizations`` and
-``COINVEST_THREADS`` (at most ``MAX_THREADS`` workers; same output at any count).
+Only ``simulate`` and ``payback`` take ``--seed`` and ``--realizations``.  No setting
+chooses their threads (``montecarlo`` does), and the output is the same at any count.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, so a CLI
@@ -87,9 +87,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_MISMATCH = 3
-
-# Ceiling on COINVEST_THREADS; each worker thread holds its own draw buffers.
-MAX_THREADS = 256
 
 
 class ConfigError(ValueError):
@@ -340,19 +337,6 @@ def _check_output_paths(out: str, config: str):
             raise ConfigError(f"--out: {path} would overwrite the config {config}")
 
 
-def _workers() -> int:
-    raw = os.environ.get("COINVEST_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"COINVEST_THREADS: expected a positive integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("COINVEST_THREADS: expected a positive integer")
-    if value > MAX_THREADS:
-        raise ConfigError(f"COINVEST_THREADS: {value} exceeds the ceiling of {MAX_THREADS} threads")
-    return value
-
-
 def _per_player(names, values, convert=float) -> dict:
     return {name: convert(v) for name, v in zip(names, values)}
 
@@ -483,14 +467,7 @@ def cmd_simulate(args, scenario: Scenario):
     table = build_value_table(scenario.expected_loads(), scenario.params)
     payoff = shapley(table)
     delta = deviation_threshold(table, stability_value_hat(table, payoff))
-    outcomes = simulate(
-        scenario,
-        table,
-        args.realizations,
-        args.seed,
-        payment_mode=args.payment_mode,
-        workers=args.workers,
-    )
+    outcomes = simulate(scenario, table, args.realizations, args.seed, payment_mode=args.payment_mode)
     summary = summarize(outcomes, delta)
     names = scenario.player_names
 
@@ -533,7 +510,7 @@ def cmd_payback(args, scenario: Scenario):
     period_meta = []
     for y, sub in _variants(args.periods, "--periods", "{} years", period):  # all built before any planning
         plan = optimal_plan(grand, sub.expected_loads(), sub.params)
-        slots = payback_slots(sub, plan, args.realizations, args.seed, workers=args.workers)
+        slots = payback_slots(sub, plan, args.realizations, args.seed)
         paybacks.append((y, slots))
         quantiles, censored = payback_quantiles(slots)
         period_meta.append(
@@ -609,7 +586,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
             if args.realizations < 1:
                 raise ConfigError("--realizations: must be at least 1")
-            args.workers = _workers()
         _check_output_paths(args.out, args.config)
         scenario, normalized = load_config(args.config)
         header, rows, sidecar = args.func(args, scenario)

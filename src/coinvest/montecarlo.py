@@ -30,14 +30,22 @@ Settlement modes:
   ``p_i = expected_collected_i - expected_payoff_i``; realized rewards
   then fluctuate with the realized Shapley payoffs.
 
+Threads: ``simulate`` settles on ``_pool_size`` threads: one below 128
+coalitions (6 SPs), else one per CPU the process may run on (so
+``taskset`` bounds them), at most one per realization; the README gives
+the measured crossover.  ``payback_slots`` settles one plan, serially.
+Each pool thread keeps its own fBm draw buffers, ``32 * m`` bytes for an
+embedding of ``m`` slots (2 MB at 43 800 slots).
+
 Determinism: realization ``omega`` for player ``i`` consumes the
 substream keyed ``(master_seed, omega, i)`` in both functions and reads
-nothing else random, so output is bit-for-bit identical at any
-parallelism level.
+nothing else random, so output is bit-for-bit identical on any number of
+threads.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,18 +90,14 @@ class SimulationSummary:
 QUANTILES = {"min": 0.0, "p25": 0.25, "p50": 0.5, "p75": 0.75, "max": 1.0}
 QUANTILE_GRID = tuple(QUANTILES.values())
 
+_POOL_COALITIONS = 128  # coalitions from which simulate settles on a thread pool
 
-def _check_counts(n_realizations: int, workers: int):
+
+def _priced(scenario: Scenario, plans: Sequence[AllocationPlan], n_realizations: int):
+    """Revenue per request (plan x SP x slot) and installed cost of each of ``plans``, and each SP's
+    ``draw_rows``, once the count and the last plan's fit are checked (a table's last is the grand)."""
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-
-
-def _priced(scenario: Scenario, plans: Sequence[AllocationPlan], n_realizations: int, workers: int):
-    """Revenue per request (plan x SP x slot) and installed cost of each of ``plans``, and each SP's
-    ``draw_rows``, once the counts and the last plan's fit are checked (a table's last is the grand)."""
-    _check_counts(n_realizations, workers)
     _check_fit(plans[-1], scenario)
     weights = np.empty((len(plans),) + plans[-1].shares.shape)
     for w, p in zip(weights, plans):
@@ -142,14 +146,16 @@ def _payback_slot(weights: np.ndarray, loads: np.ndarray, installed: float, omeg
     return first if recovered[first] else None
 
 
-def _map_realizations(settle, n_realizations: int, workers: int) -> list:
-    """``[settle(omega) for omega in range(n_realizations)]``, on at most ``workers`` threads."""
-    workers = min(workers, n_realizations)  # map submits every realization at once
-    if workers == 1:
-        return [settle(omega) for omega in range(n_realizations)]
-    from concurrent.futures import ThreadPoolExecutor  # here, so a one-worker process never imports it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(settle, range(n_realizations)))
+def _pool_size(coalitions: int, n_realizations: int) -> int:
+    """Threads ``simulate`` settles on: one below ``_POOL_COALITIONS`` coalitions, else one per CPU
+    this process may run on, at most one per realization."""
+    if coalitions < _POOL_COALITIONS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_realizations)
 
 
 def simulate(
@@ -158,12 +164,11 @@ def simulate(
     n_realizations: int,
     seed: int,
     payment_mode: str = "ex-post",
-    workers: int = 1,
 ):
     """Draw ``n_realizations`` demand paths and settle each one."""
     if payment_mode not in PAYMENT_MODES:
         raise ValueError(f"payment_mode must be one of {PAYMENT_MODES}")
-    weights, costs, rows = _priced(scenario, table.plans, n_realizations, workers)
+    weights, costs, rows = _priced(scenario, table.plans, n_realizations)
     grand = table.grand_bits
     # each player's collected revenue at the expected loads, the InP's 0 first
     nominal = np.concatenate(([0.0], (weights[grand] * scenario.expected_loads()).sum(axis=1)))
@@ -195,7 +200,12 @@ def simulate(
             payback_slot=payback_slot,
         )
 
-    return _map_realizations(settle, n_realizations, workers)
+    workers = _pool_size(len(table.plans), n_realizations)
+    if workers == 1:
+        return [settle(omega) for omega in range(n_realizations)]
+    from concurrent.futures import ThreadPoolExecutor  # here, so a serial process never imports it
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(settle, range(n_realizations)))
 
 
 def payback_slots(
@@ -203,7 +213,6 @@ def payback_slots(
     plan: AllocationPlan,
     n_realizations: int,
     seed: int,
-    workers: int = 1,
 ) -> list:
     """Payback slot of ``plan`` in each of ``n_realizations`` demand draws.
 
@@ -213,23 +222,35 @@ def payback_slots(
     draws, so for the grand plan the list equals the outcomes'
     ``payback_slot``s, with no value table, Shapley split or kept loads.
     """
-    (weights,), (installed,), rows = _priced(scenario, (plan,), n_realizations, workers)
+    (weights,), (installed,), rows = _priced(scenario, (plan,), n_realizations)
+    return [
+        _payback_slot(weights, _draw(scenario, rows, seed, omega).values, installed, omega)
+        for omega in range(n_realizations)
+    ]
 
-    def settle(omega: int) -> Optional[int]:
-        return _payback_slot(weights, _draw(scenario, rows, seed, omega).values, installed, omega)
 
-    return _map_realizations(settle, n_realizations, workers)
-
-
-def _quantiles(matrix: np.ndarray) -> np.ndarray:
-    return np.quantile(matrix, QUANTILE_GRID, axis=0).T
+def _quantiles(values) -> np.ndarray:
+    """``np.quantile(values, QUANTILE_GRID, axis=0).T`` bit for bit, by numpy's linear steps (the same
+    partition, so 0.0 and -0.0 tie alike), without the ``np.unique`` that imports ``numpy.ma``."""
+    ordered = np.array(values, dtype=float)  # a copy, partitioned in place
+    n = len(ordered)
+    virtual = (n - 1) * np.array(QUANTILE_GRID)
+    last = virtual >= n - 1  # numpy reads index -1 on both sides there, with t = virtual + 1
+    prev = np.where(last, -1, np.floor(virtual)).astype(np.intp)
+    next_ = np.where(last, -1, np.floor(virtual) + 1).astype(np.intp)
+    ordered.partition(sorted({0, -1, *prev.tolist(), *next_.tolist()}), axis=0)
+    a, b = ordered[prev], ordered[next_]
+    t = (virtual - prev).reshape((-1,) + (1,) * (ordered.ndim - 1))
+    d = b - a
+    result = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    np.copyto(result, ordered[-1], where=np.isnan(ordered[-1]))
+    return result.T
 
 
 def payback_quantiles(slots: Sequence[Optional[int]]):
     """Quantiles of the recovered payback slots (None if there are none) and the censored count."""
     recovered = [s for s in slots if s is not None]
-    quantiles = np.quantile(np.array(recovered, dtype=float), QUANTILE_GRID) if recovered else None
-    return quantiles, len(slots) - len(recovered)
+    return (_quantiles(recovered) if recovered else None), len(slots) - len(recovered)
 
 
 def summarize(outcomes: Sequence[RealizationOutcome], delta: float) -> SimulationSummary:

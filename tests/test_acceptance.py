@@ -444,7 +444,7 @@ def test_ac11_bound_separates_even_from_lopsided_coalitions():
     )
 
 
-def test_ac12_cli_output_identical_across_worker_counts(tmp_path, monkeypatch):
+def test_ac12_cli_output_identical_across_worker_counts(tmp_path, pool):
     start = time.perf_counter()
     config = {
         "schema_version": 1,
@@ -480,13 +480,13 @@ def test_ac12_cli_output_identical_across_worker_counts(tmp_path, monkeypatch):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
     outputs = {}
-    for workers in ("1", "8"):
-        monkeypatch.setenv("COINVEST_THREADS", workers)
+    for workers in (1, 8):
+        pool(workers)
         out = tmp_path / f"sim{workers}.csv"
         code = cli_main(
             ["simulate", str(path), "--out", str(out), "--realizations", "1100", "--seed", "77"]
         )
         assert code == 0
         outputs[workers] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
-    assert outputs["1"] == outputs["8"]
+    assert outputs[1] == outputs[8]
     _passed("AC12", start, None, "simulate output is byte-identical at 1 and 8 workers")

@@ -998,55 +998,30 @@ class TestSimulate:
         q = sidecar["payoff_quantiles"]["east"]
         assert q["min"] <= q["p50"] <= q["max"]
 
-    def test_thread_count_is_invisible(self, write_config, tmp_path, monkeypatch):
+    def test_thread_count_is_invisible(self, write_config, tmp_path, pool):
         path = write_config(base_config())
         args = ["simulate", path, "--realizations", "40", "--seed", "3"]
-        monkeypatch.setenv("COINVEST_THREADS", "1")
+        pool(1)
         a = tmp_path / "a.csv"
         assert main(args + ["--out", str(a)]) == 0
-        monkeypatch.setenv("COINVEST_THREADS", "2")
+        pool(2)
         b = tmp_path / "b.csv"
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_fbm_thread_count_is_invisible(self, write_config, tmp_path, monkeypatch):
+    def test_fbm_thread_count_is_invisible(self, write_config, tmp_path, pool):
         cfg = fbm_config()
         cfg["economics"]["investment_years"] = 48.0 / 8760.0
         args = ["simulate", write_config(cfg), "--realizations", "515", "--seed", "4"]
-        monkeypatch.setenv("COINVEST_THREADS", "1")
+        pool(1)
         a = tmp_path / "a.csv"
         assert main(args + ["--out", str(a)]) == 0
-        monkeypatch.setenv("COINVEST_THREADS", "3")
+        pool(3)
         b = tmp_path / "b.csv"
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_thread_env_validated(self, write_config, tmp_path, monkeypatch, capsys, no_planning):
-        path = write_config(base_config())
-        out = str(tmp_path / "sim.csv")
-        for bad in ("zero", "0"):
-            monkeypatch.setenv("COINVEST_THREADS", bad)
-            assert main(["simulate", path, "--out", out, "--realizations", "1"]) == 1
-            assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
-            assert main(["payback", path, "--out", out, "--periods", "1", "--realizations", "1"]) == 1
-            assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
-
-    def test_thread_env_ceiling(self, write_config, tmp_path, monkeypatch, capsys, no_planning):
-        path = write_config(base_config())
-        out = str(tmp_path / "sim.csv")
-        for bad in (str(cli.MAX_THREADS + 1), "100000"):
-            monkeypatch.setenv("COINVEST_THREADS", bad)
-            assert main(["simulate", path, "--out", out, "--realizations", "100000"]) == 1
-            assert capsys.readouterr().err == (
-                f"error: COINVEST_THREADS: {bad} exceeds the ceiling of {cli.MAX_THREADS} threads\n"
-            )
-            assert main(["payback", path, "--out", out, "--periods", "1", "--realizations", "100000"]) == 1
-            assert capsys.readouterr().err.startswith("error: COINVEST_THREADS: ")
-        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
-        monkeypatch.setenv("COINVEST_THREADS", str(cli.MAX_THREADS))
-        assert cli._workers() == cli.MAX_THREADS
 
     def test_payment_mode_flag(self, write_config, tmp_path):
         path = write_config(base_config())
@@ -1086,8 +1061,8 @@ class TestRealizedOverflow:
     """A drawn path whose loads or revenue overflow a float ends ``simulate`` and ``payback`` with
     exit 2, naming the realization and the SP: nothing written, no warning, at any worker count."""
 
-    def run(self, cfg, command, workers, tmp_path, capsys, write_config, monkeypatch):
-        monkeypatch.setenv("COINVEST_THREADS", str(workers))
+    def run(self, cfg, command, workers, tmp_path, capsys, write_config, pool):
+        pool(workers)
         name, *flags = command.split()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1097,18 +1072,18 @@ class TestRealizedOverflow:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", ["payback --periods 5 --realizations 20", "simulate --realizations 20"])
-    def test_infinite_loads(self, write_config, tmp_path, capsys, monkeypatch, command, workers):
+    def test_infinite_loads(self, write_config, tmp_path, capsys, pool, command, workers):
         # load_bound(43800, 3600) is half the largest float; drawn paths reach twice the envelope
         cfg = shipped_config("edge-fbm.json")
         cfg["uncertainty"]["alpha"] = 1
         cfg["economics"]["investment_years"] = 5
         cfg["players"][0]["profile"] = {"base_rate": 3.527345993044867e301, "period": 24, "components": []}
-        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, monkeypatch)
+        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, pool)
         assert err == "error: realization 11: players[0]: realized loads are not finite\n"
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", ["payback --periods 0.1 --realizations 20", "simulate --realizations 20"])
-    def test_finite_loads_whose_revenue_overflows(self, write_config, tmp_path, capsys, monkeypatch, command, workers):
+    def test_finite_loads_whose_revenue_overflows(self, write_config, tmp_path, capsys, pool, command, workers):
         # a revenue bound of 0.99 of the largest float over 876 slots, with loads far below it
         cfg = shipped_config("edge-fbm.json")
         cfg["uncertainty"]["alpha"] = 1
@@ -1116,7 +1091,7 @@ class TestRealizedOverflow:
         cfg["players"][0]["benefit"] = 1.0
         base = 0.99 * sys.float_info.max / (875**0.7 / math.sqrt(2.0 * math.pi) * 3600.0 * 876)
         cfg["players"][0]["profile"] = {"base_rate": base, "period": 24, "components": []}
-        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, monkeypatch)
+        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, pool)
         assert err == "error: realization 13: players[0]: realized revenue over players[0..0] is not finite\n"
 
 
@@ -1331,16 +1306,6 @@ class TestDrawSettings:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
-
-    @pytest.mark.parametrize("command", ["plan", "stability"])
-    def test_planning_commands_ignore_the_thread_env(self, write_config, tmp_path, monkeypatch, command):
-        path = write_config(base_config())
-        assert main([command, path, "--out", str(tmp_path / "ref.csv")]) == 0
-        for k, value in enumerate(("zero", "0", str(cli.MAX_THREADS + 1))):
-            monkeypatch.setenv("COINVEST_THREADS", value)
-            assert main([command, path, "--out", str(tmp_path / f"run{k}.csv")]) == 0
-            for ext in (".csv", ".json"):
-                assert (tmp_path / f"run{k}{ext}").read_bytes() == (tmp_path / f"ref{ext}").read_bytes()
 
     def test_each_drawing_command_keeps_its_realization_default(self):
         parser = cli.build_parser()

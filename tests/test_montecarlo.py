@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 import pathlib
 import sys
 import time
@@ -147,11 +148,13 @@ class TestSettlementIdentities:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, pool):
         scenario = bounded_scenario(0.3)
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        serial = simulate(scenario, table, 600, seed=5, workers=1)
-        threaded = simulate(scenario, table, 600, seed=5, workers=4)
+        pool(1)
+        serial = simulate(scenario, table, 600, seed=5)
+        pool(4)
+        threaded = simulate(scenario, table, 600, seed=5)
         assert len(serial) == len(threaded) == 600
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.loads.values, b.loads.values)
@@ -160,10 +163,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", (1, 3))
     @pytest.mark.parametrize("make", (lambda: bounded_scenario(0.4), fbm_scenario), ids=("bounded", "fbm"))
-    def test_each_outcome_is_its_own_draw_priced_by_hand(self, make, workers):
+    def test_each_outcome_is_its_own_draw_priced_by_hand(self, make, workers, pool):
         scenario = make()
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        outcomes = simulate(scenario, table, 515, seed=11, workers=workers)
+        pool(workers)
+        outcomes = simulate(scenario, table, 515, seed=11)
         assert len(outcomes) == 515  # outcome omega is realization omega's draw, checked below
         slot_seconds = scenario.params.slot_seconds
         rows = [m.draw_rows(scenario.horizon, slot_seconds) for m in scenario.models]
@@ -175,7 +179,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", (1, 4))
     @pytest.mark.parametrize("make", (lambda: bounded_scenario(0.4), fbm_scenario), ids=("bounded", "fbm"))
-    def test_scenarios_sharing_models_draw_alone_or_interleaved(self, make, workers):
+    def test_scenarios_sharing_models_draw_alone_or_interleaved(self, make, workers, pool):
         # the payback --periods pattern: one set of models over scenarios of two horizons and two
         # slot lengths; each call's draws come from its own rows, never the other call's
         base = make()
@@ -185,15 +189,16 @@ class TestDeterminism:
         ]
         assert scenarios[0].models is scenarios[1].models
         tables = [build_value_table(s.expected_loads(), s.params) for s in scenarios]
+        pool(workers)
 
         def run(i):
-            return [o.loads.values for o in simulate(scenarios[i], tables[i], 64, seed=3, workers=workers)]
+            return [o.loads.values for o in simulate(scenarios[i], tables[i], 64, seed=3)]
 
         alone = [run(0), run(1)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
                 interleaved = list(pool.map(run, (0, 1, 0, 1)))
         finally:
             sys.setswitchinterval(interval)
@@ -203,6 +208,29 @@ class TestDeterminism:
             assert all(np.array_equal(a, b) for a, b in zip(draws, alone[i % 2]))
         for model in base.models:  # the models keep nothing of the draws
             assert vars(model).keys() == {f.name for f in fields(model)}
+
+    def test_many_threads_on_cold_caches(self, pool):
+        # more threads than cores, all reading the call's shared draw rows
+        # and filling their own draw buffers at once
+        scenario = fbm_scenario()
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        count = 2049
+        pool(1)
+        serial = simulate(scenario, table, count, 12)
+        pool(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            threaded = simulate(fbm_scenario(), table, count, 12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 60.0
+        assert len(threaded) == count
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.loads.values, b.loads.values)
+            assert np.array_equal(a.payoffs, b.payoffs)
+            assert a.payback_slot == b.payback_slot
 
     def test_seed_changes_results(self):
         scenario = bounded_scenario(0.3)
@@ -257,6 +285,26 @@ class TestSummaries:
         assert summary.stability_frequency is not None
         assert 0.0 <= summary.stability_frequency <= 1.0
 
+    def test_quantiles_are_numpys_bit_for_bit(self):
+        # ties of 0.0 and -0.0 resolve where numpy's partition leaves them; NaN and inf as numpy's do
+        rng = np.random.default_rng(455)
+        draws = (
+            lambda shape: rng.normal(size=shape),
+            lambda shape: rng.choice([0.0, -0.0], size=shape),
+            lambda shape: rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], size=shape),
+            lambda shape: rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0], size=shape),
+        )
+        for case in range(480):
+            n = int(rng.integers(1, 40))
+            values = draws[case % 4]((n,) if case % 3 == 0 else (n, int(rng.integers(1, 5))))
+            with np.errstate(invalid="ignore"):
+                expected = np.quantile(values, montecarlo.QUANTILE_GRID, axis=0).T
+                got = montecarlo._quantiles(values)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), values
+        slots = [7, 0, 3, 3]  # payback slots come as a list of ints
+        expected = np.quantile(np.array(slots, dtype=float), montecarlo.QUANTILE_GRID)
+        assert montecarlo._quantiles(slots).tobytes() == expected.tobytes()
+
     def test_paybacks_censored_when_revenue_never_covers_cost(self):
         # single slot, full spread: demand can land low enough that the
         # one-slot revenue misses the installed cost
@@ -298,32 +346,15 @@ class TestPaybackSlots:
 
     @pytest.mark.parametrize("workers", (1, 3))
     @pytest.mark.parametrize("make", (lambda: bounded_scenario(0.4), fbm_scenario), ids=("bounded", "fbm"))
-    def test_equals_the_simulated_payback_slots(self, make, workers):
+    def test_equals_the_simulated_payback_slots(self, make, workers, pool):
         scenario = make()
         table = build_value_table(scenario.expected_loads(), scenario.params)
         count = 515
+        pool(workers)
         expected = [o.payback_slot for o in simulate(scenario, table, count, seed=5)]
-        slots = payback_slots(scenario, table.plans[table.grand_bits], count, 5, workers=workers)
+        slots = payback_slots(scenario, table.plans[table.grand_bits], count, 5)
         assert slots == expected
         assert len(set(slots)) > 2  # the draws move the payback slot
-
-    def test_many_threads_on_cold_caches(self):
-        # more workers than cores, all reading the call's shared draw rows
-        # and filling their own draw buffers at once
-        scenario = fbm_scenario()
-        table = build_value_table(scenario.expected_loads(), scenario.params)
-        plan = table.plans[table.grand_bits]
-        count = 2049
-        serial = payback_slots(scenario, plan, count, 12)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.perf_counter()
-            threaded = payback_slots(fbm_scenario(), plan, count, 12, workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert time.perf_counter() - start < 60.0
-        assert threaded == serial
 
     def test_rejects_bad_arguments(self):
         scenario = bounded_scenario(0.1)
@@ -331,8 +362,6 @@ class TestPaybackSlots:
         plan = table.plans[table.grand_bits]
         with pytest.raises(ValueError):
             payback_slots(scenario, plan, 0, seed=1)
-        with pytest.raises(ValueError):
-            payback_slots(scenario, plan, 1, seed=1, workers=0)
 
 
 def overflow_scenario(benefit, factor, horizon=876):
@@ -357,16 +386,17 @@ class TestRealizedOverflow:
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("case", CASES)
-    def test_simulate_and_payback_name_the_realization_and_sp(self, case, workers):
+    def test_simulate_and_payback_name_the_realization_and_sp(self, case, workers, pool):
         args, message = self.CASES[case]
         scenario = overflow_scenario(*args)
         table = build_value_table(scenario.expected_loads(), scenario.params)
+        pool(workers)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError) as simulated:
-                simulate(scenario, table, 20, seed=0, workers=workers)
+                simulate(scenario, table, 20, seed=0)
             with pytest.raises(RuntimeError) as paid_back:
-                payback_slots(scenario, table.plans[table.grand_bits], 20, 0, workers=workers)
+                payback_slots(scenario, table.plans[table.grand_bits], 20, 0)
         assert str(simulated.value) == str(paid_back.value) == message
 
     def test_revenue_case_draws_finite_loads(self):
@@ -389,7 +419,9 @@ class TestRealizedOverflow:
 
 
 class TestWorkerThreads:
-    """Realizations run on at most ``workers`` threads, and never on more threads than realizations."""
+    """``simulate`` settles on a pool of ``_pool_size`` threads: one thread, and no pool, below
+    ``_POOL_COALITIONS`` coalitions; else one per CPU it may run on, at most one per realization.
+    ``payback_slots`` settles one plan, on one thread."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -412,25 +444,49 @@ class TestWorkerThreads:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         return started
 
-    RUNS = {
-        "simulate": lambda s, t, count, workers: [
-            o.payoffs.tolist() for o in simulate(s, t, count, 9, workers=workers)
-        ],
-        "payback_slots": lambda s, t, count, workers: payback_slots(
-            s, t.plans[t.grand_bits], count, 9, workers=workers
-        ),
-    }
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """``cpus(k)``: the process may run on ``k`` CPUs."""
+        return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
-    @pytest.mark.parametrize(
-        "workers, count, started", [(100_000, 3, [3]), (2, 5, [2]), (100_000, 1, [])], ids=str
-    )
-    @pytest.mark.parametrize("run", sorted(RUNS))
-    def test_threads_bounded_by_realizations(self, pools, run, workers, count, started):
+    def test_pool_size_follows_coalitions_cpus_and_realizations(self, cpus, monkeypatch):
+        k = montecarlo._POOL_COALITIONS
+        cpus(4)
+        assert montecarlo._pool_size(k // 2, 1000) == montecarlo._pool_size(k - 1, 1000) == 1
+        assert montecarlo._pool_size(k, 1000) == montecarlo._pool_size(1 << 16, 1000) == 4
+        assert montecarlo._pool_size(k, 3) == 3
+        assert montecarlo._pool_size(k, 1) == 1
+        cpus(100_000)
+        assert montecarlo._pool_size(k, 250) == 250
+        assert montecarlo._pool_size(k // 2, 250) == 1
+        # where the platform has no affinity call, every CPU counts
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert montecarlo._pool_size(k, 1000) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._pool_size(k, 1000) == 1
+
+    @pytest.mark.parametrize("fewer_sps, count, started", [(0, 3, [3]), (0, 1, []), (1, 3, [])], ids=str)
+    def test_simulate_pools_from_the_coalition_count(self, pools, cpus, fewer_sps, count, started):
+        cpus(100_000)
+        n_sp = montecarlo._POOL_COALITIONS.bit_length() - 2 - fewer_sps  # 2**(n_sp + 1) coalitions
+        base = bounded_scenario(0.3)
+        params = replace(base.params, benefits=(6e-6,) * n_sp)
+        scenario = Scenario(tuple(f"sp{i}" for i in range(n_sp)), (base.models * n_sp)[:n_sp], params)
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        assert len(table.plans) == 1 << (n_sp + 1)
+        payoffs = [o.payoffs.tolist() for o in simulate(scenario, table, count, 9)]
+        assert pools == started
+        cpus(1)
+        assert payoffs == [o.payoffs.tolist() for o in simulate(scenario, table, count, 9)]
+        assert pools == started
+
+    def test_payback_slots_start_no_pool(self, pools, pool):
+        pool(100_000)
         scenario = bounded_scenario(0.3)
         table = build_value_table(scenario.expected_loads(), scenario.params)
-        results = self.RUNS[run](scenario, table, count, workers)
-        assert pools == started
-        assert results == self.RUNS[run](scenario, table, count, 1)
+        assert len(payback_slots(scenario, table.plans[table.grand_bits], 5, 9)) == 5
+        assert pools == []
 
 
 class TestValidation:
@@ -441,8 +497,6 @@ class TestValidation:
             simulate(scenario, table, 0, seed=1)
         with pytest.raises(ValueError):
             simulate(scenario, table, 1, seed=1, payment_mode="net-30")
-        with pytest.raises(ValueError):
-            simulate(scenario, table, 1, seed=1, workers=0)
 
 
 def edge_bounded(horizon, n_sp=2):

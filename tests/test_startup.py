@@ -61,6 +61,22 @@ class TestLazyExports:
         # only a run with more than one worker starts a pool, and imports concurrent.futures to do so
         assert run_python("import sys, coinvest.cli; print('concurrent.futures' in sys.modules)") == "False"
 
+    @pytest.mark.parametrize(
+        "command",
+        ["payback edge-fbm.json --periods 0.1 --realizations 20", "simulate edge-bounded.json --realizations 20"],
+    )
+    def test_serial_runs_leave_numpy_ma_and_the_thread_pool_out(self, tmp_path, command):
+        # the summaries' quantiles call no np.quantile, whose np.unique imports numpy.ma in numpy 2
+        # (numpy 1 imports numpy.ma with numpy itself, so only what the run adds counts)
+        name, config, *flags = command.split()
+        args = [name, str(pathlib.Path(SRC).parent / "configs" / config), *flags, "--out", str(tmp_path / "t.csv")]
+        code = (
+            "import sys; from coinvest.cli import main; names = {'numpy.ma', 'concurrent.futures'}; "
+            f"loaded = names & set(sys.modules); assert main({args!r}) == 0; "
+            "print(sorted(names & set(sys.modules) - loaded))"
+        )
+        assert run_python(code) == "[]"
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_export"):
             coinvest.no_such_export
