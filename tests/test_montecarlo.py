@@ -449,22 +449,40 @@ class TestWorkerThreads:
         """``cpus(k)``: the process may run on ``k`` CPUs."""
         return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
-    def test_pool_size_follows_coalitions_cpus_and_realizations(self, cpus, monkeypatch):
-        k = montecarlo._POOL_COALITIONS
-        cpus(4)
-        assert montecarlo._pool_size(k // 2, 1000) == montecarlo._pool_size(k - 1, 1000) == 1
-        assert montecarlo._pool_size(k, 1000) == montecarlo._pool_size(1 << 16, 1000) == 4
-        assert montecarlo._pool_size(k, 3) == 3
-        assert montecarlo._pool_size(k, 1) == 1
-        cpus(100_000)
-        assert montecarlo._pool_size(k, 250) == 250
-        assert montecarlo._pool_size(k // 2, 250) == 1
-        # where the platform has no affinity call, every CPU counts
+    K = montecarlo._POOL_COALITIONS
+
+    @pytest.mark.parametrize(
+        "coalitions, n, n_cpus, size",
+        [
+            (K // 2, 1000, 4, 1),
+            (K - 1, 1000, 4, 1),
+            (K // 2, 250, 100_000, 1),
+            (K, 1000, 4, 4),
+            (1 << 16, 1000, 4, 4),
+            (K, 3, 4, 3),
+            (K, 1, 4, 1),
+            (K, 250, 100_000, 250),
+        ],
+        ids=[
+            "serial-below-K",
+            "serial-just-below-K",
+            "serial-below-K-on-many-cpus",
+            "pool-at-K",
+            "pool-far-above-K",
+            "pool-capped-by-realizations",
+            "one-realization-one-thread",
+            "pool-of-one-per-realization",
+        ],
+    )
+    def test_pool_size_follows_coalitions_cpus_and_realizations(self, cpus, coalitions, n, n_cpus, size):
+        cpus(n_cpus)
+        assert montecarlo._pool_size(coalitions, n) == size
+
+    @pytest.mark.parametrize("cpu_count, size", [(6, 6), (None, 1)], ids=str)
+    def test_pool_size_without_affinity_counts_every_cpu(self, monkeypatch, cpu_count, size):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert montecarlo._pool_size(k, 1000) == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert montecarlo._pool_size(k, 1000) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert montecarlo._pool_size(self.K, 1000) == size
 
     @pytest.mark.parametrize("fewer_sps, count, started", [(0, 3, [3]), (0, 1, []), (1, 3, [])], ids=str)
     def test_simulate_pools_from_the_coalition_count(self, pools, cpus, fewer_sps, count, started):
