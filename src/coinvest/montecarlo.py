@@ -1,17 +1,18 @@
 """Monte Carlo assessment of a co-investment.
 
 Plans are committed on expected demand and held fixed.  Each call builds
-its SPs' draw rows once, beside its revenue weights, and no model keeps
-them; each realization is drawn from them and settled on its own, and
-results come in realization order.  ``simulate`` re-prices every
-coalition at its loads, splits the realized values by Shapley
-(``values @ shapley_matrix(n)``), settles payments and rewards, and
-locates the payback slot of the grand coalition; each outcome keeps its
-loads.  ``payback_slots`` needs only one plan and keeps only its payback
-slot, the first slot at which its collected revenue covers its cost.
-``summarize`` reduces the outcomes to the per-player and joint shares of
-nonnegative payoffs, the share of realizations with every |deviation|
-below delta (the stability frequency), and quantiles.
+its SPs' draw rows once, beside its revenue weights and before its first
+draw, and no model keeps them: an fBm SP's rows include its spectrum
+roots, so no draw builds a spectrum.  Each realization is drawn from the
+rows and settled on its own, and results come in realization order.
+``simulate`` re-prices every coalition at its loads, splits the realized
+values by Shapley (``values @ shapley_matrix(n)``), settles payments and
+rewards, and locates the payback slot of the grand coalition; each
+outcome keeps its loads.  ``payback_slots`` needs only one plan and keeps
+only its payback slot, the first slot at which its collected revenue
+covers its cost.  ``summarize`` reduces the outcomes to the per-player
+and joint shares of nonnegative payoffs, the share of realizations with
+every |deviation| below delta (the stability frequency), and quantiles.
 
 A value table or plan made for another number of SPs or another horizon
 than the scenario's is refused up front, naming both counts.  A
@@ -95,7 +96,8 @@ _POOL_COALITIONS = 128  # coalitions from which simulate settles on a thread poo
 
 def _priced(scenario: Scenario, plans: Sequence[AllocationPlan], n_realizations: int):
     """Revenue per request (plan x SP x slot) and installed cost of each of ``plans``, and each SP's
-    ``draw_rows``, once the count and the last plan's fit are checked (a table's last is the grand)."""
+    ``draw_rows`` (an fBm spectrum included), once the count and the last plan's fit are checked (a
+    table's last is the grand)."""
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     _check_fit(plans[-1], scenario)

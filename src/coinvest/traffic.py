@@ -26,14 +26,17 @@ it.  ``Scenario``, which holds the horizon and the slot length, refuses a
 bound that is not finite with the model's ``OVERFLOW`` text.
 
 Every fBm draw is one path: fractional Gaussian noise drawn exactly by
-Davies-Harte circulant embedding, cumulated by ``generate_fbm``.  A draw
-weights the Hermitian half of the spectrum (``m + 1`` complex entries
-for an embedding of ``2m``) and runs one real inverse FFT; the
-spectrum's square roots are memoised per ``(H, m)``, and each thread
-reuses its normal and half-spectrum buffers from one draw to the next.
-A model keeps nothing of its draws: its ``draw_rows`` are the read-only
-deterministic rows of one horizon (the bounded band's lower edge and width,
-or the fBm trend and smooth term), which the caller hands to each draw.
+Davies-Harte circulant embedding, then cumulated.  A draw weights the
+Hermitian half of the spectrum (``m + 1`` complex entries for an
+embedding of ``2m``) and runs one real inverse FFT; each thread reuses
+its normal and half-spectrum buffers from one draw to the next.  The
+spectrum's square roots are built in place, before any draw, and
+memoised per ``(H, m)``.  A model keeps nothing of its draws: its
+``draw_rows`` are the read-only deterministic rows of one horizon (the
+bounded band's lower edge and width, or the fBm trend, smooth term and
+spectrum roots), which the caller builds once and hands to each draw, so
+no draw builds a spectrum.  ``generate_fbm`` draws a standalone path
+from the same memoised spectrum.
 
 Randomness contract: a key is an integer tuple such as ``(seed,
 realization)``; ``sample_loads`` draws model ``i`` from the substream of
@@ -54,9 +57,12 @@ import numpy as np
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Largest fBm path length we are willing to synthesise.  A draw needs a
-# few arrays of twice the next power of two (2**22 floats, 32 MiB, here),
-# so this cap keeps a single path under ~200 MiB of working memory.
+# Largest fBm path length we are willing to synthesise.  Its embedding has
+# 2**22 entries: at this cap one model's ``draw_rows`` and one ``sample``
+# peak at 128 MiB under ``tracemalloc`` (the spectrum build's complex array
+# and its FFT, 64 MiB each; a draw's buffers take as much), and the peak
+# resident set of a fresh process grows by 256 MiB, numpy's FFT scratch
+# and plans included (python 3.11, numpy 2.4, x86-64).
 MAX_FBM_SLOTS = 1 << 21
 
 
@@ -245,19 +251,21 @@ class FbmLoadModel:
         return self.trend.rate_bound * envelope / SQRT_2PI * slot_seconds
 
     def draw_rows(self, slots: int, slot_seconds: float) -> tuple:
-        """Read-only trend rate and smooth part ``(1 - alpha) * t**H / sqrt(2*pi)`` over ``slots`` slots."""
+        """Read-only trend rate and smooth part ``(1 - alpha) * t**H / sqrt(2*pi)`` over ``slots`` slots,
+        and the memoised spectrum roots of their fBm paths, so no draw builds a spectrum."""
+        roots = _fbm_roots(self.hurst, slots)  # first, so its build's temporaries meet no other row
         t = np.arange(slots)
         envelope = np.power(t, self.hurst) / SQRT_2PI
-        return _read_only(self.trend.rate(t), (1.0 - self.alpha) * envelope)
+        return _read_only(self.trend.rate(t), (1.0 - self.alpha) * envelope, roots)
 
     def sample(self, rows: tuple, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
-        """One load row from ``draw_rows``' ``rows`` and one fBm path.
+        """One load row from ``draw_rows``' ``rows`` and one fBm path drawn with their spectrum.
 
         ``trend * ((1 - alpha) * envelope + alpha * max(0, path)) * slot_seconds``,
         evaluated in place on the fresh path.
         """
-        trend, smooth = rows
-        load = generate_fbm(self.hurst, trend.size, rng)
+        trend, smooth, roots = rows
+        load = _fbm_path(roots, trend.size, rng)
         np.maximum(load, 0.0, out=load)
         load *= self.alpha
         load += smooth
@@ -292,25 +300,60 @@ def _substream(key: tuple, *extra) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
-    """Autocovariance of unit-variance fractional Gaussian noise.
+def _fgn_autocov(hurst: float, out: np.ndarray) -> np.ndarray:
+    """Autocovariance of unit-variance fractional Gaussian noise at lags
+    ``0 .. out.size - 1``, written into ``out`` (two entries or more) and
+    returned.
 
     ``((k+1)**2H - 2*k**2H + (k-1)**2H) / 2`` cancels to a few digits at
     long lags.  With ``x = 1/k`` it equals ``k**2H * (e**s * cosh(d) - 1)``
     for ``s = H*log(1 - x**2)`` and ``d = 2H*atanh(x)``, evaluated below
-    without cancellation as ``expm1(s)*cosh(d) + 2*sinh(d/2)**2``.
+    without cancellation as ``expm1(s)*cosh(d) + 2*sinh(d/2)**2``.  The lags
+    from 2 on take three scratch rows of their length, and every
+    transcendental runs on one of them: ``out`` may be strided, and numpy
+    may round a function differently on strided data.
     """
-    k = np.abs(lags).astype(float)
-    gamma = (k == 0.0).astype(float)
+    out[0] = 1.0
     if hurst == 0.5:  # white noise; the form below would leave 1e-17 of round-off
-        return gamma
-    gamma[k == 1.0] = math.expm1((2.0 * hurst - 1.0) * math.log(2.0))
-    far = k >= 2.0
-    x = 1.0 / k[far]
-    s = hurst * np.log1p(-x * x)
-    d = 2.0 * hurst * np.arctanh(x)
-    gamma[far] = k[far] ** (2.0 * hurst) * (np.expm1(s) * np.cosh(d) + 2.0 * np.sinh(0.5 * d) ** 2)
-    return gamma
+        out[1:] = 0.0
+        return out
+    out[1] = math.expm1((2.0 * hurst - 1.0) * math.log(2.0))
+    far = out[2:]
+    k = np.arange(2.0, out.size)
+    x = np.divide(1.0, k)
+    k **= 2.0 * hurst
+    far[...] = k
+    d = np.arctanh(x, out=k)
+    d *= 2.0 * hurst
+    s = np.multiply(x, x, out=x)
+    np.negative(s, out=s)
+    np.log1p(s, out=s)
+    s *= hurst
+    np.expm1(s, out=s)
+    t = np.cosh(d)
+    s *= t
+    np.multiply(d, 0.5, out=t)
+    np.sinh(t, out=t)
+    np.square(t, out=t)
+    t *= 2.0
+    s += t
+    far *= s
+    return out
+
+
+def _circulant_spectrum(hurst: float, m: int) -> np.ndarray:
+    """Eigenvalues of the fGn circulant embedding of size ``2m``: the real part of the FFT of
+    the autocovariance at lags ``0..m`` followed by its mirror, lags ``m-1..1``.
+
+    The autocovariance and its mirror are written into the real part of one
+    complex array of ``2m`` entries, and its FFT is the only other array of
+    that size; the result is a view of that FFT.
+    """
+    embedding = np.zeros(2 * m, dtype=complex)
+    circulant = embedding.real
+    _fgn_autocov(hurst, circulant[: m + 1])
+    circulant[m + 1:] = circulant[m - 1:0:-1]
+    return np.fft.fft(embedding).real
 
 
 # One spectrum at MAX_FBM_SLOTS holds 2**21 + 1 floats (16 MiB); a few
@@ -321,25 +364,38 @@ def _circulant_roots(hurst: float, m: int) -> np.ndarray:
 
     Entry ``k`` of the returned ``m + 1`` is ``sqrt(eig_k / 2m)`` at
     ``k = 0, m`` and ``sqrt(eig_k / 4m)`` in between, the Davies-Harte
-    weights of the Hermitian half.  The embedding of fGn is nonnegative
-    definite for every H (Dietrich & Newsam, 1997), so round-off dips
-    below zero are clipped; a dip below ``-1e-10 * max`` raises
-    ``RuntimeError``.  Memoised per ``(hurst, m)``: every draw reuses
-    the same deterministic array.
+    weights of the Hermitian half, taken in place.  The embedding of fGn is
+    nonnegative definite for every H (Dietrich & Newsam, 1997), so round-off
+    dips below zero are clipped; a dip below ``-1e-10 * max`` raises
+    ``RuntimeError``.  Memoised per ``(hurst, m)``: every draw reuses the
+    same deterministic array.  A build at ``m = 2**17`` peaks at 8.0 MiB
+    under ``tracemalloc``, the two complex arrays of the FFT.
     """
-    gamma = _fgn_autocov(hurst, np.arange(m + 1))
-    eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    eig = _circulant_spectrum(hurst, m)
     if eig.min() < -1e-10 * eig.max():
         raise RuntimeError(
             f"fGn circulant embedding not nonnegative at hurst={hurst}, m={m} "
             f"(min/max eigenvalue {eig.min() / eig.max():.3g})"
         )
-    eig = np.clip(eig[: m + 1], 0.0, None)
+    roots = np.clip(eig[: m + 1], 0.0, None)
+    del eig  # the complex FFT it views
     two_m = 2 * m
-    roots = np.sqrt(eig / (2.0 * two_m))
-    roots[[0, m]] = np.sqrt(eig[[0, m]] / two_m)
+    ends = np.sqrt(roots[[0, m]] / two_m)
+    roots /= 2.0 * two_m
+    np.sqrt(roots, out=roots)
+    roots[[0, m]] = ends
     roots.flags.writeable = False
     return roots
+
+
+def _fbm_roots(hurst: float, n: int) -> np.ndarray:
+    """The memoised spectrum roots an fBm path of ``n`` slots is drawn with; ``n`` outside
+    ``1..MAX_FBM_SLOTS`` is refused before anything is built."""
+    if n < 1:
+        raise ValueError("need at least one slot")
+    if n > MAX_FBM_SLOTS:
+        raise ValueError(f"fBm path of {n} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
+    return _circulant_roots(float(hurst), _embedding_size(n - 1))
 
 
 # Per-thread draw buffers, reused while the embedding size stays the same.
@@ -364,16 +420,16 @@ def _embedding_size(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
-def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact fGn via circulant embedding (Davies-Harte), O(n log n).
+def _fgn_davies_harte(roots: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact fGn of ``n`` steps via circulant embedding (Davies-Harte), O(n log n), weighted by
+    the ``m + 1`` spectrum ``roots`` of an embedding of ``2m >= n``.
 
     ``2m`` standard normals weight the spectrum's Hermitian half
     ``w_k = r_k * (z_k + i * z_{2m-k})`` (real at ``k = 0, m``).  One
     real inverse FFT of length ``2m`` of its conjugate equals the real
     part of the full complex FFT of the Hermitian-extended ``w``.
     """
-    m = _embedding_size(n)
-    roots = _circulant_roots(float(hurst), m)
+    m = roots.size - 1
     z, half = _draw_buffers(m)
     rng.standard_normal(out=z)
     np.multiply(z[: m + 1], roots, out=half.real)
@@ -383,6 +439,14 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndar
     return np.fft.irfft(half, n=2 * m, norm="forward")[:n]
 
 
+def _fbm_path(roots: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An fBm path of ``n`` slots from ``_fbm_roots(hurst, n)``: 0, then the cumulated fGn."""
+    out = np.zeros(n)
+    if n > 1:
+        np.cumsum(_fgn_davies_harte(roots, n - 1, rng), out=out[1:])
+    return out
+
+
 def generate_fbm(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """One standard fBm path sampled at integer slots 0..n-1, drawn from ``rng``.
 
@@ -390,14 +454,7 @@ def generate_fbm(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("need at least one slot")
-    if n > MAX_FBM_SLOTS:
-        raise ValueError(f"fBm path of {n} slots exceeds the ceiling of {MAX_FBM_SLOTS}")
-    out = np.zeros(n)
-    if n > 1:
-        np.cumsum(_fgn_davies_harte(hurst, n - 1, rng), out=out[1:])
-    return out
+    return _fbm_path(_fbm_roots(hurst, n), n, rng)
 
 
 def sample_loads(models: Sequence[LoadModel], rows: Sequence[tuple], slot_seconds: float, key: tuple) -> LoadMatrix:

@@ -12,6 +12,10 @@ the coalitions and players one by one, and so do the supermodularity and
 core checks; ``least_core_value`` solves the least-core LP exactly.
 ``brute_force_plan`` plans a coalition without the engine's water-filling:
 it tries every active set of every slot and bisects on the capacity.
+``circulant_spectrum`` and ``circulant_roots`` build the fBm sampler's
+spectrum by the allocating formula the engine's in-place build must match
+bit for bit: the autocovariance ``fgn_autocov`` at any lags, concatenated
+with its mirror and passed to a real-input FFT.
 """
 
 import itertools
@@ -282,3 +286,36 @@ def brute_force_plan(coalition, loads, params):
     levels = brute_force_levels(log_w, xi, capacity)
     shares[np.ix_(rows, live)] = np.clip((log_w - levels) / xi, 0.0, None)
     return capacity, shares
+
+
+def fgn_autocov(hurst, lags):
+    """Autocovariance of unit-variance fGn at ``lags``, by the engine's cancellation-free form
+    ``k**2H * (expm1(s)*cosh(d) + 2*sinh(d/2)**2)``, ``s = H*log(1 - 1/k**2)``, ``d = 2H*atanh(1/k)``,
+    with one fresh array per step."""
+    k = np.abs(lags).astype(float)
+    gamma = (k == 0.0).astype(float)
+    if hurst == 0.5:
+        return gamma
+    gamma[k == 1.0] = math.expm1((2.0 * hurst - 1.0) * math.log(2.0))
+    far = k >= 2.0
+    x = 1.0 / k[far]
+    s = hurst * np.log1p(-x * x)
+    d = 2.0 * hurst * np.arctanh(x)
+    gamma[far] = k[far] ** (2.0 * hurst) * (np.expm1(s) * np.cosh(d) + 2.0 * np.sinh(0.5 * d) ** 2)
+    return gamma
+
+
+def circulant_spectrum(hurst, m):
+    """Eigenvalues of the fGn circulant embedding of size ``2m``: ``fft(concatenate([γ, γ[-2:0:-1]])).real``."""
+    gamma = fgn_autocov(hurst, np.arange(m + 1))
+    return np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+
+
+def circulant_roots(hurst, m):
+    """Davies-Harte weights of the spectrum's Hermitian half: ``sqrt(eig / 2m)`` at ``0, m``,
+    ``sqrt(eig / 4m)`` in between, round-off dips below zero clipped."""
+    eig = np.clip(circulant_spectrum(hurst, m)[: m + 1], 0.0, None)
+    two_m = 2 * m
+    roots = np.sqrt(eig / (2.0 * two_m))
+    roots[[0, m]] = np.sqrt(eig[[0, m]] / two_m)
+    return roots

@@ -77,6 +77,20 @@ class TestLazyExports:
         )
         assert run_python(code) == "[]"
 
+    def test_payback_builds_its_spectrum_before_numpy_random_loads(self, tmp_path):
+        # every spectrum is a draw row, built before the first draw's generator imports numpy.random
+        # (numpy 1 imports numpy.random with numpy itself, so only what the run adds counts)
+        args = ["payback", str(pathlib.Path(SRC).parent / "configs" / "edge-fbm.json"), "--periods", "1",
+                "--realizations", "2", "--out", str(tmp_path / "t.csv")]
+        code = (
+            "import sys; from coinvest.cli import main; from coinvest import traffic; "
+            "loaded = 'numpy.random' in sys.modules; build, seen = traffic._circulant_roots, []; "
+            "traffic._circulant_roots = lambda h, m: seen.append('numpy.random' in sys.modules) or build(h, m); "
+            f"assert main({args!r}) == 0; print((loaded, seen, 'numpy.random' in sys.modules))"
+        )
+        loaded, seen, after = ast.literal_eval(run_python(code))
+        assert seen == [loaded, loaded] and after  # one spectrum per SP; the draws load numpy.random
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_export"):
             coinvest.no_such_export

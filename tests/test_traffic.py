@@ -1,7 +1,9 @@
 """Demand models: rate profiles, bounded sampling, and fBm generation."""
 
+import inspect
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
@@ -9,19 +11,26 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import reference
 from coinvest import (
     BoundedLoadModel,
+    EconomicParams,
     FbmLoadModel,
     LoadMatrix,
     RateProfile,
+    Scenario,
+    build_value_table,
     expected_load_matrix,
     generate_fbm,
+    payback_slots,
     sample_loads,
+    simulate,
 )
 from coinvest import traffic
 from coinvest.traffic import (
     MAX_FBM_SLOTS,
     _circulant_roots,
+    _circulant_spectrum,
     _embedding_size,
     _fgn_autocov,
     _fgn_davies_harte,
@@ -36,8 +45,7 @@ BIG = 10**400
 def full_fft_fgn(hurst, n, rng, paths=1):
     """Oracle: Davies-Harte through the full complex FFT of the Hermitian-extended weights."""
     m = _embedding_size(n)
-    gamma = _fgn_autocov(hurst, np.arange(m + 1))
-    eig = np.clip(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None)
+    eig = np.clip(reference.circulant_spectrum(hurst, m), 0.0, None)
     two_m = 2 * m
     z = rng.standard_normal((paths, two_m))
     w = np.zeros((paths, two_m), dtype=complex)
@@ -47,6 +55,11 @@ def full_fft_fgn(hurst, n, rng, paths=1):
     w[:, 1:m] = scale * (z[:, 1:m] + 1j * z[:, m + 1:][:, ::-1])
     w[:, m + 1:] = np.conj(w[:, 1:m])[:, ::-1]
     return np.fft.fft(w, axis=1).real[:, :n]
+
+
+def fgn(hurst, n, rng):
+    """``n`` steps of fGn drawn from ``rng`` with the memoised spectrum of their embedding."""
+    return _fgn_davies_harte(_circulant_roots(hurst, _embedding_size(n)), n, rng)
 
 
 def rows_of(models, horizon, slot_seconds):
@@ -429,7 +442,7 @@ class TestFbmGeneration:
     def test_autocovariance_matches_50_digit_reference(self, hurst):
         lags = (1, 2, 10, 10**3, 10**4, 10**6)
         with np.errstate(all="raise"):
-            gamma = _fgn_autocov(hurst, np.array(lags))
+            gamma = _fgn_autocov(hurst, np.full(max(lags) + 1, np.nan))[list(lags)]
         with localcontext() as ctx:
             ctx.prec = 50
             two_h = 2 * Decimal(hurst)
@@ -439,7 +452,7 @@ class TestFbmGeneration:
                 assert abs(Decimal(float(got)) - ref) <= Decimal("1e-12") * abs(ref), (hurst, k)
 
     def test_autocovariance_of_brownian_increments_is_white(self):
-        gamma = _fgn_autocov(0.5, np.arange(10**6 + 1))
+        gamma = _fgn_autocov(0.5, np.full(10**6 + 1, np.nan))
         assert gamma[0] == 1.0
         assert np.all(gamma[1:] == 0.0)
 
@@ -449,32 +462,41 @@ class TestFbmGeneration:
         + [(0.95, 1 << 20), (0.99, 1 << 20)],
     )
     def test_circulant_spectrum_is_nonnegative(self, hurst, m):
-        gamma = _fgn_autocov(hurst, np.arange(m + 1))
-        eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        eig = _circulant_spectrum(hurst, m)
         assert eig.min() >= -1e-10 * eig.max()
 
     def test_spectral_and_recursive_generators_agree_in_law(self):
         h = 0.75
         n = 10
-        gamma = _fgn_autocov(h, np.arange(n))
+        gamma = _fgn_autocov(h, np.empty(n))
         rng = np.random.default_rng(31)
-        dh = np.stack([_fgn_davies_harte(h, n, rng) for _ in range(30_000)])
+        dh = np.stack([fgn(h, n, rng) for _ in range(30_000)])
         for lag in (1, 4):
             prod = dh[:, 0] * dh[:, lag]
             se = prod.std() / math.sqrt(dh.shape[0])
             assert abs(prod.mean() - gamma[lag]) < 4 * se
 
-    def test_draws_identical_with_cold_or_warm_spectrum_cache(self):
-        models = [
-            FbmLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.5, h) for h in (0.7, 0.3)
-        ]
-        rows = rows_of(models, 1000, 60.0)
+    def test_draws_identical_with_cold_or_warm_spectrum_cache(self, monkeypatch):
+        # a call builds every spectrum in montecarlo._priced, and no draw builds one
+        profile = RateProfile(100.0, ((20.0, 4.0),), 24)
+        params = EconomicParams(60.0, 0.5, 1000.0, 1.0, (6e-6, 6e-6), 0.03)
+        scenario = Scenario(("a", "b"), tuple(FbmLoadModel(profile, 0.5, h) for h in (0.7, 0.3)), params)
+        table = build_value_table(scenario.expected_loads(), params)
+        build, callers = _circulant_roots, []
+
+        def spy(hurst, m):
+            callers.append({frame.function for frame in inspect.stack(0)})
+            return build(hurst, m)
+
+        monkeypatch.setattr(traffic, "_circulant_roots", spy)
         _circulant_roots.cache_clear()
-        cold = sample_loads(models, rows, 60.0, (9, 2)).values
-        assert _circulant_roots.cache_info().currsize == 2
-        warm = sample_loads(models, rows, 60.0, (9, 2)).values
-        assert _circulant_roots.cache_info().hits >= 2
-        assert np.array_equal(cold, warm)
+        cold = simulate(scenario, table, 3, seed=9), payback_slots(scenario, table.plans[-1], 3, seed=9)
+        warm = simulate(scenario, table, 3, seed=9), payback_slots(scenario, table.plans[-1], 3, seed=9)
+        assert len(callers) == 2 * 2 * len(scenario.models)
+        assert all("_priced" in names and "sample_loads" not in names for names in callers)
+        for a, b in zip(cold[0], warm[0]):
+            assert np.array_equal(a.loads.values, b.loads.values)
+        assert cold[1] == warm[1] == [o.payback_slot for o in cold[0]]
 
     def test_cached_spectrum_is_read_only(self):
         roots = _circulant_roots(0.7, 64)
@@ -482,32 +504,56 @@ class TestFbmGeneration:
         with pytest.raises(ValueError):
             roots[0] = 0.0
 
+    @pytest.mark.parametrize("m", (2, 4, 64, 1 << 14, 1 << 17))
+    @pytest.mark.parametrize("hurst", (0.01, 0.3, 0.5, 0.7, 0.99))
+    def test_in_place_spectrum_matches_the_concatenated_build_bit_for_bit(self, hurst, m):
+        gamma = _fgn_autocov(hurst, np.full(m + 1, np.nan))
+        assert gamma.tobytes() == reference.fgn_autocov(hurst, np.arange(m + 1)).tobytes()
+        assert _circulant_spectrum(hurst, m).tobytes() == reference.circulant_spectrum(hurst, m).tobytes()
+        assert _circulant_roots.__wrapped__(hurst, m).tobytes() == reference.circulant_roots(hurst, m).tobytes()
+
+    def test_spectrum_build_peaks_below_nine_mib(self):
+        # the complex embedding and its FFT, 4 MiB each, are the only arrays of their size
+        _circulant_roots.__wrapped__(0.7, 4)  # numpy's FFT module is loaded before the count
+        tracemalloc.start()
+        try:
+            _circulant_roots.__wrapped__(0.7, 1 << 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 << 20
+
     @pytest.mark.parametrize("n", (2, 3, 100, 8760, 43800))
     @pytest.mark.parametrize("hurst", (0.01, 0.3, 0.5, 0.7, 0.99))
     def test_half_spectrum_draw_matches_full_fft_oracle(self, hurst, n):
-        got = _fgn_davies_harte(hurst, n, np.random.default_rng(n))
+        got = fgn(hurst, n, np.random.default_rng(n))
         want = full_fft_fgn(hurst, n, np.random.default_rng(n))[0]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_paths_consume_the_stream_in_order(self):
         rng = np.random.default_rng(3)
-        got = np.stack([_fgn_davies_harte(0.7, 100, rng) for _ in range(3)])
+        got = np.stack([fgn(0.7, 100, rng) for _ in range(3)])
         want = full_fft_fgn(0.7, 100, np.random.default_rng(3), paths=3)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_returned_paths_survive_the_next_draw(self):
         rng = np.random.default_rng(6)
-        noise = _fgn_davies_harte(0.7, 100, rng)
+        noise = fgn(0.7, 100, rng)
         path = generate_fbm(0.7, 101, _substream((1,)))
         kept = noise.copy(), path.copy()
-        _fgn_davies_harte(0.7, 100, rng)
+        fgn(0.7, 100, rng)
         generate_fbm(0.7, 101, _substream((2,)))
         assert np.array_equal(noise, kept[0])
         assert np.array_equal(path, kept[1])
 
     def test_non_psd_embedding_raises(self, monkeypatch):
         # a lag-1 correlation above 1 is no covariance at all
-        monkeypatch.setattr(traffic, "_fgn_autocov", lambda hurst, lags: np.where(lags == 1, 2.0, lags == 0))
+        def no_covariance(hurst, out):
+            out[...] = 0.0
+            out[:2] = 1.0, 2.0
+            return out
+
+        monkeypatch.setattr(traffic, "_fgn_autocov", no_covariance)
         _circulant_roots.cache_clear()
         with pytest.raises(RuntimeError, match=r"hurst=0\.8, m=8"):
             generate_fbm(0.8, 9, np.random.default_rng(4))
@@ -586,7 +632,9 @@ class TestFbmSampling:
 
 
 class TestSamplerRows:
-    """``draw_rows`` builds each model's deterministic rows, and the model keeps none of them."""
+    """``draw_rows`` builds each model's deterministic rows, and the model keeps none of them.
+
+    Each row but an fBm model's spectrum roots, its third, holds one entry per slot."""
 
     MODELS = (
         BoundedLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.3),
@@ -599,7 +647,8 @@ class TestSamplerRows:
         model.sample(rows, 60.0, np.random.default_rng(0))
         assert rows
         for row in rows:
-            assert row.shape == (48,) and not row.flags.writeable
+            assert not row.flags.writeable
+        assert all(row.shape == (48,) for row in rows[:2])  # an fBm model's third row is its spectrum
         assert vars(model).keys() == {f.name for f in fields(model)}
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
@@ -615,7 +664,7 @@ class TestSamplerRows:
         fresh = twin.sample(twin.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
         assert np.array_equal(a, b) and np.array_equal(a, fresh)
         assert np.array_equal(first, kept)
-        assert all(np.array_equal(long[:24], short) for long, short in zip(two_days, day))
+        assert all(np.array_equal(long[:24], short) for long, short in zip(two_days[:2], day[:2]))
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_draws_follow_the_slot_length(self, model):
