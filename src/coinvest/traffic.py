@@ -30,13 +30,14 @@ Davies-Harte circulant embedding, then cumulated.  A draw weights the
 Hermitian half of the spectrum (``m + 1`` complex entries for an
 embedding of ``2m``) and runs one real inverse FFT; each thread reuses
 its normal and half-spectrum buffers from one draw to the next.  The
-spectrum's square roots are built in place, before any draw, and
-memoised per ``(H, m)``.  A model keeps nothing of its draws: its
-``draw_rows`` are the read-only deterministic rows of one horizon (the
-bounded band's lower edge and width, or the fBm trend, smooth term and
-spectrum roots), which the caller builds once and hands to each draw, so
-no draw builds a spectrum.  ``generate_fbm`` draws a standalone path
-from the same memoised spectrum.
+embedding's first row is real and symmetric, so its spectrum is one real
+FFT of that row, the ``m + 1`` eigenvalues the draws weight; their square
+roots are built in place, before any draw, and memoised per ``(H, m)``.
+A model keeps nothing of its draws: its ``draw_rows`` are the read-only
+deterministic rows of one horizon (the bounded band's lower edge and
+width, or the fBm trend, smooth term and spectrum roots), which the
+caller builds once and hands to each draw, so no draw builds a spectrum.
+``generate_fbm`` draws a standalone path from the same memoised spectrum.
 
 Randomness contract: a key is an integer tuple such as ``(seed,
 realization)``; ``sample_loads`` draws model ``i`` from the substream of
@@ -58,11 +59,13 @@ import numpy as np
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Largest fBm path length we are willing to synthesise.  Its embedding has
-# 2**22 entries: at this cap one model's ``draw_rows`` and one ``sample``
-# peak at 128 MiB under ``tracemalloc`` (the spectrum build's complex array
-# and its FFT, 64 MiB each; a draw's buffers take as much), and the peak
-# resident set of a fresh process grows by 256 MiB, numpy's FFT scratch
-# and plans included (python 3.11, numpy 2.4, x86-64).
+# 2**22 entries: at this cap the spectrum build peaks at 80 MiB under
+# ``tracemalloc`` (its real row, 32 MiB, and the autocovariance's three
+# scratch rows of 16 MiB), one model's ``draw_rows`` at 96 MiB and
+# one ``sample`` at 113 MiB above its rows (a draw's normals, half spectrum
+# and inverse FFT), and the peak resident set of a fresh process grows by
+# 224 MiB, numpy's FFT scratch and plans included (python 3.11, numpy 2.4,
+# x86-64; 10 processes, each reading its own ``VmHWM``).
 MAX_FBM_SLOTS = 1 << 21
 
 
@@ -309,9 +312,11 @@ def _fgn_autocov(hurst: float, out: np.ndarray) -> np.ndarray:
     long lags.  With ``x = 1/k`` it equals ``k**2H * (e**s * cosh(d) - 1)``
     for ``s = H*log(1 - x**2)`` and ``d = 2H*atanh(x)``, evaluated below
     without cancellation as ``expm1(s)*cosh(d) + 2*sinh(d/2)**2``.  The lags
-    from 2 on take three scratch rows of their length, and every
-    transcendental runs on one of them: ``out`` may be strided, and numpy
-    may round a function differently on strided data.
+    from 2 on take three scratch rows of their length, which hold ``d``,
+    ``s`` and ``cosh(d)`` while ``out`` holds ``k**2H``: the formula needs
+    all four at once.  Every transcendental runs on a scratch row, so the
+    bits do not depend on the layout of ``out``; ``_circulant_spectrum``
+    passes the contiguous head of its row.
     """
     out[0] = 1.0
     if hurst == 0.5:  # white noise; the form below would leave 1e-17 of round-off
@@ -342,25 +347,27 @@ def _fgn_autocov(hurst: float, out: np.ndarray) -> np.ndarray:
 
 
 def _circulant_spectrum(hurst: float, m: int) -> np.ndarray:
-    """Eigenvalues of the fGn circulant embedding of size ``2m``: the real part of the FFT of
-    the autocovariance at lags ``0..m`` followed by its mirror, lags ``m-1..1``.
+    """Eigenvalues ``0..m`` of the fGn circulant embedding of size ``2m``: the real FFT of the
+    autocovariance at lags ``0..m`` followed by its mirror, lags ``m-1..1``.
 
-    The autocovariance and its mirror are written into the real part of one
-    complex array of ``2m`` entries, and its FFT is the only other array of
-    that size; the result is a view of that FFT.
+    The embedding's row is real and symmetric, so its spectrum is real and
+    its entries ``m+1..2m-1`` mirror ``1..m-1``: the autocovariance and its
+    mirror are written into one real array of ``2m`` floats, and one real
+    FFT gives the ``m + 1`` eigenvalues a draw weights.  The result is a
+    view of that FFT's ``m + 1`` complex entries.
     """
-    embedding = np.zeros(2 * m, dtype=complex)
-    circulant = embedding.real
-    _fgn_autocov(hurst, circulant[: m + 1])
-    circulant[m + 1:] = circulant[m - 1:0:-1]
-    return np.fft.fft(embedding).real
+    row = np.empty(2 * m)
+    _fgn_autocov(hurst, row[: m + 1])
+    row[m + 1:] = row[m - 1:0:-1]
+    return np.fft.rfft(row).real
 
 
 # One spectrum at MAX_FBM_SLOTS holds 2**21 + 1 floats (16 MiB); a few
 # entries cover every distinct Hurst exponent of a typical scenario.
 @functools.lru_cache(maxsize=4)
 def _circulant_roots(hurst: float, m: int) -> np.ndarray:
-    """Read-only scaled square roots of the fGn circulant spectrum, size ``2m``.
+    """Read-only scaled square roots of the fGn circulant spectrum, size ``2m``, from the real
+    FFT of ``_circulant_spectrum``.
 
     Entry ``k`` of the returned ``m + 1`` is ``sqrt(eig_k / 2m)`` at
     ``k = 0, m`` and ``sqrt(eig_k / 4m)`` in between, the Davies-Harte
@@ -368,8 +375,9 @@ def _circulant_roots(hurst: float, m: int) -> np.ndarray:
     nonnegative definite for every H (Dietrich & Newsam, 1997), so round-off
     dips below zero are clipped; a dip below ``-1e-10 * max`` raises
     ``RuntimeError``.  Memoised per ``(hurst, m)``: every draw reuses the
-    same deterministic array.  A build at ``m = 2**17`` peaks at 8.0 MiB
-    under ``tracemalloc``, the two complex arrays of the FFT.
+    same deterministic array.  A build at ``m = 2**17`` peaks at 5.0 MiB
+    under ``tracemalloc``: the real row of ``2m`` floats and the
+    autocovariance's three scratch rows of ``m``.
     """
     eig = _circulant_spectrum(hurst, m)
     if eig.min() < -1e-10 * eig.max():
@@ -377,7 +385,7 @@ def _circulant_roots(hurst: float, m: int) -> np.ndarray:
             f"fGn circulant embedding not nonnegative at hurst={hurst}, m={m} "
             f"(min/max eigenvalue {eig.min() / eig.max():.3g})"
         )
-    roots = np.clip(eig[: m + 1], 0.0, None)
+    roots = np.clip(eig, 0.0, None)
     del eig  # the complex FFT it views
     two_m = 2 * m
     ends = np.sqrt(roots[[0, m]] / two_m)

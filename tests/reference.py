@@ -12,10 +12,12 @@ the coalitions and players one by one, and so do the supermodularity and
 core checks; ``least_core_value`` solves the least-core LP exactly.
 ``brute_force_plan`` plans a coalition without the engine's water-filling:
 it tries every active set of every slot and bisects on the capacity.
-``circulant_spectrum`` and ``circulant_roots`` build the fBm sampler's
-spectrum by the allocating formula the engine's in-place build must match
-bit for bit: the autocovariance ``fgn_autocov`` at any lags, concatenated
-with its mirror and passed to a real-input FFT.
+``circulant_spectrum`` is the definition of the fBm sampler's spectrum:
+the autocovariance ``fgn_autocov`` at any lags, concatenated with its
+mirror and passed to a complex FFT, all ``2m`` eigenvalues.
+``real_circulant_spectrum`` and ``circulant_roots`` build the same
+eigenvalues ``0..m`` by the allocating formula the engine's build must
+match bit for bit: the same row passed to a real FFT.
 """
 
 import itertools
@@ -311,10 +313,16 @@ def circulant_spectrum(hurst, m):
     return np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
 
 
+def real_circulant_spectrum(hurst, m):
+    """Eigenvalues ``0..m`` of the same embedding: ``rfft(concatenate([γ, γ[-2:0:-1]])).real``."""
+    gamma = fgn_autocov(hurst, np.arange(m + 1))
+    return np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+
+
 def circulant_roots(hurst, m):
-    """Davies-Harte weights of the spectrum's Hermitian half: ``sqrt(eig / 2m)`` at ``0, m``,
-    ``sqrt(eig / 4m)`` in between, round-off dips below zero clipped."""
-    eig = np.clip(circulant_spectrum(hurst, m)[: m + 1], 0.0, None)
+    """Davies-Harte weights of the spectrum's Hermitian half, from ``real_circulant_spectrum``:
+    ``sqrt(eig / 2m)`` at ``0, m``, ``sqrt(eig / 4m)`` in between, round-off dips below zero clipped."""
+    eig = np.clip(real_circulant_spectrum(hurst, m), 0.0, None)
     two_m = 2 * m
     roots = np.sqrt(eig / (2.0 * two_m))
     roots[[0, m]] = np.sqrt(eig[[0, m]] / two_m)

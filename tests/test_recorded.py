@@ -1,4 +1,4 @@
-"""The seven CI demos, made small, against their recorded outputs.
+"""The eight CI demos, made small, against their recorded outputs.
 
 Each demo runs in process through ``cli.main`` on a shipped config whose
 horizon is cut to ``SMALL_YEARS`` (payback demos take short ``--periods``
@@ -45,6 +45,7 @@ DEMOS = {
     ),
     "plan-fbm": ("edge-fbm.json", ["plan", "--all-coalitions"]),
     "payback-bounded": ("edge-bounded.json", ["payback", "--periods", "0.25,0.5", "--realizations", "10", "--seed", "3"]),
+    "sim-fbm": ("edge-fbm.json", ["simulate", "--realizations", "20", "--seed", "5"]),
 }
 
 

@@ -62,6 +62,15 @@ def fgn(hurst, n, rng):
     return _fgn_davies_harte(_circulant_roots(hurst, _embedding_size(n)), n, rng)
 
 
+def small_fbm():
+    """A two-SP fBm scenario over 1000 hourly slots whose grand coalition plans capacity, and its
+    value table."""
+    profile = RateProfile(100.0, ((20.0, 4.0),), 24)
+    params = EconomicParams(60.0, 0.5, 1000.0, 1.0, (6e-6, 6e-6), 0.03)
+    scenario = Scenario(("a", "b"), tuple(FbmLoadModel(profile, 0.5, h) for h in (0.7, 0.3)), params)
+    return scenario, build_value_table(scenario.expected_loads(), params)
+
+
 def rows_of(models, horizon, slot_seconds):
     """Each model's draw rows over ``horizon`` slots, as ``montecarlo._priced`` builds them."""
     return [m.draw_rows(horizon, slot_seconds) for m in models]
@@ -478,10 +487,7 @@ class TestFbmGeneration:
 
     def test_draws_identical_with_cold_or_warm_spectrum_cache(self, monkeypatch):
         # a call builds every spectrum in montecarlo._priced, and no draw builds one
-        profile = RateProfile(100.0, ((20.0, 4.0),), 24)
-        params = EconomicParams(60.0, 0.5, 1000.0, 1.0, (6e-6, 6e-6), 0.03)
-        scenario = Scenario(("a", "b"), tuple(FbmLoadModel(profile, 0.5, h) for h in (0.7, 0.3)), params)
-        table = build_value_table(scenario.expected_loads(), params)
+        scenario, table = small_fbm()
         build, callers = _circulant_roots, []
 
         def spy(hurst, m):
@@ -509,11 +515,62 @@ class TestFbmGeneration:
     def test_in_place_spectrum_matches_the_concatenated_build_bit_for_bit(self, hurst, m):
         gamma = _fgn_autocov(hurst, np.full(m + 1, np.nan))
         assert gamma.tobytes() == reference.fgn_autocov(hurst, np.arange(m + 1)).tobytes()
-        assert _circulant_spectrum(hurst, m).tobytes() == reference.circulant_spectrum(hurst, m).tobytes()
+        assert _circulant_spectrum(hurst, m).tobytes() == reference.real_circulant_spectrum(hurst, m).tobytes()
         assert _circulant_roots.__wrapped__(hurst, m).tobytes() == reference.circulant_roots(hurst, m).tobytes()
 
-    def test_spectrum_build_peaks_below_nine_mib(self):
-        # the complex embedding and its FFT, 4 MiB each, are the only arrays of their size
+    @pytest.mark.parametrize("hurst", (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999))
+    def test_real_fft_spectrum_matches_the_complex_fft_definition(self, hurst):
+        # the real FFT moves only round-off: 5.6e-16 of the largest eigenvalue at most over this grid
+        for m in (1 << k for k in range(1, 18)):
+            got = _circulant_spectrum(hurst, m)
+            want = reference.circulant_spectrum(hurst, m)[: m + 1]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * want.max(), m
+
+    def test_no_complex_fft_builds_or_draws_a_spectrum(self, monkeypatch):
+        scenario, table = small_fbm()
+        calls = dict.fromkeys(("fft", "rfft"), 0)
+        for name in calls:
+
+            def spy(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        for run in (
+            lambda: _circulant_roots(0.7, 64),
+            lambda: simulate(scenario, table, 3, seed=9),
+            lambda: payback_slots(scenario, table.plans[-1], 3, seed=9),
+        ):
+            _circulant_roots.cache_clear()
+            calls.update(fft=0, rfft=0)
+            run()
+            assert calls["fft"] == 0 and calls["rfft"] > 0
+
+    def test_fbm_simulate_moves_only_round_off_with_the_complex_fft_spectrum(self, monkeypatch):
+        # the real FFT's eigenvalues differ from the complex FFT's in the last bits; settlement
+        # keeps them to 1e-12 of each column's largest magnitude, and payback slots do not move
+        scenario, table = small_fbm()
+
+        def run():
+            _circulant_roots.cache_clear()
+            outcomes = simulate(scenario, table, 20, seed=9)
+            return outcomes, payback_slots(scenario, table.plans[-1], 20, seed=9)
+
+        got, got_slots = run()
+        monkeypatch.setattr(traffic, "_circulant_spectrum", lambda h, m: reference.circulant_spectrum(h, m)[: m + 1])
+        try:
+            want, want_slots = run()
+        finally:
+            _circulant_roots.cache_clear()
+        for column in ("collected", "payments", "rewards", "payoffs", "deviations"):
+            a, b = (np.stack([getattr(o, column) for o in outcomes]) for outcomes in (got, want))
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), column
+        assert [o.payback_slot for o in got] == [o.payback_slot for o in want] == got_slots == want_slots
+        assert any(slot is not None for slot in got_slots)
+
+    def test_spectrum_build_peaks_below_five_and_a_half_mib(self):
+        # the real row (2 MiB) and the autocovariance's three scratch rows (1 MiB each) read 5.0 MiB
         _circulant_roots.__wrapped__(0.7, 4)  # numpy's FFT module is loaded before the count
         tracemalloc.start()
         try:
@@ -521,7 +578,7 @@ class TestFbmGeneration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 << 20
+        assert peak <= 5.5 * (1 << 20)
 
     @pytest.mark.parametrize("n", (2, 3, 100, 8760, 43800))
     @pytest.mark.parametrize("hurst", (0.01, 0.3, 0.5, 0.7, 0.99))
