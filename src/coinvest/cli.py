@@ -341,7 +341,7 @@ def _per_player(names, values, convert=float) -> dict:
     return {name: convert(v) for name, v in zip(names, values)}
 
 
-def _quantiles(values):
+def _quantile_labels(values):
     """Quantile dict of a summary row, or None when it has no values."""
     if values is None:
         return None
@@ -490,10 +490,10 @@ def cmd_simulate(args, scenario: Scenario):
             "profit_probability": _per_player(names, summary.player_profit_prob),
             "joint_profit_probability": summary.joint_profit_prob,
             "stability_frequency": summary.stability_frequency,
-            "payoff_quantiles": _per_player(names, summary.payoff_quantiles, _quantiles),
-            "payment_quantiles": _per_player(names, summary.payment_quantiles, _quantiles),
-            "reward_quantiles": _per_player(names, summary.reward_quantiles, _quantiles),
-            "payback_slot_quantiles": _quantiles(summary.payback_quantiles),
+            "payoff_quantiles": _per_player(names, summary.payoff_quantiles, _quantile_labels),
+            "payment_quantiles": _per_player(names, summary.payment_quantiles, _quantile_labels),
+            "reward_quantiles": _per_player(names, summary.reward_quantiles, _quantile_labels),
+            "payback_slot_quantiles": _quantile_labels(summary.payback_quantiles),
             "payback_censored": summary.payback_censored,
         },
     )
@@ -518,7 +518,7 @@ def cmd_payback(args, scenario: Scenario):
                 "investment_years": y,
                 "capacity_vcores": plan.capacity,
                 "grand_value": plan.objective,
-                "payback_slot_quantiles": _quantiles(quantiles),
+                "payback_slot_quantiles": _quantile_labels(quantiles),
                 "censored": censored,
             }
         )

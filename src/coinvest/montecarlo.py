@@ -111,7 +111,7 @@ def _priced(scenario: Scenario, plans: Sequence[AllocationPlan], n_realizations:
 def _draw(scenario: Scenario, rows: list, seed: int, omega: int) -> LoadMatrix:
     """Realization ``omega``'s loads from ``rows``; a load that is not finite is refused, naming its SP."""
     with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
-        loads = sample_loads(scenario.models, rows, scenario.params.slot_seconds, (seed, omega))
+        loads = sample_loads(scenario.models, rows, (seed, omega))
     finite = np.isfinite(loads.values).all(axis=1)
     if not finite.all():
         raise RuntimeError(f"realization {omega}: players[{finite.argmin()}]: realized loads are not finite")

@@ -34,9 +34,9 @@ embedding's first row is real and symmetric, so its spectrum is one real
 FFT of that row, the ``m + 1`` eigenvalues the draws weight; their square
 roots are built in place, before any draw, and memoised per ``(H, m)``.
 A model keeps nothing of its draws: its ``draw_rows`` are the read-only
-deterministic rows of one horizon (the bounded band's lower edge and
-width, or the fBm trend, smooth term and spectrum roots), which the
-caller builds once and hands to each draw, so no draw builds a spectrum.
+rows of one horizon and slot length (the bounded band's lower edge and
+width, or the fBm trend, smooth term, spectrum roots and slot length),
+built once by the caller and handed to each draw with its generator.
 ``generate_fbm`` draws a standalone path from the same memoised spectrum.
 
 Randomness contract: a key is an integer tuple such as ``(seed,
@@ -204,7 +204,7 @@ class BoundedLoadModel:
         low = (1.0 - self.spread) * mean
         return _read_only(low, (1.0 + self.spread) * mean - low)
 
-    def sample(self, rows: tuple, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rows: tuple, rng: np.random.Generator) -> np.ndarray:
         """One load row from ``draw_rows``' ``rows``: ``U * width + low``, rounded as ``rng.uniform`` does."""
         low, width = rows
         load = rng.random(low.size)
@@ -254,20 +254,20 @@ class FbmLoadModel:
         return self.trend.rate_bound * envelope / SQRT_2PI * slot_seconds
 
     def draw_rows(self, slots: int, slot_seconds: float) -> tuple:
-        """Read-only trend rate and smooth part ``(1 - alpha) * t**H / sqrt(2*pi)`` over ``slots`` slots,
-        and the memoised spectrum roots of their fBm paths, so no draw builds a spectrum."""
+        """Read-only trend rate, smooth part ``(1 - alpha) * t**H / sqrt(2*pi)`` and memoised spectrum
+        roots over ``slots`` slots, so no draw builds one, and 0-d ``slot_seconds``, multiplied in last."""
         roots = _fbm_roots(self.hurst, slots)  # first, so its build's temporaries meet no other row
         t = np.arange(slots)
         envelope = np.power(t, self.hurst) / SQRT_2PI
-        return _read_only(self.trend.rate(t), (1.0 - self.alpha) * envelope, roots)
+        return _read_only(self.trend.rate(t), (1.0 - self.alpha) * envelope, roots, np.array(float(slot_seconds)))
 
-    def sample(self, rows: tuple, slot_seconds: float, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rows: tuple, rng: np.random.Generator) -> np.ndarray:
         """One load row from ``draw_rows``' ``rows`` and one fBm path drawn with their spectrum.
 
         ``trend * ((1 - alpha) * envelope + alpha * max(0, path)) * slot_seconds``,
         evaluated in place on the fresh path.
         """
-        trend, smooth, roots = rows
+        trend, smooth, roots, slot_seconds = rows
         load = _fbm_path(roots, trend.size, rng)
         np.maximum(load, 0.0, out=load)
         load *= self.alpha
@@ -465,8 +465,8 @@ def generate_fbm(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return _fbm_path(_fbm_roots(hurst, n), n, rng)
 
 
-def sample_loads(models: Sequence[LoadModel], rows: Sequence[tuple], slot_seconds: float, key: tuple) -> LoadMatrix:
-    """One joint load realization over slots of ``slot_seconds``, model ``i`` drawn from its ``rows[i]``.
+def sample_loads(models: Sequence[LoadModel], rows: Sequence[tuple], key: tuple) -> LoadMatrix:
+    """One joint load realization, model ``i`` drawn from its ``rows[i]``, which fix the slot length.
 
     Model ``i`` consumes the substream keyed ``(*key, i)``, so the
     matrix is identical regardless of evaluation order.
@@ -474,4 +474,4 @@ def sample_loads(models: Sequence[LoadModel], rows: Sequence[tuple], slot_second
     if not models:
         raise ValueError("need at least one load model")
     pairs = enumerate(zip(models, rows, strict=True))
-    return LoadMatrix(np.vstack([m.sample(r, slot_seconds, _substream(key, i)) for i, (m, r) in pairs]))
+    return LoadMatrix(np.vstack([m.sample(r, _substream(key, i)) for i, (m, r) in pairs]))

@@ -5,8 +5,10 @@ a share ``h`` at load ``l`` as ``beta * l * (1 - math.exp(-xi * h))``,
 the paper's utility written out, so it shares no arithmetic with
 ``economics.utility``.  Capacity is priced by ``economics.cost``, and
 loads come from the engine's samplers and expected-load rows: drawing
-is not pricing.  Shapley payoffs average marginal contributions over
-every join order, and settlement follows the ``montecarlo`` docstring.
+is not pricing.  ``first_overflow`` finds the first realization whose
+drawn loads, or their revenue so priced, are not finite.  Shapley
+payoffs average marginal contributions over every join order, and
+settlement follows the ``montecarlo`` docstring.
 The stability chain, sigma-hat, delta-hat and the Hoeffding bound, walks
 the coalitions and players one by one, and so do the supermodularity and
 core checks; ``least_core_value`` solves the least-core LP exactly.
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from coinvest import cost
-from coinvest.traffic import expected_load_matrix
+from coinvest.traffic import expected_load_matrix, sample_loads
 
 
 def utilities(params, loads, shares) -> list:
@@ -41,6 +43,23 @@ def utilities(params, loads, shares) -> list:
 def sp_revenues(plan, loads, params) -> list:
     """Revenue each SP collects under ``plan`` at ``loads``, summed slot by slot."""
     return [sum(row) for row in utilities(params, loads, plan.shares)]
+
+
+def first_overflow(scenario, plans, seed, n_realizations):
+    """The first of ``n_realizations`` draws, keyed ``(seed, omega)`` as the engine keys them, whose
+    loads, or whose revenue under any of ``plans``, are not finite; None when every one is.
+
+    Each draw comes from ``sample_loads`` over the scenario's ``draw_rows`` and is priced by
+    ``sp_revenues`` in Python floats, which overflow to inf without a warning."""
+    rows = [m.draw_rows(scenario.horizon, scenario.params.slot_seconds) for m in scenario.models]
+    for omega in range(n_realizations):
+        with np.errstate(over="ignore"):  # an overflow leaves inf, caught below
+            loads = sample_loads(scenario.models, rows, (seed, omega)).values
+        if not np.isfinite(loads).all():
+            return omega
+        if not all(math.isfinite(sum(sp_revenues(p, loads, scenario.params))) for p in plans):
+            return omega
+    return None
 
 
 def value(plan, loads, params) -> float:

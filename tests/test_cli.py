@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from coinvest import Scenario, build_value_table, shapley
 from coinvest import cli
 from coinvest.allocation import AllocationError, AllocationPlan, optimal_plan
@@ -1062,13 +1063,20 @@ class TestRealizedOverflow:
     exit 2, naming the realization and the SP: nothing written, no warning, at any worker count."""
 
     def run(self, cfg, command, workers, tmp_path, capsys, write_config, pool):
+        """``command``'s stderr on ``cfg`` at seed 0, and the first of its 20 realizations that
+        overflows in the engine's own draws: one SP, so only the grand plan installs and earns."""
         pool(workers)
         name, *flags = command.split()
+        path = write_config(cfg)
+        scenario, _ = load_config(path)
+        table = build_value_table(scenario.expected_loads(), scenario.params)
+        omega = reference.first_overflow(scenario, [table.plans[table.grand_bits]], 0, 20)
+        assert 0 < omega < 19  # refused mid-run
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([name, write_config(cfg), "--out", str(tmp_path / "x.csv"), *flags]) == 2
+            assert main([name, path, "--out", str(tmp_path / "x.csv"), *flags]) == 2
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
-        return capsys.readouterr().err
+        return capsys.readouterr().err, omega
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", ["payback --periods 5 --realizations 20", "simulate --realizations 20"])
@@ -1078,8 +1086,8 @@ class TestRealizedOverflow:
         cfg["uncertainty"]["alpha"] = 1
         cfg["economics"]["investment_years"] = 5
         cfg["players"][0]["profile"] = {"base_rate": 3.527345993044867e301, "period": 24, "components": []}
-        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, pool)
-        assert err == "error: realization 11: players[0]: realized loads are not finite\n"
+        err, omega = self.run(cfg, command, workers, tmp_path, capsys, write_config, pool)
+        assert err == f"error: realization {omega}: players[0]: realized loads are not finite\n"
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", ["payback --periods 0.1 --realizations 20", "simulate --realizations 20"])
@@ -1091,8 +1099,8 @@ class TestRealizedOverflow:
         cfg["players"][0]["benefit"] = 1.0
         base = 0.99 * sys.float_info.max / (875**0.7 / math.sqrt(2.0 * math.pi) * 3600.0 * 876)
         cfg["players"][0]["profile"] = {"base_rate": base, "period": 24, "components": []}
-        err = self.run(cfg, command, workers, tmp_path, capsys, write_config, pool)
-        assert err == "error: realization 13: players[0]: realized revenue over players[0..0] is not finite\n"
+        err, omega = self.run(cfg, command, workers, tmp_path, capsys, write_config, pool)
+        assert err == f"error: realization {omega}: players[0]: realized revenue over players[0..0] is not finite\n"
 
 
 class TestPayback:

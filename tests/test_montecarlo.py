@@ -172,7 +172,7 @@ class TestDeterminism:
         slot_seconds = scenario.params.slot_seconds
         rows = [m.draw_rows(scenario.horizon, slot_seconds) for m in scenario.models]
         for omega, o in enumerate(outcomes):
-            drawn = sample_loads(scenario.models, rows, slot_seconds, (11, omega))
+            drawn = sample_loads(scenario.models, rows, (11, omega))
             assert np.array_equal(o.loads.values, drawn.values)
             by_hand = reference.values(table.plans, o.loads.values, scenario.params)
             assert o.values == pytest.approx(by_hand, rel=1e-9)
@@ -377,37 +377,58 @@ class TestRealizedOverflow:
     """``Scenario`` bounds the expected demand only.  A drawn path that overflows, in its loads or
     in its revenue, ends both functions with a named ``RuntimeError`` and no warning."""
 
-    # seed 0: realization 13 is the first whose loads (benefit 6e-6, load bound half the largest
-    # float) or whose revenue (benefit 1, revenue bound 0.99 of it, loads finite) overflow
+    # seed 0: some realization's loads (benefit 6e-6, load bound half the largest float) or revenue
+    # (benefit 1, revenue bound 0.99 of it, loads finite) overflow, and so do the loads of a 2-slot
+    # horizon at base rate 1e305, whose load bound is far from the largest float; each message names
+    # the first such realization of the engine's own draws, as ``reference.first_overflow`` finds it
     CASES = {
-        "loads": ((6e-6, 0.5), "realization 13: players[0]: realized loads are not finite"),
-        "revenue": ((1.0, 0.99), "realization 13: players[0]: realized revenue over players[0..0] is not finite"),
+        "loads": (
+            lambda: overflow_scenario(6e-6, 0.5),
+            "realization {}: players[0]: realized loads are not finite",
+        ),
+        "revenue": (
+            lambda: overflow_scenario(1.0, 0.99),
+            "realization {}: players[0]: realized revenue over players[0..0] is not finite",
+        ),
+        "short-loads": (
+            lambda: Scenario(
+                ("metro",),
+                (FbmLoadModel(RateProfile(1e305), 1.0, 0.7),),
+                EconomicParams(10.94, 16.25, 2.0, 1.0, (1e-300,), 0.03),
+            ),
+            "realization {}: players[0]: realized loads are not finite",
+        ),
     }
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("case", CASES)
     def test_simulate_and_payback_name_the_realization_and_sp(self, case, workers, pool):
-        args, message = self.CASES[case]
-        scenario = overflow_scenario(*args)
-        table = build_value_table(scenario.expected_loads(), scenario.params)
+        build, message = self.CASES[case]
         pool(workers)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            scenario = build()  # accepted: only the expected demand is bounded
+            table = build_value_table(scenario.expected_loads(), scenario.params)
+            grand = table.plans[table.grand_bits]
+            first = reference.first_overflow(scenario, table.plans, 0, 20)
+            assert reference.first_overflow(scenario, [grand], 0, 20) == first  # only the grand plan earns
+            assert 0 < first < 19  # refused mid-run
             with pytest.raises(RuntimeError) as simulated:
                 simulate(scenario, table, 20, seed=0)
             with pytest.raises(RuntimeError) as paid_back:
-                payback_slots(scenario, table.plans[table.grand_bits], 20, 0)
-        assert str(simulated.value) == str(paid_back.value) == message
+                payback_slots(scenario, grand, 20, 0)
+        assert str(simulated.value) == str(paid_back.value) == message.format(first)
 
     def test_revenue_case_draws_finite_loads(self):
         scenario = overflow_scenario(1.0, 0.99)
-        rows = [m.draw_rows(scenario.horizon, 3600.0) for m in scenario.models]
-        loads = sample_loads(scenario.models, rows, 3600.0, (0, 13)).values
-        assert np.isfinite(loads).all()
         table = build_value_table(scenario.expected_loads(), scenario.params)
+        first = reference.first_overflow(scenario, table.plans, 0, 20)
+        rows = [m.draw_rows(scenario.horizon, 3600.0) for m in scenario.models]
+        loads = sample_loads(scenario.models, rows, (0, first)).values
+        assert np.isfinite(loads).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(payback_slots(scenario, table.plans[table.grand_bits], 13, 0)) == 13
+            assert len(payback_slots(scenario, table.plans[table.grand_bits], first, 0)) == first
 
     def test_refusal_names_where_the_running_sum_overflows(self):
         big = 0.6 * sys.float_info.max

@@ -114,7 +114,7 @@ def reference_game(seed: int):
 def draws(scenario, seed):
     slot_seconds = scenario.params.slot_seconds
     rows = [m.draw_rows(scenario.horizon, slot_seconds) for m in scenario.models]
-    return [sample_loads(scenario.models, rows, slot_seconds, (seed, omega)).values for omega in range(REALIZATIONS)]
+    return [sample_loads(scenario.models, rows, (seed, omega)).values for omega in range(REALIZATIONS)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -243,7 +243,7 @@ def test_deviations_below_delta_hat_keep_both_positions_in_the_realized_core():
         expected_revenue = reference.sp_revenues(plans[-1], scenario.expected_loads(), params)
         rows = [m.draw_rows(scenario.horizon, params.slot_seconds) for m in scenario.models]
         for omega in range(STABLE_DRAWS):
-            loads = sample_loads(scenario.models, rows, params.slot_seconds, (seed, omega)).values
+            loads = sample_loads(scenario.models, rows, (seed, omega)).values
             revenue = reference.sp_revenues(plans[-1], loads, params)
             deviations = [0.0] + [r - e for r, e in zip(revenue, expected_revenue)]
             if not all(abs(d) < delta for d in deviations):

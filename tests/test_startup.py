@@ -1,8 +1,9 @@
 """Process start-up: lazy package exports and the CLI's BLAS thread default.
 
 Also stdlib ``ast`` guards, since no linter runs on this code: no ``coinvest`` module keeps
-an import it never uses, and no module-level name that nothing in the package reads; and a
-frozen record is changed only while it is being built.
+an import it never uses, no module-level name that nothing in the package reads and no
+parameter that its function never reads; and a frozen record is changed only while it is
+being built.
 """
 
 import ast
@@ -165,6 +166,52 @@ def test_every_module_level_name_is_read():
         if name not in read and name not in coinvest.__all__
     }
     assert not dead, f"defined and never read: {dead}"
+
+
+def unread_parameters(tree):
+    """``{(qualified name, parameter): line}`` of each parameter of a ``def`` or ``lambda`` in
+    ``tree``, ``self`` and ``cls`` aside, that its body never reads as a name."""
+    unread = {}
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope = names + [getattr(child, "name", "<lambda>")]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {
+                    n.id for part in body for n in ast.walk(part)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+                }
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                unread.update({
+                    (".".join(scope), p.arg): child.lineno
+                    for p in params if p.arg not in read and p.arg not in ("self", "cls")
+                })
+                visit(child, scope)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, names + [child.name])
+            else:
+                visit(child, names)
+
+    visit(tree, [])
+    return unread
+
+
+def test_every_parameter_is_read():
+    """Each parameter of a ``def`` or ``lambda`` in ``coinvest`` is read in its body, so no
+    caller passes a value that nothing uses.  One is allowed: ``BoundedLoadModel.load_bound``
+    takes ``slots`` as ``FbmLoadModel.load_bound`` does, since ``Scenario`` asks either model
+    for its bound over the horizon and only the fBm bound grows with it."""
+    unread = {
+        (f"{p.stem}.{name}", param): line
+        for p in sorted(pathlib.Path(SRC, "coinvest").glob("*.py"))
+        for (name, param), line in unread_parameters(ast.parse(p.read_text())).items()
+    }
+    allowed = ("traffic.BoundedLoadModel.load_bound", "slots")
+    assert allowed in unread  # the walk sees the one parameter it allows
+    del unread[allowed]
+    assert not unread, f"parameters never read: {unread}"
 
 
 def setattr_sites(tree):

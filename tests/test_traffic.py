@@ -348,7 +348,7 @@ class TestBoundedSampling:
 
     def test_zero_spread_is_exactly_the_mean(self):
         models = self.make_models(0.0)
-        loads = sample_loads(models, rows_of(models, 24, 3600.0), 3600.0, (7,))
+        loads = sample_loads(models, rows_of(models, 24, 3600.0), (7,))
         assert np.array_equal(loads.values, expected_load_matrix(models, 24, 3600.0))
 
     def test_full_spread_stays_in_doubled_band(self):
@@ -356,7 +356,7 @@ class TestBoundedSampling:
         mean = expected_load_matrix(models, 24, 3600.0)
         rows = rows_of(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, rows, 3600.0, (seed,))
+            loads = sample_loads(models, rows, (seed,))
             assert (loads.values >= 0.0).all()
             assert (loads.values <= 2.0 * mean + 1e-9).all()
 
@@ -365,24 +365,24 @@ class TestBoundedSampling:
         mean = expected_load_matrix(models, 24, 3600.0)
         rows = rows_of(models, 24, 3600.0)
         for seed in range(20):
-            loads = sample_loads(models, rows, 3600.0, (seed,)).values
+            loads = sample_loads(models, rows, (seed,)).values
             assert (loads >= 0.65 * mean - 1e-9).all()
             assert (loads <= 1.35 * mean + 1e-9).all()
 
     def test_deterministic_per_seed(self):
         models = self.make_models(0.5)
         rows = rows_of(models, 24, 3600.0)
-        a = sample_loads(models, rows, 3600.0, (42,)).values
-        b = sample_loads(models, rows, 3600.0, (42,)).values
-        c = sample_loads(models, rows, 3600.0, (43,)).values
+        a = sample_loads(models, rows, (42,)).values
+        b = sample_loads(models, rows, (42,)).values
+        c = sample_loads(models, rows, (43,)).values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rows_do_not_depend_on_other_players(self):
         models = self.make_models(0.5)
         rows = rows_of(models, 24, 3600.0)
-        both = sample_loads(models, rows, 3600.0, (11,)).values
-        first_alone = sample_loads(models[:1], rows[:1], 3600.0, (11,)).values
+        both = sample_loads(models, rows, (11,)).values
+        first_alone = sample_loads(models[:1], rows[:1], (11,)).values
         assert np.array_equal(both[:1], first_alone)
 
     @pytest.mark.parametrize("horizon, streams", [(1, 200), (24, 200), (43_800, 20)])
@@ -393,14 +393,14 @@ class TestBoundedSampling:
         rows = model.draw_rows(horizon, 3600.0)
         for k in range(streams):
             want = _substream((3,), k).uniform((1.0 - spread) * mean, (1.0 + spread) * mean)
-            got = model.sample(rows, 3600.0, _substream((3,), k))
+            got = model.sample(rows, _substream((3,), k))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_sample_mean_converges(self):
         # one long-horizon draw gives many independent slot samples
         model = BoundedLoadModel(RateProfile(100.0), 0.5)
         n = 100_000
-        draws = sample_loads([model], rows_of([model], n, 1.0), 1.0, (9,)).values[0]
+        draws = sample_loads([model], rows_of([model], n, 1.0), (9,)).values[0]
         assert draws.min() >= 50.0 and draws.max() <= 150.0
         se = (100.0 / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(draws.mean() - 100.0) < 3 * se
@@ -638,12 +638,12 @@ class TestFbmSampling:
     def test_alpha_zero_equals_expected_load(self):
         model = self.make_model(0.0)
         slots = np.arange(24)
-        loads = sample_loads([model], rows_of([model], 24, 60.0), 60.0, (99,)).values[0]
+        loads = sample_loads([model], rows_of([model], 24, 60.0), (99,)).values[0]
         assert np.allclose(loads, model.expected_rate(slots) * 60.0, rtol=1e-12, atol=0.0)
 
     def test_alpha_one_is_pure_path(self):
         model = self.make_model(1.0)
-        loads = sample_loads([model], rows_of([model], 24, 60.0), 60.0, (5,)).values[0]
+        loads = sample_loads([model], rows_of([model], 24, 60.0), (5,)).values[0]
         assert loads[0] == 0.0  # path starts at the origin
         # reconstruct from the same substream to confirm the formula
         path = generate_fbm(0.7, 24, _substream((5,), 0))
@@ -656,7 +656,7 @@ class TestFbmSampling:
         t = 5
         rows = rows_of([model], 6, 60.0)
         draws = np.array(
-            [sample_loads([model], rows, 60.0, (4, k)).values[0, t] for k in range(20_000)]
+            [sample_loads([model], rows, (4, k)).values[0, t] for k in range(20_000)]
         )
         target = model.expected_rate(t) * 60.0
         se = draws.std() / math.sqrt(draws.size)
@@ -666,32 +666,33 @@ class TestFbmSampling:
         model = self.make_model(1.0, hurst=0.4)
         rows = rows_of([model], 48, 60.0)
         for seed in range(10):
-            assert (sample_loads([model], rows, 60.0, (seed,)).values >= 0.0).all()
+            assert (sample_loads([model], rows, (seed,)).values >= 0.0).all()
 
     def test_deterministic_and_player_keyed(self):
         models = [self.make_model(0.5), self.make_model(0.9)]
         rows = rows_of(models, 24, 60.0)
-        a = sample_loads(models, rows, 60.0, (77,)).values
-        b = sample_loads(models, rows, 60.0, (77,)).values
+        a = sample_loads(models, rows, (77,)).values
+        b = sample_loads(models, rows, (77,)).values
         assert np.array_equal(a, b)
-        alone = sample_loads(models[:1], rows[:1], 60.0, (77,)).values
+        alone = sample_loads(models[:1], rows[:1], (77,)).values
         assert np.array_equal(a[:1], alone)
 
     def test_dispatcher_routes_by_kind(self):
         bounded = BoundedLoadModel(RateProfile(10.0), 0.1)
         fbm = self.make_model(0.5)
-        assert sample_loads([bounded], rows_of([bounded], 4, 1.0), 1.0, (0,)).values.shape == (1, 4)
-        assert sample_loads([fbm], rows_of([fbm], 4, 60.0), 60.0, (0,)).values.shape == (1, 4)
+        assert sample_loads([bounded], rows_of([bounded], 4, 1.0), (0,)).values.shape == (1, 4)
+        assert sample_loads([fbm], rows_of([fbm], 4, 60.0), (0,)).values.shape == (1, 4)
         with pytest.raises(ValueError):
-            sample_loads([], [], 60.0, (0,))
+            sample_loads([], [], (0,))
         with pytest.raises(ValueError, match="shorter"):  # one model without its rows
-            sample_loads([bounded, fbm], rows_of([bounded], 4, 60.0), 60.0, (0,))
+            sample_loads([bounded, fbm], rows_of([bounded], 4, 60.0), (0,))
 
 
 class TestSamplerRows:
     """``draw_rows`` builds each model's deterministic rows, and the model keeps none of them.
 
-    Each row but an fBm model's spectrum roots, its third, holds one entry per slot."""
+    Each row holds one entry per slot, but for an fBm model's third and fourth: its spectrum roots
+    and its 0-d slot length, so a draw takes only its rows and its generator."""
 
     MODELS = (
         BoundedLoadModel(RateProfile(100.0, ((20.0, 4.0),), 24), 0.3),
@@ -701,24 +702,30 @@ class TestSamplerRows:
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_rows_are_read_only(self, model):
         rows = model.draw_rows(48, 60.0)
-        model.sample(rows, 60.0, np.random.default_rng(0))
+        model.sample(rows, np.random.default_rng(0))
         assert rows
         for row in rows:
             assert not row.flags.writeable
-        assert all(row.shape == (48,) for row in rows[:2])  # an fBm model's third row is its spectrum
+        assert all(row.shape == (48,) for row in rows[:2])  # an fBm model's spectrum and slot length follow
         assert vars(model).keys() == {f.name for f in fields(model)}
+
+    def test_a_draw_takes_only_its_rows_and_its_generator(self):
+        assert all(list(inspect.signature(m.sample).parameters) == ["rows", "rng"] for m in self.MODELS)
+        assert list(inspect.signature(sample_loads).parameters) == ["models", "rows", "key"]
+        slot_seconds = self.MODELS[1].draw_rows(24, 60.0)[3]  # the fBm rows carry the slot length
+        assert slot_seconds.shape == () and slot_seconds == 60.0
 
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_draws_follow_the_horizon(self, model):
         day = model.draw_rows(24, 60.0)
-        a = model.sample(day, 60.0, np.random.default_rng(1))
-        first = model.sample(day, 60.0, np.random.default_rng(2))
+        a = model.sample(day, np.random.default_rng(1))
+        first = model.sample(day, np.random.default_rng(2))
         kept = first.copy()
         two_days = model.draw_rows(48, 60.0)
-        model.sample(two_days, 60.0, np.random.default_rng(1))
-        b = model.sample(model.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
+        model.sample(two_days, np.random.default_rng(1))
+        b = model.sample(model.draw_rows(24, 60.0), np.random.default_rng(1))
         twin = replace(model)
-        fresh = twin.sample(twin.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
+        fresh = twin.sample(twin.draw_rows(24, 60.0), np.random.default_rng(1))
         assert np.array_equal(a, b) and np.array_equal(a, fresh)
         assert np.array_equal(first, kept)
         assert all(np.array_equal(long[:24], short) for long, short in zip(two_days[:2], day[:2]))
@@ -726,11 +733,11 @@ class TestSamplerRows:
     @pytest.mark.parametrize("model", MODELS, ids=("bounded", "fbm"))
     def test_draws_follow_the_slot_length(self, model):
         # doubling the slot doubles each load exactly
-        a = model.sample(model.draw_rows(24, 60.0), 60.0, np.random.default_rng(1))
-        b = model.sample(model.draw_rows(24, 120.0), 120.0, np.random.default_rng(1))
+        a = model.sample(model.draw_rows(24, 60.0), np.random.default_rng(1))
+        b = model.sample(model.draw_rows(24, 120.0), np.random.default_rng(1))
         twin = replace(model)
         assert np.array_equal(b, 2.0 * a)
-        assert np.array_equal(b, twin.sample(twin.draw_rows(24, 120.0), 120.0, np.random.default_rng(1)))
+        assert np.array_equal(b, twin.sample(twin.draw_rows(24, 120.0), np.random.default_rng(1)))
 
 
 class TestLoadMatrix:
