@@ -51,7 +51,11 @@ class AllocationPlan:
     """Capacity and shares a coalition commits to before demand is known.
 
     ``shares`` has one row per scenario SP (not per coalition member);
-    rows of SPs outside the coalition are identically zero.
+    rows of SPs outside the coalition are identically zero.  ``shares``
+    is built by ``np.zeros``, not ``np.zeros_like``: calloc hands back
+    untouched zero pages, so a value table's 2^n plans take memory only
+    for their member rows, and an idle plan takes none.  ``zeros_like``
+    would write every zero.
     """
 
     capacity: float
@@ -90,12 +94,12 @@ def _check_inputs(coalition: PlayerSet, loads: np.ndarray, params: EconomicParam
 
 
 def _idle_plan(loads: np.ndarray, method: str) -> AllocationPlan:
-    return AllocationPlan(0.0, np.zeros_like(loads), 0.0, method)
+    return AllocationPlan(0.0, np.zeros(loads.shape), 0.0, method)
 
 
 def _plan(loads, rows, shares_rows, capacity: float, params: EconomicParams, method: str) -> AllocationPlan:
     """SPs ``rows`` get ``shares_rows`` of ``capacity``, the rest 0; objective = revenue at ``loads`` - cost."""
-    shares = np.zeros_like(loads)
+    shares = np.zeros(loads.shape)
     shares[rows] = shares_rows
     beta = np.asarray(params.benefits)[rows, None]
     objective = utility(beta, params.saturation, loads[rows], shares_rows).sum() - cost(params, capacity)

@@ -36,7 +36,7 @@ coalitions (6 SPs), else one per CPU the process may run on (so
 ``taskset`` bounds them), at most one per realization; the README gives
 the measured crossover.  ``payback_slots`` settles one plan, serially.
 Each pool thread keeps its own fBm draw buffers, ``32 * m`` bytes for an
-embedding of ``m`` slots (2 MB at 43 800 slots).
+embedding of ``2m`` points (2 MB at 43 800 slots).
 
 Determinism: realization ``omega`` for player ``i`` consumes the
 substream keyed ``(master_seed, omega, i)`` in both functions and reads

@@ -21,11 +21,11 @@ import pytest
 
 import reference
 from coinvest import Scenario, build_value_table, shapley
-from coinvest import cli
+from coinvest import allocation, cli, montecarlo
 from coinvest.allocation import AllocationError, AllocationPlan, optimal_plan
 from coinvest.cli import ConfigError, load_config, main
 from coinvest.players import PlayerSet, all_coalitions
-from coinvest.traffic import MAX_FBM_SLOTS, RateProfile
+from coinvest.traffic import MAX_FBM_SLOTS, LoadMatrix, RateProfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -1247,6 +1247,51 @@ class TestPayback:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: --periods: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestAllCensored:
+    """No realization recovers its cost when every drawn load is 0: quantiles are null, all censored."""
+
+    @pytest.fixture(autouse=True)
+    def zero_loads(self, monkeypatch):
+        real = montecarlo.sample_loads
+        monkeypatch.setattr(montecarlo, "sample_loads", lambda *args: LoadMatrix(np.zeros_like(real(*args).values)))
+
+    def test_simulate(self, write_config, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", write_config(base_config()), "--out", str(out), "--realizations", "4"]) == 0
+        sidecar = json.loads((tmp_path / "sim.json").read_text())
+        assert sidecar["payback_slot_quantiles"] is None
+        assert sidecar["payback_censored"] == 4
+
+    def test_payback(self, write_config, tmp_path):
+        out = tmp_path / "pb.csv"
+        args = ["payback", write_config(fbm_config()), "--out", str(out), "--periods", "0.5,1", "--realizations", "3"]
+        assert main(args) == 0
+        sidecar = json.loads((tmp_path / "pb.json").read_text())
+        assert [(p["payback_slot_quantiles"], p["censored"]) for p in sidecar["periods"]] == [(None, 3)] * 2
+        _, rows = read_csv(out)
+        assert rows == [[years, str(omega), "", "", "1"] for years in ("0.5", "1") for omega in range(3)]
+
+
+class TestNewtonCap:
+    """A Newton search that reaches its step cap is an AllocationError, and the CLI exits 2 on it."""
+
+    @pytest.fixture(autouse=True)
+    def one_step(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_NEWTON_STEPS", 1)
+
+    def test_numeric_solver_raises(self):
+        scenario, _ = load_config(str(REPO / "configs" / "edge-fbm.json"))
+        grand = PlayerSet.grand(scenario.n_players)
+        with pytest.raises(AllocationError, match="^Newton capacity search did not converge$"):
+            allocation.optimal_plan_numeric(grand, scenario.expected_loads(), scenario.params)
+
+    def test_plan_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "plan.csv"
+        assert main(["plan", str(REPO / "configs" / "edge-fbm.json"), "--out", str(out)]) == 2
+        assert "Newton capacity search did not converge" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestFbmCeiling:
